@@ -20,11 +20,11 @@ from .frontend import (AudioClip, FeatureSequence, Spectrogram, load_audio, log_
                        mel_filterbank, read_features, save_audio, stft_magnitude,
                        write_features)
 from .labels import label_matrix_from_range, read_label_file, write_label_file
-from .network import (LabelMatrix, SegModel, backward, bce_masked, forward,
+from .network import (LabelMatrix, SegModel, backward, bce_masked, encode, forward,
                       init_model, load_model, save_model, total_loss)
-from .nmf import (Activations, Dictionary, SnmfConfig, infer_activations,
-                  load_dictionary, nmf_loss, reconstruct, save_dictionary,
-                  snmf_objective, train_snmf, update_h, update_w)
+from .nmf import (Activations, Dictionary, SnmfConfig, load_dictionary, nmf_loss,
+                  reconstruct, save_dictionary, snmf_objective, train_snmf, update_h,
+                  update_w)
 from .optim import AdamState, adam_step, init_adam
 from .probing import (ProbeResult, ProbeTask, build_synthetic_task, eval_probe,
                       extract_frozen_h, train_probe)

@@ -28,12 +28,11 @@ from .evaluate import (FrameDecisions, frames_to_segments, report_to_dict,
 from .explain import (component_report, make_record, report_summary,
                       write_component_csv, write_sample_csv, write_spectrum_csv,
                       write_summary_json)
-from .labels import label_matrix_from_range
-from .network import init_model, load_model, save_model, sigmoid, _forward_cache
+from .network import encode, init_model, load_model, save_model, sigmoid
 from .nmf import save_dictionary, load_dictionary
 from .probing import build_synthetic_task, eval_probe, load_probe_manifest, train_probe, write_result_json
-from .training import (dev_metrics, evaluate_split, load_split, mean_activation_l1,
-                       pretrain_dictionary, reconstruction_error, train)
+from .training import (evaluate_split, load_clip, load_split, pretrain_dictionary,
+                       reconstruction_error, train)
 
 
 class _Run:
@@ -113,9 +112,13 @@ def _cmd_pretrain_dict(args, cfg, run: _Run):
     return 0
 
 
-def _load_dims(manifest, settings):
-    clips = load_split(manifest, "train", settings)
-    return clips, clips[0].features.shape[0], clips[0].labels.shape[0]
+def _train_dims(manifest, settings) -> tuple[int, int]:
+    """Feature and class counts, read from the first train clip alone."""
+    rows = manifest.for_split("train")
+    if not rows:
+        raise ValueError("manifest has no 'train' rows")
+    clip = load_clip(manifest, rows[0], settings)
+    return clip.features.shape[0], clip.labels.shape[0]
 
 
 def _cmd_train(args, cfg, run: _Run):
@@ -123,8 +126,7 @@ def _cmd_train(args, cfg, run: _Run):
     settings = cfgmod.frontend_settings(cfg)
     dictionary = load_dictionary(args.dict)
     tc = cfgmod.train_config(cfg)
-    probe_clips = load_split(manifest, "train", settings)
-    d, c = probe_clips[0].features.shape[0], probe_clips[0].labels.shape[0]
+    d, c = _train_dims(manifest, settings)
     model = init_model(d=d, k=dictionary.components, c=c, seed=cfg["seed"],
                        channels=cfg["channels"])
     model.attach_dictionary(dictionary)
@@ -151,8 +153,7 @@ def _cmd_segment(args, cfg, run: _Run):
     seg_dir = run.out / "segments"
     artifacts = []
     for clip in load_split(manifest, args.split, settings):
-        cache = _forward_cache(model, clip.features[None])
-        probs = sigmoid(cache["logits"][0])
+        probs = sigmoid(encode(model, clip.features[None])[1][0])
         decisions = FrameDecisions(probs=probs, binary=(probs > cfg["threshold"]).astype(np.int8),
                                    hop=clip.hop, threshold=cfg["threshold"])
         segments = frames_to_segments(decisions, min_dur=cfg["min_dur"], class_names=CLASS_NAMES)
@@ -200,8 +201,8 @@ def _cmd_explain(args, cfg, run: _Run):
         raise NmfsegError("no clips with a dominant class; cannot build relevance records")
     records = []
     for clip, c in chosen:
-        cache = _forward_cache(model, clip.features[None])
-        records.append(make_record(clip.clip_id, c, cache["h"][0], model.theta, tau=args.tau))
+        h, _ = encode(model, clip.features[None])
+        records.append(make_record(clip.clip_id, c, h[0], model.theta, tau=args.tau))
     report = component_report(records, samples_per_class=per_class)
 
     comp_csv = run.path("components.csv")
@@ -255,8 +256,7 @@ def _cmd_ablate_beta(args, cfg, run: _Run):
     manifest = load_manifest(args.manifest)
     settings = cfgmod.frontend_settings(cfg)
     dictionary = load_dictionary(args.dict)
-    clips = load_split(manifest, "train", settings)
-    d, c = clips[0].features.shape[0], clips[0].labels.shape[0]
+    d, c = _train_dims(manifest, settings)
 
     rows = []
     for beta in (0.0, 1.0, 5.0):

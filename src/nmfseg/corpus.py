@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError, FormatError
 from .frontend import SAMPLE_RATE, AudioClip, save_audio
@@ -144,6 +143,19 @@ def _ramp(signal: np.ndarray, sr: int, ms: float = 10.0) -> np.ndarray:
     return signal
 
 
+def one_pole(x: np.ndarray, rho: float) -> np.ndarray:
+    """First-order recursion ``y[n] = x[n] + rho * y[n-1]`` with ``y[-1] = 0``.
+
+    Bit-identical to ``scipy.signal.lfilter([1.0], [1.0, -rho], x)``.  A plain
+    loop over a few million samples costs less than importing
+    ``scipy.signal`` (over a second), which every CLI process would pay.
+    """
+    rho = float(rho)
+    prev = 0.0
+    return np.array([prev := v + rho * prev for v in np.asarray(x, dtype=np.float64).tolist()],
+                    dtype=np.float64)
+
+
 def _rms_normalize(signal: np.ndarray) -> np.ndarray:
     rms = np.sqrt(np.mean(signal * signal))
     return signal / rms if rms > 0 else signal
@@ -218,7 +230,7 @@ def synth_noise(rng, n: int, sr: int) -> np.ndarray:
     """Broadband noise with a random first-order spectral tilt."""
     white = rng.normal(size=n)
     rho = rng.uniform(-0.3, 0.6)
-    shaped = lfilter([1.0], [1.0, -rho], white)
+    shaped = one_pole(white, rho)
     return _ramp(_rms_normalize(shaped), sr)
 
 

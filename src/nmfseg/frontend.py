@@ -12,6 +12,7 @@ little-endian f32 values stored frame by frame (column-major).
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -169,8 +170,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, f_min: float, f_max: float) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft//2 + 1), peak weight 1."""
+    """Triangular mel filterbank, shape (n_mels, n_fft//2 + 1), peak weight 1.
+
+    Built once per argument tuple and shared, so the array is read-only.
+    """
     if n_mels < 1:
         raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
     if not (0 <= f_min < f_max <= sample_rate / 2):
@@ -185,6 +190,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, f_min: float, f_ma
         up = (freqs - lo) / max(ctr - lo, 1e-12)
         down = (hi - freqs) / max(hi - ctr, 1e-12)
         fb[m] = np.clip(np.minimum(up, down), 0.0, None)
+    fb.flags.writeable = False
     return fb
 
 

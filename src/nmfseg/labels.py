@@ -38,20 +38,26 @@ def read_label_file(path) -> tuple[np.ndarray, float]:
     parts = lines[0].split()
     if len(parts) != 3:
         raise FormatError(f"{path}: malformed header {lines[0]!r}")
-    hop = float(parts[1])
-    c = int(parts[2])
+    try:
+        hop = float(parts[1])
+        c = int(parts[2])
+    except ValueError:
+        raise FormatError(f"{path}: malformed header {lines[0]!r}") from None
+    if c < 0:
+        raise FormatError(f"{path}: negative class count {c}")
     body = [ln for ln in lines[1:] if ln]
-    frames = np.empty((c, len(body)), dtype=np.int8)
     lookup = {"0": 0, "1": 1, "-": UNANNOTATED}
+    rows = []  # parsed before allocating, so a forged class count costs nothing
     for t, ln in enumerate(body):
         syms = ln.split()
         if len(syms) != c:
             raise FormatError(f"{path}: line {t + 2} has {len(syms)} symbols, expected {c}")
         try:
-            frames[:, t] = [lookup[s] for s in syms]
+            rows.append([lookup[s] for s in syms])
         except KeyError as exc:
             raise FormatError(f"{path}: line {t + 2} has invalid symbol {exc.args[0]!r}") from exc
-    return frames, hop
+    frames = np.array(rows, dtype=np.int8).reshape(len(body), c)
+    return np.ascontiguousarray(frames.T), hop
 
 
 def label_matrix_from_range(frames: np.ndarray, start: int, end: int) -> LabelMatrix:

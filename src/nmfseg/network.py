@@ -223,8 +223,8 @@ def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _
     return g_w, g_pre.sum(axis=1), g_x
 
 
-def _forward_cache(model: SegModel, s: np.ndarray) -> dict:
-    """Run the encoder on a (B, D, T) batch, keeping every pre-activation."""
+def _bottleneck(model: SegModel, s: np.ndarray) -> tuple[_Layout, np.ndarray, np.ndarray]:
+    """Layout, standardized flat input, and bottleneck output for a (B, D, T) batch."""
     if s.ndim != 3 or s.shape[1] != model.d:
         raise DimensionError(f"expected batch shape (B, {model.d}, T), got {s.shape}")
     lay = _Layout(s.shape[0], s.shape[2], max(model.dilations))
@@ -232,6 +232,36 @@ def _forward_cache(model: SegModel, s: np.ndarray) -> dict:
     x = model.bneck_w @ s_flat
     x += model.bneck_b[:, None]
     lay.zero_guards(x)
+    return lay, s_flat, x
+
+
+def encode(model: SegModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-only pass over a (B, D, T) batch: H (B, K, T) and logits (B, C, T).
+
+    The inference entry point.  It keeps only the residual stream, the
+    current layer output and the skip sum; ``_forward_cache`` computes the
+    same values bit for bit but also keeps what the backward pass reads.
+    """
+    lay, _, x = _bottleneck(model, s)
+    skip = np.zeros_like(x)
+    for b in range(model.n_blocks):
+        v = x
+        for l, dil in enumerate(model.dilations):
+            v = _dconv_forward(v, model.conv_w[b][l], model.conv_b[b][l], dil, lay)
+            np.maximum(v, 0.0, out=v)
+        v += x
+        x = v
+        skip += x
+    h_flat = model.out_w @ skip
+    h_flat += model.out_b[:, None]
+    lay.zero_guards(h_flat)
+    np.maximum(h_flat, 0.0, out=h_flat)
+    return lay.to_batch(h_flat), lay.to_batch(model.theta @ h_flat)
+
+
+def _forward_cache(model: SegModel, s: np.ndarray) -> dict:
+    """Training forward over a (B, D, T) batch, keeping every pre-activation."""
+    lay, s_flat, x = _bottleneck(model, s)
     skip = np.zeros_like(x)
     layer_inputs, layer_pres = [], []
     for b in range(model.n_blocks):
@@ -300,9 +330,8 @@ def _as_feature_array(s) -> np.ndarray:
 
 def forward(model: SegModel, s) -> tuple[Activations, np.ndarray]:
     """Encode one feature sequence into (H, logits)."""
-    values = _as_feature_array(s)
-    cache = _forward_cache(model, values[None])
-    return Activations(values=cache["h"][0]), cache["logits"][0]
+    h, logits = encode(model, _as_feature_array(s)[None])
+    return Activations(values=h[0]), logits[0]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -413,34 +442,47 @@ def save_model(model: SegModel, path) -> None:
 def load_model(path) -> SegModel:
     with open(path, "rb") as fh:
         blob = fh.read()
+    return model_from_bytes(blob, name=str(path))
+
+
+def model_from_bytes(blob: bytes, name: str = "<bytes>") -> SegModel:
+    """Parse an NSM1 checkpoint.
+
+    Every size is checked against ``len(blob)`` before anything is unpacked
+    or allocated, so a truncated or forged file raises FormatError.
+    """
     if blob[:4] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
+        raise FormatError(f"{name}: bad magic {blob[:4]!r}")
     if len(blob) < 4 + 28:
-        raise FormatError(f"{path}: truncated header")
+        raise FormatError(f"{name}: truncated header")
     d, k, c, channels, kernel, n_blocks, n_dils = struct.unpack("<7I", blob[4:32])
     off = 32
+    if len(blob) < off + 4 * n_dils + 8:
+        raise FormatError(f"{name}: truncated header ({n_dils} dilations)")
     dilations = struct.unpack(f"<{n_dils}I", blob[off:off + 4 * n_dils])
     off += 4 * n_dils
     (dict_len,) = struct.unpack("<Q", blob[off:off + 8])
     off += 8
+    if dict_len > len(blob) - off:
+        raise FormatError(f"{name}: dictionary of {dict_len} bytes overruns the file")
     w_ref = None
     if dict_len:
-        w_ref = dictionary_from_bytes(blob[off:off + dict_len], name=f"{path}[dict]")
+        w_ref = dictionary_from_bytes(blob[off:off + dict_len], name=f"{name}[dict]")
         off += dict_len
 
+    if kernel != KERNEL:
+        raise FormatError(f"{name}: unsupported kernel width {kernel}")
+    if min(d, k, c, channels, n_blocks, n_dils, *dilations) < 1:
+        raise FormatError(f"{name}: zero dimension in header {(d, k, c, channels, n_blocks, dilations)}")
+    count = (channels * d + channels + n_blocks * n_dils * (channels * channels * kernel + channels)
+             + k * channels + k + c * k)
+    if 4 * count != len(blob) - off:
+        raise FormatError(f"{name}: header implies {4 * count} parameter bytes, file holds {len(blob) - off}")
     model = init_model(d, k, c, seed=0, channels=channels, n_blocks=n_blocks, dilations=dilations)
-    if kernel != model.kernel:
-        raise FormatError(f"{path}: unsupported kernel width {kernel}")
     params = {}
-    for name, arr in model.parameters():
-        count = arr.size
-        end = off + 4 * count
-        if end > len(blob):
-            raise FormatError(f"{path}: truncated parameter payload at {name}")
-        params[name] = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(arr.shape).astype(np.float64)
-        off = end
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
+    for pname, arr in model.parameters():
+        params[pname] = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=off).reshape(arr.shape).astype(np.float64)
+        off += 4 * arr.size
     model.load_parameters(params)
     if w_ref is not None:
         model.attach_dictionary(w_ref)

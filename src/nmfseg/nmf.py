@@ -1,4 +1,4 @@
-"""Sparse NMF: dictionary pretraining, activation inference, reconstruction.
+"""Sparse NMF: dictionary pretraining, reconstruction, NSD1 dictionary files.
 
 The factorization X ~ WH (all entries non-negative) is fitted by alternating
 multiplicative updates
@@ -210,24 +210,6 @@ def train_snmf(x: np.ndarray, cfg: SnmfConfig) -> tuple[Dictionary, Activations]
         Dictionary(values=w, mu=cfg.mu, seed=cfg.seed, objective_trace=trace),
         Activations(values=h),
     )
-
-
-def infer_activations(x: np.ndarray, dictionary: Dictionary, mu: float = 0.0,
-                      max_iters: int = 200, rel_tol: float = 1e-6, seed: int = 0) -> Activations:
-    """Infer H against a frozen dictionary by iterating the H update alone."""
-    w = dictionary.values
-    if x.shape[0] != w.shape[0]:
-        raise DimensionError(f"spectrogram has {x.shape[0]} bins, dictionary {w.shape[0]}")
-    rng = np.random.default_rng(seed)
-    h = 1.0 - rng.random((w.shape[1], x.shape[1]))
-    prev = snmf_objective(x, w, h, mu)
-    for _ in range(max_iters):
-        h = update_h(x, w, h, mu)
-        obj = snmf_objective(x, w, h, mu)
-        if prev > 0 and abs(prev - obj) / prev < rel_tol:
-            break
-        prev = obj
-    return Activations(values=h)
 
 
 def dictionary_to_bytes(dictionary: Dictionary) -> bytes:

@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import one_pole
 from .errors import DimensionError
 from .frontend import AudioClip, load_audio, log_mel, read_features, stft_magnitude
-from .network import SegModel, forward
+from .network import SegModel, encode, forward
 from .nmf import Activations
 from .optim import adam_step, init_adam
 
@@ -159,9 +160,8 @@ def synth_probe_clip(task: str, label: int, seed: int, seconds: float = 1.0,
         base = 250.0 * (2.0 ** label)  # octave-spaced bands
         sig = _tone(rng, n, sr, rng.uniform(base, base * 1.4))
     elif task == "noise-color":
-        from scipy.signal import lfilter
         rho = (-0.8, 0.0, 0.8)[label % 3]
-        sig = lfilter([1.0], [1.0, -rho], rng.normal(size=n))
+        sig = one_pole(rng.normal(size=n), rho)
     elif task == "am-rate":
         rate = (2.0, 8.0, 24.0)[label % 3] * rng.uniform(0.85, 1.15)
         carrier = _tone(rng, n, sr, rng.uniform(400, 1200))
@@ -175,20 +175,24 @@ def synth_probe_clip(task: str, label: int, seed: int, seconds: float = 1.0,
 
 def build_synthetic_task(model: SegModel, task: str, n_classes: int, per_class: int,
                          seed: int, settings=None, seconds: float = 1.0) -> ProbeTask:
-    """Generate clips, extract frozen activations, and assemble a ProbeTask."""
+    """Generate clips, extract frozen activations, and assemble a ProbeTask.
+
+    Every clip has the same length, so all of them go through one batched
+    ``encode``; the guarded layout keeps the clips from reading each other.
+    """
     from .training import FrontendSettings
     settings = settings or FrontendSettings()
-    items = []
-    pad_to = 0
+    labels, feats = [], []
     for label in range(n_classes):
         for i in range(per_class):
             clip = synth_probe_clip(task, label, seed * 100003 + i, seconds=seconds)
             spec = stft_magnitude(clip, n_fft=settings.n_fft, win_len=settings.win_len, hop=settings.hop)
-            feats = log_mel(spec, n_mels=settings.n_mels, f_min=settings.f_min, f_max=settings.f_max)
-            h = extract_frozen_h(model, feats)
-            items.append((h.values, label))
-            pad_to = max(pad_to, h.values.shape[1])
-    return ProbeTask(name=task, class_count=n_classes, items=items, pad_to=pad_to)
+            feats.append(log_mel(spec, n_mels=settings.n_mels, f_min=settings.f_min, f_max=settings.f_max).values)
+            labels.append(label)
+    if not feats:
+        raise ValueError(f"{task}: no items")
+    h, _ = encode(model, np.asarray(np.stack(feats), dtype=np.float64))
+    return ProbeTask(name=task, class_count=n_classes, items=list(zip(h, labels)), pad_to=h.shape[2])
 
 
 def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=None) -> ProbeTask:

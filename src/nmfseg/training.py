@@ -23,7 +23,7 @@ from .evaluate import F1Report, accumulate_counts
 from .frontend import load_audio, log_mel, read_features, stft_magnitude
 from .labels import label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, _backward_from_cache, _forward_cache,
-                      bce_masked, init_model, sigmoid)
+                      bce_masked, encode, init_model, sigmoid)
 from .nmf import Dictionary, SnmfConfig, train_snmf
 from .optim import adam_step, init_adam
 
@@ -177,8 +177,7 @@ def dev_metrics(model: SegModel, clips: list[ClipData], threshold: float) -> dic
     report = F1Report()
     bce_sum = 0.0
     for clip in clips:
-        cache = _forward_cache(model, clip.features[None])
-        logits = cache["logits"][0]
+        logits = encode(model, clip.features[None])[1][0]
         lab = label_matrix_from_range(clip.labels, 0, clip.labels.shape[1])
         bce_sum += bce_masked(logits, lab)
         binary = (sigmoid(logits) > threshold).astype(np.int8)
@@ -280,8 +279,8 @@ def evaluate_split(model: SegModel, manifest: Manifest, split: str,
     clips = load_split(manifest, split, settings)
     report = F1Report()
     for clip in clips:
-        cache = _forward_cache(model, clip.features[None])
-        binary = (sigmoid(cache["logits"][0]) > threshold).astype(np.int8)
+        logits = encode(model, clip.features[None])[1][0]
+        binary = (sigmoid(logits) > threshold).astype(np.int8)
         lab = label_matrix_from_range(clip.labels, 0, clip.labels.shape[1])
         accumulate_counts(report, binary, lab, CLASS_NAMES[: lab.classes])
     return report
@@ -294,8 +293,8 @@ def mean_activation_l1(model: SegModel, manifest: Manifest, split: str,
     total = 0.0
     frames = 0
     for clip in load_split(manifest, split, settings):
-        cache = _forward_cache(model, clip.features[None])
-        total += float(cache["h"].sum())
+        h, _ = encode(model, clip.features[None])
+        total += float(h.sum())
         frames += clip.features.shape[1]
     return total / frames
 
@@ -310,8 +309,8 @@ def reconstruction_error(model: SegModel, manifest: Manifest, split: str,
     total = 0.0
     frames = 0
     for clip in load_split(manifest, split, settings):
-        cache = _forward_cache(model, clip.features[None])
-        diff = w @ cache["h"][0] - clip.spect
+        h, _ = encode(model, clip.features[None])
+        diff = w @ h[0] - clip.spect
         total += float(np.sum(diff * diff))
         frames += clip.features.shape[1]
     return total / frames

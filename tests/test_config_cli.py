@@ -1,10 +1,15 @@
 """Config parsing and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmfseg
 from nmfseg.cli import run_command
 from nmfseg.config import (config_hash, default_config, parse_config,
                            serialize_config)
@@ -143,6 +148,23 @@ class TestCliHappyPaths:
         assert run_command(["report", "--dir", str(out), "--out", str(rep_out)]) == 0
         summary = json.loads((rep_out / "report.json").read_text())
         assert {entry["command"] for entry in summary} >= {"gen-data", "pretrain-dict", "train"}
+
+
+def test_cli_never_loads_scipy_signal():
+    """Importing the CLI costs over a second more with scipy.signal, which
+    only the noise synthesizers ever needed."""
+    code = ("import sys, numpy as np, nmfseg.cli\n"
+            "from nmfseg.corpus import synth_noise\n"
+            "from nmfseg.probing import synth_probe_clip\n"
+            "synth_noise(np.random.default_rng(0), 800, 16000)\n"
+            "synth_probe_clip('noise-color', 2, seed=0, seconds=0.05)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(nmfseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestCliErrors:

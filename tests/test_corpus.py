@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nmfseg.corpus import (CLASS_NAMES, CorpusSpec, Manifest, generate_corpus,
-                           load_manifest, save_manifest, synthesize_clip)
+                           load_manifest, one_pole, save_manifest, synthesize_clip)
 from nmfseg.errors import FormatError
 from nmfseg.labels import (UNANNOTATED, label_matrix_from_range, read_label_file,
                            write_label_file)
@@ -30,6 +30,14 @@ class TestLabelFiles:
         p = tmp_path / "bad.lab"
         p.write_text("FRAMES 0.020000 2\n0 x\n")
         with pytest.raises(FormatError, match="symbol"):
+            read_label_file(p)
+
+    @pytest.mark.parametrize("header", ["FRAMES fast 2", "FRAMES 0.02 two", "FRAMES 0.02 2.5",
+                                        "FRAMES 0.02 -3", "FRAMES 0.02 1000000000000000"])
+    def test_malformed_header_values(self, tmp_path, header):
+        p = tmp_path / "bad.lab"
+        p.write_text(header + "\n0 1\n")
+        with pytest.raises(FormatError):
             read_label_file(p)
 
     def test_mask_from_range(self):
@@ -64,6 +72,19 @@ class TestSynthesizeClip:
         spec = CorpusSpec(seed=9, train_minutes=1, dev_minutes=1, test_minutes=1)
         samples, _ = synthesize_clip(spec, 0, 0)
         assert np.abs(samples).max() <= 0.99 + 1e-9
+
+
+class TestOnePole:
+    @pytest.mark.parametrize("n", [1, 2, 16000])
+    def test_matches_lfilter_bit_for_bit(self, n):
+        from scipy.signal import lfilter
+        rng = np.random.default_rng(n)
+        for rho in [-0.8, 0.0, 0.8, *rng.uniform(-0.3, 0.6, size=4)]:
+            x = rng.normal(size=n)
+            y = one_pole(x, rho)
+            ref = lfilter([1.0], [1.0, -rho], x)
+            assert y.dtype == ref.dtype and y.shape == ref.shape
+            assert y.tobytes() == ref.tobytes()
 
 
 class TestGenerateCorpus:

@@ -150,6 +150,12 @@ class TestLogMel:
                 oracle[m, t] = np.log(acc + 1e-10)
         np.testing.assert_allclose(feats.values, oracle, rtol=1e-5)
 
+    def test_filterbank_built_once_and_read_only(self):
+        fb = mel_filterbank(24, 512, 16000, 0.0, 8000.0)
+        assert mel_filterbank(24, 512, 16000, 0.0, 8000.0) is fb
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+
     def test_monotone_in_spectrogram(self):
         rng = np.random.default_rng(6)
         base = stft_magnitude(AudioClip(samples=rng.uniform(-0.3, 0.3, 3000)))

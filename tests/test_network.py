@@ -1,12 +1,15 @@
 """Encoder architecture: initialization, forward contract, checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import make_tiny_model
+from nmfseg import network
 from nmfseg.errors import DimensionError, FormatError
-from nmfseg.network import (INPUT_CENTER, INPUT_SCALE, SegModel, forward,
-                            init_model, load_model, save_model)
+from nmfseg.network import (INPUT_CENTER, INPUT_SCALE, SegModel, _forward_cache, encode,
+                            forward, init_model, load_model, model_from_bytes, save_model)
 from nmfseg.nmf import Dictionary
 
 
@@ -117,6 +120,35 @@ class TestForward:
             forward(model, np.zeros((9, 10)))
 
 
+class TestEncode:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_equals_training_forward(self, dtype, batch):
+        model = make_tiny_model(seed=4)
+        model.load_parameters(dict(model.parameters()), dtype=dtype)
+        s = np.random.default_rng(batch).normal(-11.5, 4.0, size=(batch, 8, 57)).astype(dtype)
+        h, logits = encode(model, s)
+        cache = _forward_cache(model, s)
+        assert h.dtype == logits.dtype == dtype
+        assert np.array_equal(h, cache["h"])
+        assert np.array_equal(logits, cache["logits"])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batched_equals_per_clip(self, dtype):
+        model = make_tiny_model(seed=6)
+        model.load_parameters(dict(model.parameters()), dtype=dtype)
+        s = np.random.default_rng(7).normal(-11.5, 4.0, size=(5, 8, 50)).astype(dtype)
+        h, logits = encode(model, s)
+        for i in range(len(s)):
+            h_i, logits_i = encode(model, s[i:i + 1])
+            assert np.array_equal(h[i], h_i[0])
+            assert np.array_equal(logits[i], logits_i[0])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            encode(make_tiny_model(), np.zeros((2, 9, 10)))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = make_tiny_model(seed=5)
@@ -164,3 +196,29 @@ class TestCheckpoint:
         model = init_model(6, 5, 3, seed=1, channels=4)
         with pytest.raises(DimensionError):
             model.attach_dictionary(Dictionary(values=np.full((9, 4), 0.5)))
+
+    def test_every_truncation_rejected(self, tmp_path):
+        p = tmp_path / "m.nsm"
+        save_model(make_tiny_model(seed=5), p)
+        blob = p.read_bytes()
+        model_from_bytes(blob)
+        for cut in range(len(blob)):
+            with pytest.raises(FormatError):
+                model_from_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            model_from_bytes(blob + b"\0")
+
+    @pytest.mark.parametrize("field, value", [(0, 2 ** 31), (3, 2 ** 31), (0, 0), (6, 2 ** 32 - 1)])
+    def test_forged_header_rejected_before_allocating(self, tmp_path, monkeypatch, field, value):
+        """Header fields 0..6 are D, K, C, channels, kernel, blocks, #dilations."""
+        p = tmp_path / "m.nsm"
+        save_model(make_tiny_model(seed=5), p)
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<I", blob, 4 + 4 * field, value)
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("init_model called on a forged header")
+
+        monkeypatch.setattr(network, "init_model", no_alloc)
+        with pytest.raises(FormatError):
+            model_from_bytes(bytes(blob))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_model
-from nmfseg.frontend import FeatureSequence
-from nmfseg.network import forward
-from nmfseg.probing import (ProbeResult, ProbeTask, eval_probe, extract_frozen_h,
-                            synth_probe_clip, train_probe)
+from nmfseg.frontend import FeatureSequence, log_mel, stft_magnitude
+from nmfseg.network import forward, init_model
+from nmfseg.probing import (ProbeResult, ProbeTask, build_synthetic_task, eval_probe,
+                            extract_frozen_h, synth_probe_clip, train_probe)
 
 
 def _separable_task(n_per_class=30, k=16, seed=0, classes=2, offset=0):
@@ -159,3 +159,15 @@ class TestSyntheticProbeClips:
     def test_unknown_task(self):
         with pytest.raises(ValueError):
             synth_probe_clip("nope", 0, seed=0)
+
+    def test_task_matches_per_clip_extraction(self):
+        model = init_model(80, 12, 4, seed=2, channels=8)
+        task = build_synthetic_task(model, "noise-color", 3, 2, seed=4, seconds=0.5)
+        assert [label for _, label in task.items] == [0, 0, 1, 1, 2, 2]
+        for (h, label), i in zip(task.items, [0, 1] * 3):
+            clip = synth_probe_clip("noise-color", label, 4 * 100003 + i, seconds=0.5)
+            ref = extract_frozen_h(model, log_mel(stft_magnitude(clip)))
+            assert np.array_equal(h, ref.values)
+        assert task.pad_to == ref.values.shape[1]
+        with pytest.raises(ValueError, match="no items"):
+            build_synthetic_task(model, "noise-color", 3, 0, seed=4)
