@@ -107,7 +107,9 @@ def _cmd_pretrain_dict(args, cfg, run: _Run):
     out = run.path("dictionary.nsd")
     save_dictionary(dictionary, out)
     metrics = {"iterations": len(dictionary.objective_trace) - 1,
-               "final_objective": dictionary.objective_trace[-1]}
+               "final_objective": dictionary.objective_trace[-1],
+               "stopped_on_tol": dictionary.stopped_on_tol,
+               "dead_columns_reset": dictionary.dead_columns_reset}
     _write_run_log(run, "pretrain-dict", cfg, {"manifest": str(args.manifest)}, metrics, [out])
     return 0
 

@@ -150,6 +150,27 @@ class TestCliHappyPaths:
         assert {entry["command"] for entry in summary} >= {"gen-data", "pretrain-dict", "train"}
 
 
+class TestPretrainDictRunLog:
+    def test_hits_the_iteration_cap(self, pipeline):
+        _, out, _ = pipeline
+        metrics = json.loads((out / "pretrain-dict.run.json").read_text())["metrics"]
+        assert metrics["iterations"] == 40
+        assert metrics["stopped_on_tol"] is False
+        assert metrics["dead_columns_reset"] == 0
+
+    def test_stops_on_tolerance(self, pipeline, tmp_path):
+        cfg_file, _, manifest = pipeline
+        loose = tmp_path / "loose.cfg"
+        loose.write_text(cfg_file.read_text() + "dict_tol = 0.01\n")
+        out = tmp_path / "loose"
+        assert run_command(["pretrain-dict", "--config", str(loose), "--manifest", str(manifest),
+                            "--out", str(out)]) == 0
+        metrics = json.loads((out / "pretrain-dict.run.json").read_text())["metrics"]
+        assert metrics["iterations"] < 40
+        assert metrics["stopped_on_tol"] is True
+        assert metrics["dead_columns_reset"] == 0
+
+
 def test_cli_never_loads_scipy_signal():
     """Importing the CLI costs over a second more with scipy.signal, which
     only the noise synthesizers ever needed."""

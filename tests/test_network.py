@@ -208,6 +208,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             model_from_bytes(blob + b"\0")
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_bad_embedded_dictionary_rejected(self, tmp_path, bad):
+        model = make_tiny_model(seed=5)
+        p = tmp_path / "m.nsm"
+        save_model(model, p)
+        blob = bytearray(p.read_bytes())
+        first_value = 32 + 4 * len(model.dilations) + 8 + 12  # header, dict length, NSD1 header
+        struct.pack_into("<f", blob, first_value, bad)
+        with pytest.raises(FormatError, match=r"\[dict\]"):
+            model_from_bytes(bytes(blob))
+
     @pytest.mark.parametrize("field, value", [(0, 2 ** 31), (3, 2 ** 31), (0, 0), (6, 2 ** 32 - 1)])
     def test_forged_header_rejected_before_allocating(self, tmp_path, monkeypatch, field, value):
         """Header fields 0..6 are D, K, C, channels, kernel, blocks, #dilations."""

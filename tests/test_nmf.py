@@ -1,5 +1,11 @@
 """Sparse NMF: multiplicative updates, training behavior, and the NSD1 format."""
 
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,6 +166,95 @@ class TestTrainSnmf:
         np.testing.assert_array_equal(h1.values, h2.values)
 
 
+def _reference_snmf(x, cfg):
+    """train_snmf's loop spelled out with the public single-step functions.
+
+    Each update forms its own products and every trace point comes from the
+    definitional ``snmf_objective``.  Returns normalized (W, H) and the trace.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    w = 1.0 - rng.random((x.shape[0], cfg.k))
+    h = 1.0 - rng.random((cfg.k, x.shape[1]))
+    w, h = normalize_columns(w, h)
+    trace = [snmf_objective(x, w, h, cfg.mu)]
+    for _ in range(cfg.max_iters):
+        h = update_h(x, w, h, cfg.mu)
+        w = update_w(x, w, h)
+        trace.append(snmf_objective(x, w, h, cfg.mu))
+        if abs(trace[-2] - trace[-1]) / trace[-2] < cfg.rel_tol:
+            break
+    w, h = normalize_columns(w, h)
+    return w, h, trace
+
+
+class TestSharedProductLoop:
+    """train_snmf shares W^T W, X H^T and H H^T and records a Gram-form
+    objective; the iterates must not change and the trace must match the
+    definition."""
+
+    @staticmethod
+    def _matrix(strided):
+        rng = np.random.default_rng(16)
+        return rng.random((30, 360))[:, ::3] if strided else rng.random((30, 120))
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_matches_reference_loop_to_the_cap(self, strided, mu):
+        x = self._matrix(strided)
+        assert x.flags.c_contiguous != strided
+        cfg = SnmfConfig(k=6, mu=mu, max_iters=60, rel_tol=1e-12, seed=4)
+        d, h = train_snmf(x, cfg)
+        w_ref, h_ref, trace_ref = _reference_snmf(x, cfg)
+        np.testing.assert_array_equal(d.values, w_ref)
+        np.testing.assert_array_equal(h.values, h_ref)
+        assert len(d.objective_trace) == len(trace_ref) == 61
+        np.testing.assert_allclose(d.objective_trace, trace_ref, rtol=1e-12, atol=0)
+        assert not d.stopped_on_tol
+        assert d.dead_columns_reset == 0
+
+    def test_stops_on_tolerance_at_the_reference_iteration(self):
+        x = self._matrix(True)
+        cfg = SnmfConfig(k=6, mu=0.1, max_iters=1000, rel_tol=1e-4, seed=4)
+        d, h = train_snmf(x, cfg)
+        w_ref, h_ref, trace_ref = _reference_snmf(x, cfg)
+        np.testing.assert_array_equal(d.values, w_ref)
+        np.testing.assert_array_equal(h.values, h_ref)
+        assert len(d.objective_trace) == len(trace_ref) < cfg.max_iters + 1
+        np.testing.assert_allclose(d.objective_trace, trace_ref, rtol=1e-12, atol=0)
+        assert d.stopped_on_tol
+        assert d.dead_columns_reset == 0
+
+    def test_shared_products_give_the_same_step(self):
+        rng = np.random.default_rng(17)
+        x = rng.random((12, 20))
+        w = rng.random((12, 5))
+        h = rng.random((5, 20))
+        np.testing.assert_array_equal(update_h(x, w, h, 0.1, wtw=w.T @ w), update_h(x, w, h, 0.1))
+        np.testing.assert_array_equal(update_w(x, w, h, xht=x @ h.T, hht=h @ h.T), update_w(x, w, h))
+
+    def test_dead_columns_are_counted(self):
+        # a penalty this large underflows H to zero in two steps, so every
+        # W column decays to zero on the next dictionary update
+        x = np.random.default_rng(18).random((10, 12))
+        d, h = train_snmf(x, SnmfConfig(k=3, mu=1e200, max_iters=50, seed=0))
+        assert d.dead_columns_reset == 3
+        assert d.stopped_on_tol
+        np.testing.assert_allclose(d.values, 1.0 / np.sqrt(10))
+        assert np.all(h.values == 0.0)
+
+
+def test_sparse_nmf_demo_reports_monotone_traces():
+    """The demo's near-exact rank-5 input checks monotonicity to 1e-12
+    absolute, so it catches rounding drift in the recorded objective."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, str(root / "demos" / "02_sparse_nmf.py")], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count("objective non-increasing at every iteration: True") == 2, out.stdout
+
+
 class TestDictionaryFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -190,3 +285,17 @@ class TestDictionaryFile:
         d = Dictionary(values=np.eye(3))
         with pytest.raises(FormatError):
             dictionary_from_bytes(dictionary_to_bytes(d)[:-4])
+
+    @pytest.mark.parametrize("f, k", [(0, 3), (4, 0), (0, 0)])
+    def test_zero_dimension_rejected(self, f, k):
+        blob = b"NSD1" + struct.pack("<II", f, k) + bytes(4 * f * k) + struct.pack("<dq", 0.1, 0)
+        with pytest.raises(FormatError, match="zero dimension"):
+            dictionary_from_bytes(blob)
+
+    @pytest.mark.parametrize("bad, match", [(float("nan"), "non-finite"), (float("inf"), "non-finite"),
+                                            (-0.5, "negative")])
+    def test_bad_entry_rejected(self, bad, match):
+        blob = bytearray(dictionary_to_bytes(Dictionary(values=np.eye(3))))
+        struct.pack_into("<f", blob, 12 + 4 * 4, bad)
+        with pytest.raises(FormatError, match=match):
+            dictionary_from_bytes(bytes(blob))
