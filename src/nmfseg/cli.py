@@ -7,7 +7,9 @@ configuration, its hash, and the run's metrics; logs carry no timestamps, so
 identical runs produce identical bytes.  On failure, files created by the
 failed run are removed.
 
-NMFSEG_THREADS caps worker parallelism (currently used by corpus synthesis).
+Corpus synthesis (``gen-data``) runs one worker process per usable CPU by
+default; NMFSEG_THREADS, a positive integer, caps that count.  Per-clip seeds
+keep the corpus byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .corpus import CLASS_NAMES, generate_corpus, load_manifest
-from .errors import NmfsegError
+from .errors import ConfigError, NmfsegError
 from .evaluate import (FrameDecisions, frames_to_segments, report_to_dict,
                        write_f1_csv, write_f1_json, write_segments)
 from .explain import (component_report, make_record, report_summary,
@@ -77,11 +79,21 @@ def _write_run_log(run: _Run, command: str, cfg: dict, inputs: dict, metrics: di
 
 
 def _workers() -> int:
-    raw = os.environ.get("NMFSEG_THREADS", "1")
+    """Usable CPUs, capped by NMFSEG_THREADS when it is set."""
     try:
-        return max(1, int(raw))
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        usable = os.cpu_count() or 1
+    raw = os.environ.get("NMFSEG_THREADS")
+    if raw is None:
+        return usable
+    try:
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"NMFSEG_THREADS must be a positive integer, got {raw!r}")
+    return min(usable, cap)
 
 
 def _cmd_gen_data(args, cfg, run: _Run):

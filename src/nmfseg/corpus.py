@@ -333,7 +333,11 @@ def _write_clip(args):
 
 
 def generate_corpus(spec: CorpusSpec, out_dir, workers: int = 1) -> Manifest:
-    """Synthesize all splits under ``out_dir`` and write manifest.csv."""
+    """Synthesize all splits under ``out_dir`` and write manifest.csv.
+
+    Clips are synthesized in up to ``workers`` processes, never more than one
+    per clip; the files written do not depend on the worker count.
+    """
     out_dir = Path(out_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
@@ -346,6 +350,7 @@ def generate_corpus(spec: CorpusSpec, out_dir, workers: int = 1) -> Manifest:
         for clip_index in range(n_clips):
             jobs.append((spec, split, split_index, clip_index, str(out_dir)))
 
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_write_clip, jobs))

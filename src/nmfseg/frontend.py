@@ -1,5 +1,16 @@
 """Signal frontend: WAV ingestion, magnitude STFT, log-mel features, feature files.
 
+WAV files are read and written by a small RIFF/WAVE codec that accepts one
+subset: little-endian ``RIFF``, 16 kHz, mono, and either 16-bit PCM (format
+tag 1) or 32-bit IEEE float (tag 3), also when carried in a
+``WAVE_FORMAT_EXTENSIBLE`` (tag 0xFFFE) ``fmt `` chunk.  Unknown chunks such
+as ``LIST`` are skipped, with the pad byte after an odd-sized chunk.  Every
+other file (RIFX, RF64, other codecs, bit depths, rates or channel counts,
+truncated or chunk-less files) raises ``IngestionError``.  The writer emits
+the same bytes as ``scipy.io.wavfile.write``: a 16-byte ``fmt `` chunk for
+PCM, an 18-byte one (``cbSize`` = 0) and a ``fact`` chunk for float, then
+``data``.
+
 The STFT uses a periodic Hann window of ``win_len`` samples, zero-padded to
 ``n_fft``, with no boundary padding, so the frame count is
 ``1 + (n_samples - win_len) // hop``.  Defaults (n_fft=512, win_len=400,
@@ -17,7 +28,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import ConfigError, DimensionError, FormatError, IngestionError
 
@@ -25,6 +35,14 @@ SAMPLE_RATE = 16000
 LOG_FLOOR = 1e-10
 
 FEATURE_MAGIC = b"NSF1"
+
+_WAVE_FORMAT_PCM = 0x0001
+_WAVE_FORMAT_IEEE_FLOAT = 0x0003
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# the 14 bytes after the format tag in an EXTENSIBLE SubFormat GUID
+_KSDATAFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bits per sample, block align) -> little-endian sample dtype
+_WAV_SAMPLE_TYPES = {(_WAVE_FORMAT_PCM, 16, 2): "<i2", (_WAVE_FORMAT_IEEE_FLOAT, 32, 4): "<f4"}
 
 
 @dataclass
@@ -103,36 +121,88 @@ def load_audio(path) -> AudioClip:
 
     Integer samples are scaled by 1/32768; float samples are taken as-is.
     Anything else (sample rate, channel layout, codec) is rejected rather
-    than converted.
+    than converted, and so is a file whose chunks run past its end.
     """
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise IngestionError(f"unsupported codec in {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    rate, data = _parse_wav(blob, str(path))
+    if data.dtype.kind == "i":
+        samples = data.astype(np.float64) / 32768.0
+    else:
+        samples = data.astype(np.float64)
+    return AudioClip(samples=samples, sample_rate=rate, channel_count=1)
+
+
+def _parse_wav(blob: bytes, name: str) -> tuple[int, np.ndarray]:
+    """Sample rate and samples (int16 or float32) of a RIFF/WAVE byte string."""
+    if len(blob) < 12:
+        raise IngestionError(f"unsupported codec in {name}: truncated header ({len(blob)} bytes)")
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise IngestionError(f"unsupported codec in {name}: {blob[:4]!r}/{blob[8:12]!r} "
+                             "is not a little-endian RIFF/WAVE file")
+    chunks = {}
+    pos = 12
+    while pos + 8 <= len(blob):
+        chunk_id = blob[pos:pos + 4]
+        (size,) = struct.unpack_from("<I", blob, pos + 4)
+        body = pos + 8
+        if body + size > len(blob):
+            raise IngestionError(f"truncated WAV {name}: {chunk_id!r} chunk declares {size} bytes, "
+                                 f"{len(blob) - body} remain")
+        chunks.setdefault(chunk_id, (body, size))
+        pos = body + size + (size & 1)
+    for required in (b"fmt ", b"data"):
+        if required not in chunks:
+            raise IngestionError(f"unsupported codec in {name}: no {required.decode()!r} chunk")
+
+    fmt_at, fmt_size = chunks[b"fmt "]
+    if fmt_size < 16:
+        raise IngestionError(f"unsupported codec in {name}: {fmt_size}-byte 'fmt ' chunk")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", blob, fmt_at)
+    if tag == _WAVE_FORMAT_EXTENSIBLE:
+        guid = blob[fmt_at + 24:fmt_at + 40] if fmt_size >= 40 else b""
+        if not guid.endswith(_KSDATAFORMAT_TAIL):
+            raise IngestionError(f"unsupported codec in {name}: "
+                                 "malformed WAVE_FORMAT_EXTENSIBLE 'fmt ' chunk")
+        (tag,) = struct.unpack_from("<H", guid)
     if rate != SAMPLE_RATE:
         raise IngestionError(f"unsupported sample rate: {rate} (expected {SAMPLE_RATE})")
-    if data.ndim != 1:
-        raise IngestionError(f"unsupported channel count: {data.shape[1]} (expected mono)")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise IngestionError(f"unsupported sample format: {data.dtype} (expected int16 or float32)")
-    return AudioClip(samples=samples, sample_rate=rate, channel_count=1)
+    if channels != 1:
+        raise IngestionError(f"unsupported channel count: {channels} (expected mono)")
+    dtype = _WAV_SAMPLE_TYPES.get((tag, bits, block_align))
+    if dtype is None:
+        raise IngestionError(f"unsupported sample format: format tag {tag:#06x}, {bits} bits, "
+                             f"{block_align}-byte blocks (expected 16-bit PCM or 32-bit float)")
+    data_at, data_size = chunks[b"data"]
+    if data_size % block_align:
+        raise IngestionError(f"truncated WAV {name}: {data_size}-byte 'data' chunk "
+                             f"is not a whole number of {block_align}-byte samples")
+    return rate, np.frombuffer(blob, dtype=dtype, count=data_size // block_align, offset=data_at)
 
 
 def save_audio(clip: AudioClip, path, fmt: str = "int16") -> None:
     """Write a clip as WAV, either 16-bit PCM or 32-bit float."""
     if fmt == "int16":
-        scaled = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype(np.int16)
+        data = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
+        tag, fmt_extra = _WAVE_FORMAT_PCM, b""
     elif fmt == "float32":
-        scaled = clip.samples.astype(np.float32)
+        data = clip.samples.astype("<f4")
+        tag, fmt_extra = _WAVE_FORMAT_IEEE_FLOAT, b"\x00\x00"  # cbSize = 0
     else:
         raise ConfigError(f"unsupported wav format {fmt!r}")
-    wavfile.write(path, clip.sample_rate, scaled)
+    width = data.itemsize
+    fmt_body = struct.pack("<HHIIHH", tag, 1, clip.sample_rate, clip.sample_rate * width,
+                           width, 8 * width) + fmt_extra
+    header = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
+    if tag != _WAVE_FORMAT_PCM:
+        header += b"fact" + struct.pack("<II", 4, len(data))
+    header += b"data" + struct.pack("<I", data.nbytes)
+    riff_size = len(header) + data.nbytes
+    if riff_size > 0xFFFFFFFF:
+        raise ConfigError(f"{len(data)} samples do not fit in a RIFF/WAVE file")
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", riff_size) + header)
+        fh.write(data)
 
 
 def hann_window(win_len: int) -> np.ndarray:
@@ -154,10 +224,9 @@ def stft_magnitude(clip: AudioClip, n_fft: int = 512, win_len: int = 400, hop: i
     samples = clip.samples
     if len(samples) < win_len:
         raise IngestionError(f"clip too short: {len(samples)} samples < window of {win_len}")
-    n_frames = 1 + (len(samples) - win_len) // hop
-    window = hann_window(win_len)
-    starts = np.arange(n_frames) * hop
-    frames = samples[starts[:, None] + np.arange(win_len)[None, :]] * window[None, :]
+    # every hop-th window, so 1 + (n_samples - win_len) // hop frames
+    windows = np.lib.stride_tricks.sliding_window_view(samples, win_len)[::hop]
+    frames = windows * hann_window(win_len)
     spectrum = np.fft.rfft(frames, n=n_fft, axis=1)
     return Spectrogram(values=np.abs(spectrum).T, hop=hop / clip.sample_rate, sample_rate=clip.sample_rate)
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nmfseg
+from nmfseg import cli
 from nmfseg.cli import run_command
 from nmfseg.config import (config_hash, default_config, parse_config,
                            serialize_config)
@@ -171,21 +172,63 @@ class TestPretrainDictRunLog:
         assert metrics["dead_columns_reset"] == 0
 
 
-def test_cli_never_loads_scipy_signal():
-    """Importing the CLI costs over a second more with scipy.signal, which
-    only the noise synthesizers ever needed."""
+def test_cli_never_loads_scipy(tmp_path):
+    """The runtime needs NumPy alone: importing the CLI, both noise
+    synthesizers and a WAV round trip in each format load no scipy module."""
+    wav = str(tmp_path / "x.wav")
     code = ("import sys, numpy as np, nmfseg.cli\n"
             "from nmfseg.corpus import synth_noise\n"
+            "from nmfseg.frontend import AudioClip, load_audio, save_audio\n"
             "from nmfseg.probing import synth_probe_clip\n"
             "synth_noise(np.random.default_rng(0), 800, 16000)\n"
             "synth_probe_clip('noise-color', 2, seed=0, seconds=0.05)\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))\n")
+            "for fmt in ('int16', 'float32'):\n"
+            f"    save_audio(AudioClip(np.zeros(800)), {wav!r}, fmt=fmt)\n"
+            f"    load_audio({wav!r})\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(nmfseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestWorkerCount:
+    def test_default_is_usable_cpus_capped_by_env(self, monkeypatch):
+        usable = len(os.sched_getaffinity(0))
+        monkeypatch.delenv("NMFSEG_THREADS", raising=False)
+        assert cli._workers() == usable
+        monkeypatch.setenv("NMFSEG_THREADS", "1")
+        assert cli._workers() == 1
+        monkeypatch.setenv("NMFSEG_THREADS", str(usable + 5))
+        assert cli._workers() == usable
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
+    def test_invalid_value_fails_gen_data(self, fast_cfg_file, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.setenv("NMFSEG_THREADS", raw)
+        out = tmp_path / "bad"
+        assert run_command(["gen-data", "--config", str(fast_cfg_file), "--out", str(out)]) == 1
+        assert "NMFSEG_THREADS" in capsys.readouterr().err
+        assert not (out / "corpus").exists()
+        assert not (out / "gen-data.run.json").exists()
+
+    def test_default_and_one_worker_write_identical_trees(self, fast_cfg_file, tmp_path, monkeypatch):
+        trees = []
+        for raw in (None, "1"):
+            if raw is None:
+                monkeypatch.delenv("NMFSEG_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("NMFSEG_THREADS", raw)
+            out = tmp_path / f"threads-{raw}"
+            assert run_command(["gen-data", "--config", str(fast_cfg_file), "--out", str(out)]) == 0
+            trees.append(_tree_bytes(out / "corpus"))
+        assert len(trees[0]) == 37  # 18 clips x (WAV + labels) + manifest.csv
+        assert trees[0] == trees[1]
 
 
 class TestCliErrors:

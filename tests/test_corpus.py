@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nmfseg import corpus
 from nmfseg.corpus import (CLASS_NAMES, CorpusSpec, Manifest, generate_corpus,
                            load_manifest, one_pole, save_manifest, synthesize_clip)
 from nmfseg.errors import FormatError
@@ -134,5 +135,24 @@ class TestGenerateCorpus:
                           clip_seconds=5.0)
         m1 = generate_corpus(spec, tmp_path / "serial", workers=1)
         m2 = generate_corpus(spec, tmp_path / "parallel", workers=2)
-        for r1, r2 in zip(m1.rows, m2.rows):
-            assert (tmp_path / "serial" / r1.audio).read_bytes() == (tmp_path / "parallel" / r2.audio).read_bytes()
+        assert m1.rows == m2.rows
+        for r in m1.rows:
+            for rel in (r.audio, r.labels):
+                assert (tmp_path / "serial" / rel).read_bytes() == (tmp_path / "parallel" / rel).read_bytes()
+        assert (tmp_path / "serial" / "manifest.csv").read_bytes() == \
+            (tmp_path / "parallel" / "manifest.csv").read_bytes()
+
+    def test_pool_capped_at_clip_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool(corpus.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
+        spec = CorpusSpec(seed=4, train_minutes=0.05, dev_minutes=0.05, test_minutes=0.05,
+                          clip_seconds=3.0)
+        manifest = generate_corpus(spec, tmp_path / "capped", workers=64)
+        assert len(manifest.rows) == 3
+        assert sizes == [3]

@@ -1,5 +1,7 @@
 """Signal frontend: WAV ingestion, STFT, log-mel, and the NSF1 feature format."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -60,6 +62,114 @@ class TestLoadAudio:
         np.testing.assert_allclose(back.samples, samples, atol=1e-7)
 
 
+def _fmt_body(tag=1, bits=16, channels=1, rate=16000):
+    align = channels * bits // 8
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+
+
+def _extensible_fmt(tag=1, bits=16):
+    guid = struct.pack("<H", tag) + b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return _fmt_body(0xFFFE, bits) + struct.pack("<HHI", 22, bits, 0x4) + guid
+
+
+def _riff(*chunks, magic=b"RIFF"):
+    """RIFF/WAVE bytes from (id, body) pairs, each padded to an even length."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) % 2)
+                              for cid, data in chunks)
+    return magic + struct.pack("<I", len(body)) + body
+
+
+_PCM = np.array([0, 1000, -1000, 32767, -32768], dtype="<i2")
+
+
+class TestWavCodec:
+    """The built-in RIFF/WAVE codec against scipy.io.wavfile as the oracle."""
+
+    @pytest.mark.parametrize("fmt,n", [("int16", 0), ("int16", 1), ("int16", 16001),
+                                       ("float32", 0), ("float32", 1), ("float32", 16001)])
+    def test_save_bytes_match_scipy(self, tmp_path, fmt, n):
+        samples = np.random.default_rng(n).uniform(-1.2, 1.2, n)
+        ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
+        save_audio(AudioClip(samples=samples), ours, fmt=fmt)
+        if fmt == "int16":
+            data = np.clip(np.round(samples * 32768.0), -32768, 32767).astype(np.int16)
+        else:
+            data = samples.astype(np.float32)
+        wavfile.write(ref, 16000, data)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("dtype,scale", [(np.int16, 32768.0), (np.float32, 1.0)])
+    def test_load_matches_scipy(self, tmp_path, dtype, scale):
+        p = tmp_path / "x.wav"
+        rng = np.random.default_rng(1)
+        raw = rng.uniform(-0.9, 0.9, 4001)
+        _write_wav(p, raw * 32767 if dtype == np.int16 else raw, dtype=dtype)
+        rate, data = wavfile.read(p)
+        clip = load_audio(p)
+        assert clip.sample_rate == rate
+        np.testing.assert_array_equal(clip.samples, data.astype(np.float64) / scale)
+
+    def test_list_chunk_before_fmt_skipped(self, tmp_path):
+        p = tmp_path / "list.wav"
+        p.write_bytes(_riff((b"LIST", b"INFOISFT\x05\x00\x00\x00test\x00"), (b"fmt ", _fmt_body()),
+                            (b"data", _PCM.tobytes())))
+        np.testing.assert_array_equal(load_audio(p).samples, _PCM / 32768.0)
+
+    def test_odd_sized_chunk_pad_byte_skipped(self, tmp_path):
+        p = tmp_path / "odd.wav"
+        p.write_bytes(_riff((b"fmt ", _fmt_body()), (b"junk", b"abc"), (b"data", _PCM.tobytes())))
+        np.testing.assert_array_equal(load_audio(p).samples, _PCM / 32768.0)
+
+    def test_extensible_int16_accepted(self, tmp_path):
+        p = tmp_path / "ext.wav"
+        p.write_bytes(_riff((b"fmt ", _extensible_fmt()), (b"data", _PCM.tobytes())))
+        np.testing.assert_array_equal(load_audio(p).samples, _PCM / 32768.0)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float64])
+    def test_other_sample_formats_rejected(self, tmp_path, dtype):
+        p = tmp_path / "other.wav"
+        _write_wav(p, np.zeros(100), dtype=dtype)
+        with pytest.raises(IngestionError, match="sample format"):
+            load_audio(p)
+
+    def test_extensible_other_codec_rejected(self, tmp_path):
+        p = tmp_path / "ext24.wav"
+        p.write_bytes(_riff((b"fmt ", _extensible_fmt(bits=24)), (b"data", b"\x00" * 30)))
+        with pytest.raises(IngestionError, match="sample format"):
+            load_audio(p)
+
+    def test_truncated_data_rejected(self, tmp_path):
+        p = tmp_path / "cut.wav"
+        _write_wav(p, np.arange(100), dtype=np.int16)
+        p.write_bytes(p.read_bytes()[:-50])
+        with pytest.raises(IngestionError, match="truncated"):
+            load_audio(p)
+
+    def test_partial_sample_rejected(self, tmp_path):
+        p = tmp_path / "partial.wav"
+        p.write_bytes(_riff((b"fmt ", _fmt_body()), (b"data", _PCM.tobytes() + b"\x01")))
+        with pytest.raises(IngestionError, match="truncated"):
+            load_audio(p)
+
+    @pytest.mark.parametrize("chunks,missing", [(((b"data", _PCM.tobytes()),), "fmt"),
+                                                (((b"fmt ", _fmt_body()),), "data")])
+    def test_missing_chunk_rejected(self, tmp_path, chunks, missing):
+        p = tmp_path / "missing.wav"
+        p.write_bytes(_riff(*chunks))
+        with pytest.raises(IngestionError, match=f"no '{missing}"):
+            load_audio(p)
+
+    @pytest.mark.parametrize("blob", [b"", b"RIFF\x04\x00\x00\x00WAV",
+                                      _riff((b"fmt ", _fmt_body()), (b"data", _PCM.tobytes()), magic=b"RIFX"),
+                                      _riff((b"fmt ", _fmt_body()), (b"data", _PCM.tobytes()), magic=b"RF64"),
+                                      b"RIFF\x04\x00\x00\x00AVI LIST"])
+    def test_short_header_or_foreign_container_rejected(self, tmp_path, blob):
+        p = tmp_path / "bad.wav"
+        p.write_bytes(blob)
+        with pytest.raises(IngestionError, match="codec"):
+            load_audio(p)
+
+
 def _dft_oracle_frame(frame, n_fft):
     """Direct DFT magnitude of one windowed frame (scalar loops)."""
     padded = np.zeros(n_fft)
@@ -115,6 +225,14 @@ class TestStft:
     def test_too_short(self):
         with pytest.raises(IngestionError, match="too short"):
             stft_magnitude(AudioClip(samples=np.zeros(100)))
+
+    @pytest.mark.parametrize("n", [400, 401, 719, 720, 16000, 16001])
+    def test_framing_matches_index_gather(self, n):
+        samples = np.random.default_rng(n).standard_normal(n)
+        starts = np.arange(1 + (n - 400) // 320) * 320
+        frames = samples[starts[:, None] + np.arange(400)[None, :]] * hann_window(400)[None, :]
+        expected = np.abs(np.fft.rfft(frames, n=512, axis=1)).T
+        np.testing.assert_array_equal(stft_magnitude(AudioClip(samples=samples)).values, expected)
 
     def test_bad_window_config(self):
         clip = AudioClip(samples=np.zeros(1000))
