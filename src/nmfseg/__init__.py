@@ -16,9 +16,9 @@ from .evaluate import (ClassF1, F1Report, FrameDecisions, Segment, f1_with_ci,
                        frames_to_segments, predict_frames, rasterize_segments)
 from .explain import (ComponentReport, RelevanceRecord, binarize, component_report,
                       component_spectrum, make_record, pool_time, relevance)
-from .frontend import (AudioClip, FeatureSequence, Spectrogram, load_audio, log_mel,
-                       mel_filterbank, read_features, save_audio, stft_magnitude,
-                       write_features)
+from .frontend import (AudioClip, FeatureSequence, FrontendSettings, Spectrogram,
+                       load_audio, log_mel, mel_filterbank, read_features, save_audio,
+                       stft_magnitude, write_features)
 from .labels import label_matrix_from_range, read_label_file, write_label_file
 from .network import (LabelMatrix, SegModel, backward, bce_masked, encode, forward,
                       init_model, load_model, save_model, total_loss)
@@ -28,8 +28,7 @@ from .nmf import (Activations, Dictionary, SnmfConfig, load_dictionary, nmf_loss
 from .optim import AdamState, adam_step, init_adam
 from .probing import (ProbeResult, ProbeTask, build_synthetic_task, eval_probe,
                       extract_frozen_h, train_probe)
-from .training import (FrontendSettings, TrainConfig, evaluate_split,
-                       mean_activation_l1, pretrain_dictionary,
-                       reconstruction_error, train)
+from .training import (TrainConfig, evaluate_split, mean_activation_l1,
+                       pretrain_dictionary, reconstruction_error, train)
 
 __version__ = "0.1.0"

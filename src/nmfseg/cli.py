@@ -25,16 +25,17 @@ import numpy as np
 from . import config as cfgmod
 from .corpus import CLASS_NAMES, generate_corpus, load_manifest
 from .errors import ConfigError, NmfsegError
-from .evaluate import (FrameDecisions, frames_to_segments, report_to_dict,
+from .evaluate import (decide_frames, frames_to_segments, report_to_dict,
                        write_f1_csv, write_f1_json, write_segments)
 from .explain import (component_report, make_record, report_summary,
                       write_component_csv, write_sample_csv, write_spectrum_csv,
                       write_summary_json)
-from .network import encode, init_model, load_model, save_model, sigmoid
+from .labels import read_label_file
+from .network import encode, init_model, load_model, save_model
 from .nmf import save_dictionary, load_dictionary
 from .probing import build_synthetic_task, eval_probe, load_probe_manifest, train_probe, write_result_json
-from .training import (evaluate_split, load_clip, load_split, pretrain_dictionary,
-                       reconstruction_error, train)
+from .training import (evaluate_split, load_clip, pretrain_dictionary,
+                       reconstruction_error, split_rows, train)
 
 
 class _Run:
@@ -128,10 +129,7 @@ def _cmd_pretrain_dict(args, cfg, run: _Run):
 
 def _train_dims(manifest, settings) -> tuple[int, int]:
     """Feature and class counts, read from the first train clip alone."""
-    rows = manifest.for_split("train")
-    if not rows:
-        raise ValueError("manifest has no 'train' rows")
-    clip = load_clip(manifest, rows[0], settings)
+    clip = load_clip(manifest, split_rows(manifest, "train")[0], settings, with_spect=False)
     return clip.features.shape[0], clip.labels.shape[0]
 
 
@@ -166,10 +164,10 @@ def _cmd_segment(args, cfg, run: _Run):
     manifest = load_manifest(args.manifest)
     seg_dir = run.out / "segments"
     artifacts = []
-    for clip in load_split(manifest, args.split, settings):
-        probs = sigmoid(encode(model, clip.features[None])[1][0])
-        decisions = FrameDecisions(probs=probs, binary=(probs > cfg["threshold"]).astype(np.int8),
-                                   hop=clip.hop, threshold=cfg["threshold"])
+    for row in split_rows(manifest, args.split):
+        clip = load_clip(manifest, row, settings, with_spect=False)
+        decisions = decide_frames(encode(model, clip.features[None])[1][0], cfg["threshold"],
+                                  clip.hop)
         segments = frames_to_segments(decisions, min_dur=cfg["min_dur"], class_names=CLASS_NAMES)
         out = run.path("segments", f"{clip.clip_id}.seg")
         write_segments(out, clip.clip_id, segments)
@@ -200,21 +198,35 @@ def _dominant_class(labels: np.ndarray) -> int:
     return int(np.argmax((labels == 1).mean(axis=1)))
 
 
+def _row_class(manifest, row, settings) -> int:
+    """Dominant class of a row's labels as ``load_clip`` aligns them.
+
+    Alignment keeps every label frame or drops the last one, so the label
+    file alone decides the class unless that last frame changes it.
+    """
+    labels, _ = read_label_file(manifest.resolve(row.labels))
+    c = _dominant_class(labels)
+    if labels.shape[1] > 1 and _dominant_class(labels[:, :-1]) != c:
+        c = _dominant_class(load_clip(manifest, row, settings, with_spect=False).labels)
+    return c
+
+
 def _cmd_explain(args, cfg, run: _Run):
     model = load_model(args.model)
     settings = cfgmod.frontend_settings(cfg)
     manifest = load_manifest(args.manifest)
-    clips = load_split(manifest, args.split, settings)
+    classes = [(row, _row_class(manifest, row, settings)) for row in split_rows(manifest, args.split)]
 
     per_class = args.samples_per_class
     chosen = []
     for c in range(len(CLASS_NAMES)):
-        matching = [clip for clip in clips if _dominant_class(clip.labels) == c]
-        chosen.extend((clip, c) for clip in matching[:per_class])
+        matching = [row for row, row_class in classes if row_class == c]
+        chosen.extend((row, c) for row in matching[:per_class])
     if not chosen:
         raise NmfsegError("no clips with a dominant class; cannot build relevance records")
     records = []
-    for clip, c in chosen:
+    for row, c in chosen:
+        clip = load_clip(manifest, row, settings, with_spect=False)
         h, _ = encode(model, clip.features[None])
         records.append(make_record(clip.clip_id, c, h[0], model.theta, tau=args.tau))
     report = component_report(records, samples_per_class=per_class)
@@ -374,14 +386,13 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = cfgmod.parse_config(args.config) if args.config else cfgmod.default_config()
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run = _Run(out_dir)
+    run = _Run(Path(args.out))
     handler = _COMMANDS[args.command][0]
     try:
+        cfg = cfgmod.parse_config(args.config) if args.config else cfgmod.default_config()
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        run.out.mkdir(parents=True, exist_ok=True)
         return handler(args, cfg, run)
     except (NmfsegError, OSError, ValueError) as exc:
         run.cleanup()

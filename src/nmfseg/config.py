@@ -12,8 +12,9 @@ import hashlib
 
 from .corpus import CorpusSpec
 from .errors import ConfigError
+from .frontend import FrontendSettings
 from .nmf import SnmfConfig
-from .training import FrontendSettings, TrainConfig
+from .training import TrainConfig
 
 _TRUE = {"1", "true", "yes"}
 _FALSE = {"0", "false", "no"}
@@ -97,6 +98,8 @@ def parse_config(path) -> dict:
                 cfg[key] = ctor(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    if not 0.0 < cfg["threshold"] < 1.0:
+        raise ConfigError(f"{path}: threshold must lie in (0, 1), got {cfg['threshold']}")
     return cfg
 
 

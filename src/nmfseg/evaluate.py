@@ -85,15 +85,19 @@ class F1Report:
         return float(np.mean(defined)) if defined else 0.0
 
 
-def predict_frames(model: SegModel, s, threshold: float = 0.5) -> FrameDecisions:
-    """Class probabilities sigmoid(theta @ H); a frame is positive only strictly above threshold."""
+def decide_frames(logits: np.ndarray, threshold: float, hop: float) -> FrameDecisions:
+    """The frame decision: sigmoid(logits), positive only strictly above threshold."""
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    h, logits = forward(model, s)
     probs = sigmoid(logits)
-    hop = s.hop if hasattr(s, "hop") else 0.02
     return FrameDecisions(probs=probs, binary=(probs > threshold).astype(np.int8),
                           hop=hop, threshold=threshold)
+
+
+def predict_frames(model: SegModel, s, threshold: float = 0.5) -> FrameDecisions:
+    """Class probabilities sigmoid(theta @ H), decided by ``decide_frames``."""
+    h, logits = forward(model, s)
+    return decide_frames(logits, threshold, s.hop if hasattr(s, "hop") else 0.02)
 
 
 def frames_to_segments(decisions: FrameDecisions, min_dur: float = 0.0,

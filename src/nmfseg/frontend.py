@@ -14,7 +14,11 @@ PCM, an 18-byte one (``cbSize`` = 0) and a ``fact`` chunk for float, then
 The STFT uses a periodic Hann window of ``win_len`` samples, zero-padded to
 ``n_fft``, with no boundary padding, so the frame count is
 ``1 + (n_samples - win_len) // hop``.  Defaults (n_fft=512, win_len=400,
-hop=320 at 16 kHz) give 257 frequency bins on a 20 ms frame grid.
+hop=320 at 16 kHz) give 257 frequency bins on a 20 ms frame grid.  Frames
+are windowed and transformed ``STFT_BLOCK_FRAMES`` at a time into one
+preallocated output, so the windowed frames and the complex spectrum of a
+long clip never exist whole; each frame's FFT is independent, so the result
+is bit-identical to transforming every frame at once.
 
 Feature matrices round-trip through the "NSF1" binary format: magic, D and T
 as little-endian u32, the hop in seconds as little-endian f64, then D*T
@@ -36,6 +40,9 @@ LOG_FLOOR = 1e-10
 
 FEATURE_MAGIC = b"NSF1"
 
+# frames windowed and transformed per block in stft_magnitude
+STFT_BLOCK_FRAMES = 256
+
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
@@ -43,6 +50,19 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _KSDATAFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 # (format tag, bits per sample, block align) -> little-endian sample dtype
 _WAV_SAMPLE_TYPES = {(_WAVE_FORMAT_PCM, 16, 2): "<i2", (_WAVE_FORMAT_IEEE_FLOAT, 32, 4): "<f4"}
+
+
+@dataclass
+class FrontendSettings:
+    """STFT/mel configuration shared by every pipeline stage."""
+
+    n_fft: int = 512
+    win_len: int = 400
+    hop: int = 320
+    n_mels: int = 80
+    f_min: float = 0.0
+    f_max: float | None = None
+    recon_log: bool = False  # reconstruct log1p-compressed magnitudes instead of linear
 
 
 @dataclass
@@ -127,7 +147,7 @@ def load_audio(path) -> AudioClip:
         blob = fh.read()
     rate, data = _parse_wav(blob, str(path))
     if data.dtype.kind == "i":
-        samples = data.astype(np.float64) / 32768.0
+        samples = np.divide(data, 32768.0, dtype=np.float64)
     else:
         samples = data.astype(np.float64)
     return AudioClip(samples=samples, sample_rate=rate, channel_count=1)
@@ -226,9 +246,13 @@ def stft_magnitude(clip: AudioClip, n_fft: int = 512, win_len: int = 400, hop: i
         raise IngestionError(f"clip too short: {len(samples)} samples < window of {win_len}")
     # every hop-th window, so 1 + (n_samples - win_len) // hop frames
     windows = np.lib.stride_tricks.sliding_window_view(samples, win_len)[::hop]
-    frames = windows * hann_window(win_len)
-    spectrum = np.fft.rfft(frames, n=n_fft, axis=1)
-    return Spectrogram(values=np.abs(spectrum).T, hop=hop / clip.sample_rate, sample_rate=clip.sample_rate)
+    window = hann_window(win_len)
+    # frame-major, as one whole-clip rfft would lay it out; returned transposed
+    mags = np.empty((windows.shape[0], n_fft // 2 + 1))
+    for start in range(0, windows.shape[0], STFT_BLOCK_FRAMES):
+        block = windows[start:start + STFT_BLOCK_FRAMES]
+        np.abs(np.fft.rfft(block * window, n=n_fft, axis=1), out=mags[start:start + len(block)])
+    return Spectrogram(values=mags.T, hop=hop / clip.sample_rate, sample_rate=clip.sample_rate)
 
 
 def hz_to_mel(f):

@@ -30,7 +30,20 @@ def write_label_file(path, frames: np.ndarray, hop: float) -> None:
 
 
 def read_label_file(path) -> tuple[np.ndarray, float]:
-    """Read back a (C, T) symbol matrix (entries 0/1/-1) and the hop."""
+    """Read back a (C, T) symbol matrix (entries 0/1/-1) and the hop.
+
+    A file laid out exactly as ``write_label_file`` writes it is decoded in
+    one pass over its bytes; anything else (blank lines, CRLF, extra spaces,
+    C = 0, an unknown symbol) goes through the line-by-line parser, which
+    accepts the same files and owns every error message.
+    """
+    with open(path, "rb") as fh:
+        parsed = _read_fixed_width(fh.read())
+    return parsed if parsed is not None else _read_lines(path)
+
+
+def _read_lines(path) -> tuple[np.ndarray, float]:
+    """The general parser: one text line at a time, every malformation named."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("FRAMES "):
@@ -58,6 +71,41 @@ def read_label_file(path) -> tuple[np.ndarray, float]:
             raise FormatError(f"{path}: line {t + 2} has invalid symbol {exc.args[0]!r}") from exc
     frames = np.array(rows, dtype=np.int8).reshape(len(body), c)
     return np.ascontiguousarray(frames.T), hop
+
+
+# byte -> symbol code for the fixed-width layout; 2 marks a byte that is no symbol
+_SYMBOL_CODES = np.full(256, 2, dtype=np.int8)
+_SYMBOL_CODES[[ord("0"), ord("1"), ord("-")]] = [0, 1, UNANNOTATED]
+
+
+def _read_fixed_width(blob: bytes) -> tuple[np.ndarray, float] | None:
+    """Decode the exact ``write_label_file`` layout, or None for any other file.
+
+    Each of the T frame lines is C one-byte symbols joined by single spaces
+    and ended by one newline, so the body is a (T, 2C) byte grid.
+    """
+    end = blob.find(b"\n")
+    if end < 0 or not blob[:end].isascii() or b"\r" in blob[:end]:
+        return None
+    header = blob[:end].decode("ascii")
+    parts = header.split()
+    if not header.startswith("FRAMES ") or len(parts) != 3:
+        return None
+    try:
+        hop = float(parts[1])
+        c = int(parts[2])
+    except ValueError:
+        return None
+    body = blob[end + 1:]
+    if c < 1 or len(body) % (2 * c):
+        return None
+    grid = np.frombuffer(body, dtype=np.uint8).reshape(len(body) // (2 * c), 2 * c)
+    if not (np.all(grid[:, 1:-1:2] == ord(" ")) and np.all(grid[:, -1] == ord("\n"))):
+        return None
+    codes = _SYMBOL_CODES[grid[:, ::2]]
+    if np.any(codes == 2):
+        return None
+    return np.ascontiguousarray(codes.T), hop
 
 
 def label_matrix_from_range(frames: np.ndarray, start: int, end: int) -> LabelMatrix:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .corpus import one_pole
 from .errors import DimensionError
-from .frontend import AudioClip, load_audio, log_mel, read_features, stft_magnitude
+from .frontend import (AudioClip, FrontendSettings, load_audio, log_mel, read_features,
+                       stft_magnitude)
 from .network import SegModel, encode, forward
 from .nmf import Activations
 from .optim import adam_step, init_adam
@@ -180,7 +181,6 @@ def build_synthetic_task(model: SegModel, task: str, n_classes: int, per_class: 
     Every clip has the same length, so all of them go through one batched
     ``encode``; the guarded layout keeps the clips from reading each other.
     """
-    from .training import FrontendSettings
     settings = settings or FrontendSettings()
     labels, feats = [], []
     for label in range(n_classes):
@@ -197,7 +197,6 @@ def build_synthetic_task(model: SegModel, task: str, n_classes: int, per_class: 
 
 def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=None) -> ProbeTask:
     """Build a task from CSV rows of (audio-or-feature path, integer label)."""
-    from .training import FrontendSettings
     settings = settings or FrontendSettings()
     root = Path(path).parent
     items = []

@@ -19,30 +19,13 @@ import numpy as np
 
 from .corpus import CLASS_NAMES, Manifest
 from .errors import DimensionError, NumericError
-from .evaluate import F1Report, accumulate_counts
-from .frontend import load_audio, log_mel, read_features, stft_magnitude
+from .evaluate import F1Report, accumulate_counts, decide_frames
+from .frontend import FrontendSettings, load_audio, log_mel, read_features, stft_magnitude
 from .labels import label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, _backward_from_cache, _forward_cache,
                       bce_masked, encode, init_model, sigmoid)
 from .nmf import Dictionary, SnmfConfig, train_snmf
 from .optim import adam_step, init_adam
-
-
-@dataclass
-class FrontendSettings:
-    """STFT/mel configuration shared by every pipeline stage."""
-
-    n_fft: int = 512
-    win_len: int = 400
-    hop: int = 320
-    n_mels: int = 80
-    f_min: float = 0.0
-    f_max: float | None = None
-    recon_log: bool = False  # reconstruct log1p-compressed magnitudes instead of linear
-
-    @property
-    def hop_seconds(self) -> float:
-        return self.hop / 16000.0
 
 
 @dataclass
@@ -64,13 +47,15 @@ class TrainConfig:
             raise ValueError("at least one loss weight must be positive")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("loss weights must be non-negative")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
 
 
 @dataclass
 class ClipData:
     clip_id: str
-    features: np.ndarray  # (D, T) float64
-    spect: np.ndarray  # (F, T) float64
+    features: np.ndarray  # (D, T) float32
+    spect: np.ndarray | None  # (F, T) float32 reconstruction target, None unless asked for
     labels: np.ndarray  # (C, T) int8 symbols with -1 for unannotated
     hop: float
 
@@ -82,8 +67,15 @@ class TrainSegment:
     labels: LabelMatrix
 
 
-def load_clip(manifest: Manifest, row, settings: FrontendSettings) -> ClipData:
-    """Load one manifest row, aligning features, spectrogram, and labels."""
+def load_clip(manifest: Manifest, row, settings: FrontendSettings,
+              with_spect: bool = True) -> ClipData:
+    """Load one manifest row, aligning features, spectrogram, and labels.
+
+    The spectrogram is always computed, since it sets the frame count (and
+    the features when the row has no feature file), but it is kept as
+    ``ClipData.spect`` only when ``with_spect`` is true: inference reads
+    features alone.
+    """
     clip = load_audio(manifest.resolve(row.audio))
     spec = stft_magnitude(clip, n_fft=settings.n_fft, win_len=settings.win_len, hop=settings.hop)
     if row.features:
@@ -96,21 +88,31 @@ def load_clip(manifest: Manifest, row, settings: FrontendSettings) -> ClipData:
     t = min(lengths.values())
     if max(lengths.values()) - t > 1:
         raise DimensionError(f"{row.clip_id}: frame counts differ by more than one: {lengths}")
-    xv = spec.values[:, :t]
-    if settings.recon_log:
-        xv = np.log1p(xv)
+    xv = None
+    if with_spect:
+        xv = spec.values[:, :t]
+        if settings.recon_log:
+            xv = np.log1p(xv)
+        xv = np.asarray(xv, dtype=np.float32)
     return ClipData(clip_id=row.clip_id,
                     features=np.asarray(feats.values[:, :t], dtype=np.float32),
-                    spect=np.asarray(xv, dtype=np.float32),
+                    spect=xv,
                     labels=labels[:, :t],
                     hop=spec.hop)
 
 
-def load_split(manifest: Manifest, split: str, settings: FrontendSettings) -> list[ClipData]:
+def split_rows(manifest: Manifest, split: str) -> list:
+    """The manifest rows of one split; an empty split is an error."""
     rows = manifest.for_split(split)
     if not rows:
         raise ValueError(f"manifest has no '{split}' rows")
-    return [load_clip(manifest, row, settings) for row in rows]
+    return rows
+
+
+def load_split(manifest: Manifest, split: str, settings: FrontendSettings,
+               with_spect: bool = True) -> list[ClipData]:
+    """Every clip of a split, held at once; for stages that revisit clips."""
+    return [load_clip(manifest, row, settings, with_spect) for row in split_rows(manifest, split)]
 
 
 def build_segments(clips: list[ClipData], segment_seconds: float) -> list[TrainSegment]:
@@ -180,7 +182,7 @@ def dev_metrics(model: SegModel, clips: list[ClipData], threshold: float) -> dic
         logits = encode(model, clip.features[None])[1][0]
         lab = label_matrix_from_range(clip.labels, 0, clip.labels.shape[1])
         bce_sum += bce_masked(logits, lab)
-        binary = (sigmoid(logits) > threshold).astype(np.int8)
+        binary = decide_frames(logits, threshold, clip.hop).binary
         accumulate_counts(report, binary, lab, CLASS_NAMES[: lab.classes])
     f1s = {name: entry.f1 for name, entry in report.per_class.items() if entry.defined}
     return {"bce": bce_sum / len(clips), "f1": f1s, "macro_f1": report.macro_f1()}
@@ -195,7 +197,7 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
     """
     settings = settings or FrontendSettings()
     train_clips = load_split(manifest, "train", settings)
-    dev_clips = load_split(manifest, "dev", settings)
+    dev_clips = load_split(manifest, "dev", settings, with_spect=False)
     segments = build_segments(train_clips, cfg.segment_seconds)
     if not segments:
         raise ValueError("train split yields no segments; clips shorter than segment_seconds?")
@@ -274,13 +276,16 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, k: int,
 def evaluate_split(model: SegModel, manifest: Manifest, split: str,
                    settings: FrontendSettings | None = None,
                    threshold: float = 0.5) -> F1Report:
-    """Aggregate frame counts over a whole split and score per class."""
+    """Aggregate frame counts over a whole split and score per class.
+
+    Clips are loaded one at a time, so memory holds one clip's features.
+    """
     settings = settings or FrontendSettings()
-    clips = load_split(manifest, split, settings)
     report = F1Report()
-    for clip in clips:
+    for row in split_rows(manifest, split):
+        clip = load_clip(manifest, row, settings, with_spect=False)
         logits = encode(model, clip.features[None])[1][0]
-        binary = (sigmoid(logits) > threshold).astype(np.int8)
+        binary = decide_frames(logits, threshold, clip.hop).binary
         lab = label_matrix_from_range(clip.labels, 0, clip.labels.shape[1])
         accumulate_counts(report, binary, lab, CLASS_NAMES[: lab.classes])
     return report
@@ -292,7 +297,8 @@ def mean_activation_l1(model: SegModel, manifest: Manifest, split: str,
     settings = settings or FrontendSettings()
     total = 0.0
     frames = 0
-    for clip in load_split(manifest, split, settings):
+    for row in split_rows(manifest, split):
+        clip = load_clip(manifest, row, settings, with_spect=False)
         h, _ = encode(model, clip.features[None])
         total += float(h.sum())
         frames += clip.features.shape[1]
@@ -308,7 +314,8 @@ def reconstruction_error(model: SegModel, manifest: Manifest, split: str,
     w = model.w_ref.values
     total = 0.0
     frames = 0
-    for clip in load_split(manifest, split, settings):
+    for row in split_rows(manifest, split):
+        clip = load_clip(manifest, row, settings)
         h, _ = encode(model, clip.features[None])
         diff = w @ h[0] - clip.spect
         total += float(np.sum(diff * diff))

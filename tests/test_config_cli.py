@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,15 @@ import numpy as np
 import pytest
 
 import nmfseg
-from nmfseg import cli
+from nmfseg import cli, training
 from nmfseg.cli import run_command
 from nmfseg.config import (config_hash, default_config, parse_config,
                            serialize_config)
+from nmfseg.corpus import Manifest, ManifestRow, load_manifest
 from nmfseg.errors import ConfigError
+from nmfseg.frontend import FrontendSettings
+from nmfseg.labels import write_label_file
+from nmfseg.training import load_clip
 
 FAST_CFG = """
 # desk-test settings
@@ -71,12 +76,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config(p)
 
+    @pytest.mark.parametrize("value", ["nan", "1.5", "0", "1", "-0.2"])
+    def test_threshold_outside_unit_interval(self, tmp_path, value):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"threshold = {value}\n")
+        with pytest.raises(ConfigError, match="threshold"):
+            parse_config(p)
+
     def test_hash_covers_resolved_config(self):
         a = default_config()
         b = default_config()
         assert config_hash(a) == config_hash(b)
         b["alpha"] = 11.0
         assert config_hash(a) != config_hash(b)
+
+    def test_frontend_settings_is_one_class(self):
+        assert nmfseg.FrontendSettings is training.FrontendSettings is FrontendSettings
+        assert not hasattr(FrontendSettings(), "hop_seconds")
 
     def test_serialize_round_trip(self, tmp_path):
         cfg = default_config()
@@ -103,15 +119,20 @@ class TestCliHappyPaths:
         assert rc == 0
         assert (eval_out / "f1.csv").exists() and (eval_out / "f1.json").exists()
 
-    def test_eval_twice_byte_identical(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "segment", "explain"])
+    def test_eval_twice_byte_identical(self, pipeline, tmp_path, command):
         cfg, out, manifest = pipeline
         outs = []
         for name in ("e1", "e2"):
-            eval_out = tmp_path / name
-            assert run_command(["eval", "--config", str(cfg), "--model", str(out / "model.nsm"),
+            stage_out = tmp_path / name
+            assert run_command([command, "--config", str(cfg), "--model", str(out / "model.nsm"),
                                 "--manifest", str(manifest), "--split", "test",
-                                "--out", str(eval_out)]) == 0
-            outs.append((eval_out / "f1.csv").read_bytes())
+                                "--out", str(stage_out)]) == 0
+            tree = _tree_bytes(stage_out)
+            # the run log names its artifacts by path, so only its metrics compare
+            log = json.loads(tree.pop(f"{command}.run.json"))
+            outs.append((tree, log["metrics"]))
+        assert len(outs[0][0]) >= {"eval": 2, "segment": 6, "explain": 3}[command]
         assert outs[0] == outs[1]
 
     def test_segment_output_format(self, pipeline, tmp_path):
@@ -149,6 +170,33 @@ class TestCliHappyPaths:
         assert run_command(["report", "--dir", str(out), "--out", str(rep_out)]) == 0
         summary = json.loads((rep_out / "report.json").read_text())
         assert {entry["command"] for entry in summary} >= {"gen-data", "pretrain-dict", "train"}
+
+
+class TestExplainChoice:
+    """explain picks clips from label files, by the labels load_clip aligns."""
+
+    def test_matches_aligned_labels_on_corpus(self, pipeline):
+        _, _, manifest_path = pipeline
+        manifest = load_manifest(manifest_path)
+        settings = FrontendSettings()
+        for row in manifest.rows:
+            aligned = load_clip(manifest, row, settings, with_spect=False).labels
+            assert cli._row_class(manifest, row, settings) == cli._dominant_class(aligned)
+
+    def test_dropped_last_frame_decides(self, pipeline, tmp_path):
+        _, _, manifest_path = pipeline
+        manifest = load_manifest(manifest_path)
+        row = manifest.for_split("test")[0]
+        shutil.copy(manifest.resolve(row.audio), tmp_path / "clip.wav")
+        frames = load_clip(manifest, row, FrontendSettings(), with_spect=False).labels.shape[1]
+        labels = np.zeros((4, frames + 1), dtype=np.int8)
+        labels[0, :10] = 1
+        labels[1, 10:20] = 1
+        labels[1, -1] = 1  # a tie once load_clip drops this frame
+        write_label_file(tmp_path / "clip.lab", labels, 0.02)
+        odd = Manifest(rows=[ManifestRow("clip", "clip.wav", "", "clip.lab", "test")], root=tmp_path)
+        assert cli._dominant_class(labels) == 1
+        assert cli._row_class(odd, odd.rows[0], FrontendSettings()) == 0
 
 
 class TestPretrainDictRunLog:
@@ -232,6 +280,18 @@ class TestWorkerCount:
 
 
 class TestCliErrors:
+    @pytest.mark.parametrize("command", ["segment", "eval"])
+    @pytest.mark.parametrize("value", ["nan", "1.5"])
+    def test_bad_threshold_fails_without_outputs(self, pipeline, tmp_path, capsys, command, value):
+        cfg, out, manifest = pipeline
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + f"threshold = {value}\n")
+        target = tmp_path / "out"
+        assert run_command([command, "--config", str(bad), "--model", str(out / "model.nsm"),
+                            "--manifest", str(manifest), "--out", str(target)]) == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_missing_dictionary_file(self, pipeline, tmp_path, capsys):
         cfg, out, manifest = pipeline
         rc = run_command(["train", "--config", str(cfg), "--manifest", str(manifest),

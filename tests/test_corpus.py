@@ -7,8 +7,8 @@ from nmfseg import corpus
 from nmfseg.corpus import (CLASS_NAMES, CorpusSpec, Manifest, generate_corpus,
                            load_manifest, one_pole, save_manifest, synthesize_clip)
 from nmfseg.errors import FormatError
-from nmfseg.labels import (UNANNOTATED, label_matrix_from_range, read_label_file,
-                           write_label_file)
+from nmfseg.labels import (UNANNOTATED, _read_fixed_width, _read_lines,
+                           label_matrix_from_range, read_label_file, write_label_file)
 
 
 class TestLabelFiles:
@@ -39,6 +39,44 @@ class TestLabelFiles:
         p = tmp_path / "bad.lab"
         p.write_text(header + "\n0 1\n")
         with pytest.raises(FormatError):
+            read_label_file(p)
+
+    @pytest.mark.parametrize("c", [1, 4, 7])
+    @pytest.mark.parametrize("t", [0, 1, 6000])
+    def test_fixed_width_path_equals_line_parser(self, tmp_path, c, t):
+        frames = np.random.default_rng([c, t]).choice([0, 1, UNANNOTATED], size=(c, t)).astype(np.int8)
+        p = tmp_path / "x.lab"
+        write_label_file(p, frames, hop=0.02)
+        fast = _read_fixed_width(p.read_bytes())
+        assert fast is not None
+        slow = _read_lines(p)
+        for got in (fast, slow, read_label_file(p)):
+            assert got[0].dtype == np.int8 and got[0].flags.c_contiguous
+            np.testing.assert_array_equal(got[0], frames)
+            assert got[1] == 0.02
+
+    @pytest.mark.parametrize("text", [
+        "FRAMES 0.020000 2\n0 1\n\n1 -\n",      # blank line
+        "FRAMES 0.020000 2\r\n0 1\r\n1 -\r\n",  # CRLF
+        "FRAMES 0.020000 2\n0  1\n1 -\n",       # extra space
+        "FRAMES 0.020000 2\n0 1\n1 -",          # no final newline
+        "FRAMES 0.020000 0\n\n\n",              # C = 0
+    ])
+    def test_other_layouts_take_the_line_parser(self, tmp_path, text):
+        p = tmp_path / "x.lab"
+        p.write_bytes(text.encode())
+        assert _read_fixed_width(p.read_bytes()) is None
+        got, want = read_label_file(p), _read_lines(p)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[0].shape == want[0].shape and got[1] == want[1]
+
+    @pytest.mark.parametrize("text", ["FRAMES 0.020000 2\n0 x\n", "FRAMES 0.020000 2\n0 1 1\n",
+                                      "FRAMES 0.020000 1\n2\n"])
+    def test_fixed_width_malformations_raise_from_the_line_parser(self, tmp_path, text):
+        p = tmp_path / "bad.lab"
+        p.write_text(text)
+        assert _read_fixed_width(p.read_bytes()) is None
+        with pytest.raises(FormatError, match="line 2"):
             read_label_file(p)
 
     def test_mask_from_range(self):

@@ -7,8 +7,8 @@ import pytest
 from scipy.io import wavfile
 
 from nmfseg.errors import ConfigError, FormatError, IngestionError
-from nmfseg.frontend import (AudioClip, FeatureSequence, hann_window, load_audio,
-                             log_mel, mel_filterbank, read_features, save_audio,
+from nmfseg.frontend import (STFT_BLOCK_FRAMES, AudioClip, FeatureSequence, hann_window,
+                             load_audio, log_mel, mel_filterbank, read_features, save_audio,
                              stft_magnitude, write_features)
 
 
@@ -226,7 +226,10 @@ class TestStft:
         with pytest.raises(IngestionError, match="too short"):
             stft_magnitude(AudioClip(samples=np.zeros(100)))
 
-    @pytest.mark.parametrize("n", [400, 401, 719, 720, 16000, 16001])
+    # the last four give block - 1, block, block + 1 and 6000 frames
+    @pytest.mark.parametrize("n", [400, 401, 719, 720, 16000, 16001] + [
+        400 + 320 * (frames - 1) for frames in
+        (STFT_BLOCK_FRAMES - 1, STFT_BLOCK_FRAMES, STFT_BLOCK_FRAMES + 1, 6000)])
     def test_framing_matches_index_gather(self, n):
         samples = np.random.default_rng(n).standard_normal(n)
         starts = np.arange(1 + (n - 400) // 320) * 320

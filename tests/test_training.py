@@ -1,5 +1,8 @@
 """Dataset assembly and the training loop."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,8 @@ from nmfseg.corpus import Manifest, ManifestRow
 from nmfseg.errors import DimensionError
 from nmfseg.network import init_model
 from nmfseg.training import (FrontendSettings, TrainConfig, build_segments,
-                             evaluate_split, load_split, pretrain_dictionary, train)
+                             evaluate_split, load_clip, load_split, pretrain_dictionary,
+                             train)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +36,19 @@ class TestDataAssembly:
         manifest, settings, _ = trained_setup
         with pytest.raises(ValueError, match="no 'nope' rows"):
             load_split(manifest, "nope", settings)
+        with pytest.raises(ValueError, match="no 'nope' rows"):
+            evaluate_split(init_model(d=80, k=16, c=4, seed=0), manifest, "nope", settings)
+
+    def test_clip_without_spectrogram(self, trained_setup):
+        manifest, settings, _ = trained_setup
+        for row in manifest.for_split("test"):
+            full = load_clip(manifest, row, settings)
+            lean = load_clip(manifest, row, settings, with_spect=False)
+            assert full.spect is not None and full.spect.dtype == np.float32
+            assert lean.spect is None
+            assert lean.features.dtype == np.float32 and lean.hop == full.hop
+            np.testing.assert_array_equal(lean.features, full.features)
+            np.testing.assert_array_equal(lean.labels, full.labels)
 
     def test_segment_chunking(self, trained_setup):
         manifest, settings, _ = trained_setup
@@ -75,6 +92,28 @@ class TestDataAssembly:
                                                   "clip.lab", "train")], root=ext_dir)
         clips = load_split(ext_manifest, "train", FrontendSettings())
         assert clips[0].features.shape[0] == 12
+
+
+def _peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_split_streams_clips(small_corpus):
+    """Four equal-length clips peak within 10 % of one clip, so clips are not held."""
+    _, manifest = small_corpus
+    rows = [replace(row, split="eval") for row in manifest.for_split("train")[:4]]
+    model = init_model(d=80, k=16, c=4, seed=0)
+    peaks = {}
+    for n in (1, 4):
+        sub = Manifest(rows=rows[:n], root=manifest.root)
+        evaluate_split(model, sub, "eval")  # warm caches (mel filterbank) outside the trace
+        peaks[n] = _peak_traced_bytes(lambda: evaluate_split(model, sub, "eval"))
+    assert peaks[4] <= 1.10 * peaks[1], peaks
 
 
 class TestTrain:
@@ -139,6 +178,11 @@ class TestTrainConfig:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(alpha=-1, beta=1, gamma=0)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            TrainConfig(threshold=threshold)
 
     def test_defaults(self):
         cfg = TrainConfig()
