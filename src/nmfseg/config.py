@@ -1,14 +1,16 @@
 """Flat key=value experiment configuration.
 
 A config file holds one ``key = value`` pair per line ('#' starts a comment).
-Every key has a typed default; unknown keys are rejected.  The resolved
-configuration (defaults plus overrides) is what runs, what lands in run logs,
-and what the config hash covers.
+Every key has a typed default and an allowed range; unknown keys and values
+outside their range are rejected.  The resolved configuration (defaults plus
+overrides) is what runs, what lands in run logs, and what the config hash
+covers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 from .corpus import CorpusSpec
 from .errors import ConfigError
@@ -29,55 +31,63 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# key -> (type constructor, default)
+# Allowed ranges as (description for error messages, predicate on the parsed value).
+_SIZE = ("an integer >= 1", lambda v: v >= 1)
+_SEED = ("an integer >= 0", lambda v: v >= 0)
+_NONNEG = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+_POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
+_UNIT = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
+_BOOL = ("a boolean", lambda v: True)
+
+# key -> (type constructor, default, allowed range)
 SCHEMA = {
-    "seed": (int, 0),
+    "seed": (int, 0, _SEED),
     # loss weights and optimization
-    "alpha": (float, 10.0),
-    "beta": (float, 1.0),
-    "gamma": (float, 0.1),
-    "lr": (float, 1e-3),
-    "batch": (int, 16),
-    "epochs": (int, 120),
-    "segment_seconds": (float, 4.0),
-    "threshold": (float, 0.5),
+    "alpha": (float, 10.0, _NONNEG),
+    "beta": (float, 1.0, _NONNEG),
+    "gamma": (float, 0.1, _NONNEG),
+    "lr": (float, 1e-3, _POSITIVE),
+    "batch": (int, 16, _SIZE),
+    "epochs": (int, 120, _SIZE),
+    "segment_seconds": (float, 4.0, _POSITIVE),
+    "threshold": (float, 0.5, _UNIT),
     # model
-    "k": (int, 64),
-    "channels": (int, 64),
+    "k": (int, 64, _SIZE),
+    "channels": (int, 64, _SIZE),
     # dictionary pretraining
-    "mu": (float, 0.1),
-    "dict_iters": (int, 300),
-    "dict_tol": (float, 1e-5),
-    "dict_frames": (int, 3000),
+    "mu": (float, 0.1, _NONNEG),
+    "dict_iters": (int, 300, _SIZE),
+    "dict_tol": (float, 1e-5, _NONNEG),
+    "dict_frames": (int, 3000, _SIZE),
     # frontend
-    "n_fft": (int, 512),
-    "win_len": (int, 400),
-    "hop": (int, 320),
-    "n_mels": (int, 80),
-    "f_min": (float, 0.0),
-    "f_max": (float, 8000.0),
-    "recon_log": (_parse_bool, False),
+    "n_fft": (int, 512, _SIZE),
+    "win_len": (int, 400, _SIZE),
+    "hop": (int, 320, _SIZE),
+    "n_mels": (int, 80, _SIZE),
+    "f_min": (float, 0.0, _NONNEG),
+    "f_max": (float, 8000.0, _NONNEG),
+    "recon_log": (_parse_bool, False, _BOOL),
     # corpus generation
-    "train_minutes": (float, 20.0),
-    "dev_minutes": (float, 5.0),
-    "test_minutes": (float, 5.0),
-    "clip_seconds": (float, 10.0),
-    "rate_speech": (float, 6.0),
-    "rate_overlap": (float, 6.0),
-    "rate_music": (float, 6.0),
-    "rate_noise": (float, 6.0),
+    "train_minutes": (float, 20.0, _POSITIVE),
+    "dev_minutes": (float, 5.0, _POSITIVE),
+    "test_minutes": (float, 5.0, _POSITIVE),
+    "clip_seconds": (float, 10.0, _POSITIVE),
+    "rate_speech": (float, 6.0, _NONNEG),
+    "rate_overlap": (float, 6.0, _NONNEG),
+    "rate_music": (float, 6.0, _NONNEG),
+    "rate_noise": (float, 6.0, _NONNEG),
     # inference / reporting
-    "min_dur": (float, 0.0),
+    "min_dur": (float, 0.0, _NONNEG),
     # probes
-    "probe_epochs": (int, 300),
-    "probe_lr": (float, 1e-2),
-    "probe_per_class": (int, 20),
-    "probe_seconds": (float, 1.0),
+    "probe_epochs": (int, 300, _SIZE),
+    "probe_lr": (float, 1e-2, _POSITIVE),
+    "probe_per_class": (int, 20, _SIZE),
+    "probe_seconds": (float, 1.0, _POSITIVE),
 }
 
 
 def default_config() -> dict:
-    return {key: default for key, (_, default) in SCHEMA.items()}
+    return {key: default for key, (_, default, _) in SCHEMA.items()}
 
 
 def parse_config(path) -> dict:
@@ -98,8 +108,9 @@ def parse_config(path) -> dict:
                 cfg[key] = ctor(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    if not 0.0 < cfg["threshold"] < 1.0:
-        raise ConfigError(f"{path}: threshold must lie in (0, 1), got {cfg['threshold']}")
+    for key, (_, _, (allowed, ok)) in SCHEMA.items():
+        if not ok(cfg[key]):
+            raise ConfigError(f"{path}: {key} must be {allowed}, got {cfg[key]!r}")
     return cfg
 
 

@@ -9,6 +9,13 @@ is the non-negative activation matrix H.  Class logits are theta @ H with no
 bias.  All convolutions zero-pad symmetrically so the frame count never
 changes.
 
+Precision: a forward pass computes in the dtype of the model's parameters,
+whatever dtype the input batch has.  Checkpoints store float32, and
+``model_from_bytes`` loads float32, so every model that infers (a reloaded
+checkpoint, the training worker, the model ``training.train`` returns) runs
+float32.  Only models built by ``init_model`` hold float64; the
+finite-difference checks use them.
+
 Checkpoints use the "NSM1" layout: magic; u32 header fields D, K, C,
 channels, kernel, block count, dilation count, then the dilation list; a u64
 byte length followed by an embedded "NSD1" dictionary blob (length 0 when no
@@ -224,7 +231,12 @@ def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _
 
 
 def _bottleneck(model: SegModel, s: np.ndarray) -> tuple[_Layout, np.ndarray, np.ndarray]:
-    """Layout, standardized flat input, and bottleneck output for a (B, D, T) batch."""
+    """Layout, standardized flat input, and bottleneck output for a (B, D, T) batch.
+
+    The batch is cast to the parameter dtype first, so the whole pass runs in
+    the model's precision and a float64 caller never promotes a float32 model.
+    """
+    s = np.asarray(s, dtype=model.bneck_w.dtype)
     if s.ndim != 3 or s.shape[1] != model.d:
         raise DimensionError(f"expected batch shape (B, {model.d}, T), got {s.shape}")
     lay = _Layout(s.shape[0], s.shape[2], max(model.dilations))
@@ -324,8 +336,7 @@ def _backward_from_cache(model: SegModel, cache: dict, g_logits_flat: np.ndarray
 
 
 def _as_feature_array(s) -> np.ndarray:
-    values = s.values if isinstance(s, FeatureSequence) else np.asarray(s)
-    return np.asarray(values, dtype=np.float64)
+    return np.asarray(s.values if isinstance(s, FeatureSequence) else s)
 
 
 def forward(model: SegModel, s) -> tuple[Activations, np.ndarray]:
@@ -426,7 +437,15 @@ def backward(model: SegModel, s, x, labels: LabelMatrix, cfg) -> dict:
 
 
 def save_model(model: SegModel, path) -> None:
-    """Write an NSM1 checkpoint, embedding the attached dictionary verbatim."""
+    """Write an NSM1 checkpoint, embedding the attached dictionary verbatim.
+
+    A parameter that is non-finite once rounded to float32 raises
+    NumericError before the file is opened.
+    """
+    params = [(pname, np.asarray(arr, dtype="<f4")) for pname, arr in model.parameters()]
+    for pname, arr in params:
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"refusing to save non-finite parameter {pname}")
     dict_blob = dictionary_to_bytes(model.w_ref) if model.w_ref is not None else b""
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -435,8 +454,8 @@ def save_model(model: SegModel, path) -> None:
         fh.write(struct.pack(f"<{len(model.dilations)}I", *model.dilations))
         fh.write(struct.pack("<Q", len(dict_blob)))
         fh.write(dict_blob)
-        for _, arr in model.parameters():
-            fh.write(np.asarray(arr, dtype="<f4").tobytes())
+        for _, arr in params:
+            fh.write(arr.tobytes())
 
 
 def load_model(path) -> SegModel:
@@ -449,7 +468,8 @@ def model_from_bytes(blob: bytes, name: str = "<bytes>") -> SegModel:
     """Parse an NSM1 checkpoint.
 
     Every size is checked against ``len(blob)`` before anything is unpacked
-    or allocated, so a truncated or forged file raises FormatError.
+    or allocated, so a truncated or forged file raises FormatError, as does a
+    non-finite parameter.  Parameters load as float32, the stored precision.
     """
     if blob[:4] != MODEL_MAGIC:
         raise FormatError(f"{name}: bad magic {blob[:4]!r}")
@@ -478,12 +498,14 @@ def model_from_bytes(blob: bytes, name: str = "<bytes>") -> SegModel:
              + k * channels + k + c * k)
     if 4 * count != len(blob) - off:
         raise FormatError(f"{name}: header implies {4 * count} parameter bytes, file holds {len(blob) - off}")
+    if not np.all(np.isfinite(np.frombuffer(blob, dtype="<f4", offset=off))):
+        raise FormatError(f"{name}: non-finite parameters")
     model = init_model(d, k, c, seed=0, channels=channels, n_blocks=n_blocks, dilations=dilations)
     params = {}
     for pname, arr in model.parameters():
-        params[pname] = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=off).reshape(arr.shape).astype(np.float64)
+        params[pname] = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=off).reshape(arr.shape)
         off += 4 * arr.size
-    model.load_parameters(params)
+    model.load_parameters(params, dtype=np.float32)
     if w_ref is not None:
         model.attach_dictionary(w_ref)
     return model

@@ -191,7 +191,7 @@ def build_synthetic_task(model: SegModel, task: str, n_classes: int, per_class: 
             labels.append(label)
     if not feats:
         raise ValueError(f"{task}: no items")
-    h, _ = encode(model, np.asarray(np.stack(feats), dtype=np.float64))
+    h, _ = encode(model, np.stack(feats))
     return ProbeTask(name=task, class_count=n_classes, items=list(zip(h, labels)), pad_to=h.shape[2])
 
 

@@ -192,8 +192,10 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
           settings: FrontendSettings | None = None) -> tuple[SegModel, list[dict]]:
     """Train on the manifest's train split, keeping the best-dev checkpoint.
 
-    Returns the model (parameters set to the best dev epoch) and one trace
-    entry per epoch with train loss components and dev metrics.
+    Returns the model (float32 parameters set to the best dev epoch, as the
+    checkpoint stores them and as dev scored them) and one trace entry per
+    epoch with train loss components and dev metrics.  A loss or an ADAM
+    step that goes non-finite raises NumericError.
     """
     settings = settings or FrontendSettings()
     train_clips = load_split(manifest, "train", settings)
@@ -230,6 +232,9 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
             if not np.isfinite(comps["total"]):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             params, state = adam_step(params, grads, state, cfg.lr)
+            for name, arr in params.items():
+                if not np.all(np.isfinite(arr)):
+                    raise NumericError(f"non-finite {name} after the ADAM step at epoch {epoch}")
             worker.load_parameters(params, dtype=np.float32)
             for key in sums:
                 sums[key] += comps[key]
@@ -245,7 +250,7 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
             best_params = {name: arr.copy() for name, arr in params.items()}
             best_epoch = epoch
 
-    model.load_parameters(best_params)
+    model.load_parameters(best_params, dtype=np.float32)
     for entry in trace:
         entry["best_epoch"] = best_epoch
     return model, trace

@@ -13,13 +13,14 @@ import pytest
 import nmfseg
 from nmfseg import cli, training
 from nmfseg.cli import run_command
-from nmfseg.config import (config_hash, default_config, parse_config,
+from nmfseg.config import (SCHEMA, config_hash, default_config, parse_config,
                            serialize_config)
 from nmfseg.corpus import Manifest, ManifestRow, load_manifest
 from nmfseg.errors import ConfigError
 from nmfseg.frontend import FrontendSettings
 from nmfseg.labels import write_label_file
-from nmfseg.training import load_clip
+from nmfseg.network import load_model, save_model
+from nmfseg.training import evaluate_split, load_clip
 
 FAST_CFG = """
 # desk-test settings
@@ -82,6 +83,25 @@ class TestConfig:
         p.write_text(f"threshold = {value}\n")
         with pytest.raises(ConfigError, match="threshold"):
             parse_config(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch", "0"), ("epochs", "-1"), ("k", "0"), ("channels", "0"), ("dict_iters", "0"),
+        ("dict_frames", "0"), ("n_fft", "0"), ("win_len", "0"), ("hop", "0"), ("n_mels", "0"),
+        ("probe_epochs", "0"), ("probe_per_class", "0"), ("seed", "-1"),
+        ("alpha", "-1"), ("beta", "nan"), ("gamma", "inf"), ("mu", "-0.1"), ("dict_tol", "nan"),
+        ("f_min", "-1"), ("f_max", "inf"), ("rate_noise", "-2"), ("min_dur", "nan"),
+        ("segment_seconds", "0"), ("clip_seconds", "0"), ("train_minutes", "-1"),
+        ("probe_seconds", "nan"), ("lr", "nan"), ("lr", "0"), ("lr", "-1e-3"), ("probe_lr", "0"),
+        ("probe_lr", "inf"),
+    ])
+    def test_value_outside_range(self, tmp_path, key, value):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            parse_config(p)
+
+    def test_defaults_in_range(self):
+        assert all(ok(default) for _, default, (_, ok) in SCHEMA.values())
 
     def test_hash_covers_resolved_config(self):
         a = default_config()
@@ -292,6 +312,18 @@ class TestCliErrors:
         assert "threshold" in capsys.readouterr().err
         assert not target.exists()
 
+    @pytest.mark.parametrize("key, value", [("channels", "0"), ("batch", "0"), ("lr", "nan")])
+    def test_out_of_range_train_config_fails_without_outputs(self, pipeline, tmp_path, capsys,
+                                                             key, value):
+        cfg, out, manifest = pipeline
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + f"{key} = {value}\n")
+        target = tmp_path / "out"
+        assert run_command(["train", "--config", str(bad), "--manifest", str(manifest),
+                            "--dict", str(out / "dictionary.nsd"), "--out", str(target)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_missing_dictionary_file(self, pipeline, tmp_path, capsys):
         cfg, out, manifest = pipeline
         rc = run_command(["train", "--config", str(cfg), "--manifest", str(manifest),
@@ -310,6 +342,21 @@ class TestCliErrors:
         assert rc != 0
         assert not list(target.rglob("*.nsm"))
         assert not (target / "train.run.json").exists()
+
+
+class TestCheckpointPrecision:
+    def test_reloaded_checkpoint_scores_dev_as_training_did(self, pipeline):
+        """The float32 checkpoint reproduces the best epoch's dev macro F1 exactly."""
+        _, out, manifest_path = pipeline
+        trace = json.loads((out / "trace.json").read_text())
+        best = trace[-1]["best_epoch"]
+        report = evaluate_split(load_model(out / "model.nsm"), load_manifest(manifest_path), "dev")
+        assert report.macro_f1() == trace[best]["dev_macro_f1"]
+
+    def test_save_load_save_byte_identical(self, pipeline, tmp_path):
+        _, out, _ = pipeline
+        save_model(load_model(out / "model.nsm"), tmp_path / "again.nsm")
+        assert (tmp_path / "again.nsm").read_bytes() == (out / "model.nsm").read_bytes()
 
 
 class TestRunLogReproducibility:

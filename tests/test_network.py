@@ -7,7 +7,8 @@ import pytest
 
 from conftest import make_tiny_model
 from nmfseg import network
-from nmfseg.errors import DimensionError, FormatError
+from nmfseg.errors import DimensionError, FormatError, NumericError
+from nmfseg.evaluate import decide_frames
 from nmfseg.network import (INPUT_CENTER, INPUT_SCALE, SegModel, _forward_cache, encode,
                             forward, init_model, load_model, model_from_bytes, save_model)
 from nmfseg.nmf import Dictionary
@@ -149,6 +150,49 @@ class TestEncode:
             encode(make_tiny_model(), np.zeros((2, 9, 10)))
 
 
+class TestPrecision:
+    """A forward pass computes in the parameter dtype; checkpoints load float32."""
+
+    def test_load_model_is_float32(self, tmp_path):
+        p = tmp_path / "m.nsm"
+        save_model(make_tiny_model(seed=5), p)
+        model = load_model(p)
+        assert all(arr.dtype == np.float32 for _, arr in model.parameters())
+        h, logits = encode(model, np.zeros((2, 8, 11), dtype=np.float32))
+        assert h.dtype == logits.dtype == np.float32
+
+    def test_float64_input_computes_in_float32(self):
+        model = make_tiny_model(seed=4)
+        model.load_parameters(dict(model.parameters()), dtype=np.float32)
+        s = np.random.default_rng(0).normal(-11.5, 4.0, size=(2, 8, 40))
+        h, logits = encode(model, s)
+        h32, logits32 = encode(model, s.astype(np.float32))
+        assert h.dtype == logits.dtype == np.float32
+        assert np.array_equal(h, h32) and np.array_equal(logits, logits32)
+        h1, logits1 = forward(model, s[0])  # Activations widens H exactly
+        assert logits1.dtype == np.float32
+        assert np.array_equal(h1.values, h32[0]) and np.array_equal(logits1, logits32[0])
+
+    def test_float32_matches_float64_at_long_t(self):
+        """Same <f4-rounded parameters at desk shape and T = 6000: outputs agree
+        within 64 float32 epsilons of the largest magnitude, and the decided
+        frames on at least 99.9 %."""
+        tol = 64 * np.finfo(np.float32).eps
+        m64 = init_model(80, 64, 4, seed=1)
+        rounded = {name: arr.astype(np.float32) for name, arr in m64.parameters()}
+        m64.load_parameters(rounded)
+        m32 = init_model(80, 64, 4, seed=1)
+        m32.load_parameters(rounded, dtype=np.float32)
+        s = np.random.default_rng(1).normal(-11.5, 4.0, size=(1, 80, 6000)).astype(np.float32)
+        (h64, logits64), (h32, logits32) = encode(m64, s), encode(m32, s)
+        assert h64.dtype == np.float64 and h32.dtype == np.float32
+        np.testing.assert_allclose(h32, h64, rtol=0, atol=tol * np.abs(h64).max())
+        np.testing.assert_allclose(logits32, logits64, rtol=0, atol=tol * np.abs(logits64).max())
+        agree = np.mean(decide_frames(logits32[0], 0.5, 0.02).binary
+                        == decide_frames(logits64[0], 0.5, 0.02).binary)
+        assert agree >= 0.999, agree
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = make_tiny_model(seed=5)
@@ -178,6 +222,24 @@ class TestCheckpoint:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        p = tmp_path / "m.nsm"
+        save_model(make_tiny_model(seed=5), p)
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<f", blob, len(blob) - 4, bad)  # the last theta entry
+        with pytest.raises(FormatError, match="non-finite"):
+            model_from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1e39])  # 1e39 overflows float32
+    def test_save_refuses_non_finite(self, tmp_path, bad):
+        model = make_tiny_model(seed=5)
+        model.conv_w[1][2][0, 0, 0] = bad
+        p = tmp_path / "m.nsm"
+        with pytest.raises(NumericError, match="block1.conv2.w"), np.errstate(over="ignore"):
+            save_model(model, p)
+        assert not p.exists()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.nsm"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nmfseg.corpus import Manifest, ManifestRow
-from nmfseg.errors import DimensionError
+from nmfseg.errors import DimensionError, NumericError
 from nmfseg.network import init_model
 from nmfseg.training import (FrontendSettings, TrainConfig, build_segments,
                              evaluate_split, load_clip, load_split, pretrain_dictionary,
@@ -160,6 +160,17 @@ class TestTrain:
         assert 0 <= best < 3
         best_macro = max(e["dev_macro_f1"] for e in trace)
         assert trace[best]["dev_macro_f1"] == best_macro
+        assert all(arr.dtype == np.float32 for _, arr in model.parameters())
+
+    def test_non_finite_adam_step_raises(self, trained_setup):
+        """With lr = nan and a single batch in a single epoch the loss stays
+        finite, so only the check on the ADAM output can stop the run."""
+        manifest, settings, dictionary = trained_setup
+        model = init_model(d=80, k=16, c=4, seed=0)
+        model.attach_dictionary(dictionary)
+        cfg = TrainConfig(lr=float("nan"), batch_size=64, epochs=1, seed=0)
+        with pytest.raises(NumericError, match="ADAM"):
+            train(model, manifest, cfg, settings)
 
     def test_empty_manifest_rejected(self, trained_setup):
         _, settings, dictionary = trained_setup
