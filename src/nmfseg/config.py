@@ -2,9 +2,11 @@
 
 A config file holds one ``key = value`` pair per line ('#' starts a comment).
 Every key has a typed default and an allowed range; unknown keys and values
-outside their range are rejected.  The resolved configuration (defaults plus
-overrides) is what runs, what lands in run logs, and what the config hash
-covers.
+outside their range are rejected.  So are frontend settings that no STFT or
+mel filterbank accepts: ``win_len`` above ``n_fft``, or band limits outside
+``0 <= f_min < f_max <= 8000`` (the Nyquist frequency at 16 kHz).  The
+resolved configuration (defaults plus overrides) is what runs, what lands in
+run logs, and what the config hash covers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 from .corpus import CorpusSpec
 from .errors import ConfigError
-from .frontend import FrontendSettings
+from .frontend import SAMPLE_RATE, FrontendSettings
 from .nmf import SnmfConfig
 from .training import TrainConfig
 
@@ -111,6 +113,13 @@ def parse_config(path) -> dict:
     for key, (_, _, (allowed, ok)) in SCHEMA.items():
         if not ok(cfg[key]):
             raise ConfigError(f"{path}: {key} must be {allowed}, got {cfg[key]!r}")
+    if cfg["win_len"] > cfg["n_fft"]:
+        raise ConfigError(f"{path}: win_len must be <= n_fft, got win_len={cfg['win_len']}, "
+                          f"n_fft={cfg['n_fft']}")
+    nyquist = SAMPLE_RATE / 2
+    if not 0.0 <= cfg["f_min"] < cfg["f_max"] <= nyquist:
+        raise ConfigError(f"{path}: f_min and f_max must satisfy 0 <= f_min < f_max <= {nyquist:g} "
+                          f"(Nyquist), got f_min={cfg['f_min']}, f_max={cfg['f_max']}")
     return cfg
 
 

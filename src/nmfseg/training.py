@@ -20,7 +20,8 @@ import numpy as np
 from .corpus import CLASS_NAMES, Manifest
 from .errors import DimensionError, NumericError
 from .evaluate import F1Report, accumulate_counts, decide_frames
-from .frontend import FrontendSettings, load_audio, log_mel, read_features, stft_magnitude
+from .frontend import (FeatureSequence, FrontendSettings, Spectrogram, load_audio, log_mel,
+                       read_features, stft_magnitude)
 from .labels import label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, _backward_from_cache, _forward_cache,
                       bce_masked, encode, init_model, sigmoid)
@@ -67,6 +68,37 @@ class TrainSegment:
     labels: LabelMatrix
 
 
+def _aligned_spectrogram(manifest: Manifest, row, settings: FrontendSettings
+                         ) -> tuple[Spectrogram, FeatureSequence | None, np.ndarray, int]:
+    """Decode one row's audio, take its STFT and align it with the row's files.
+
+    Returns ``(spec, feats, labels, t)``: the full spectrogram, the row's
+    feature file (None when the row has none), the label frames, and the
+    common frame count ``t``.  Without a feature file the features are the
+    log-mel of ``spec``, which has ``spec``'s frame count, so they need not be
+    computed to align.  Counts may differ by one frame; more is an error.
+    """
+    clip = load_audio(manifest.resolve(row.audio))
+    spec = stft_magnitude(clip, n_fft=settings.n_fft, win_len=settings.win_len, hop=settings.hop)
+    feats = read_features(manifest.resolve(row.features)) if row.features else None
+    labels, _ = read_label_file(manifest.resolve(row.labels))
+
+    lengths = {"features": spec.frames if feats is None else feats.frames,
+               "spectrogram": spec.frames, "labels": labels.shape[1]}
+    t = min(lengths.values())
+    if max(lengths.values()) - t > 1:
+        raise DimensionError(f"{row.clip_id}: frame counts differ by more than one: {lengths}")
+    return spec, feats, labels, t
+
+
+def _reconstruction_target(spec: Spectrogram, t: int, settings: FrontendSettings) -> np.ndarray:
+    """The aligned F x t float32 magnitudes (log1p-compressed if ``recon_log``)."""
+    xv = spec.values[:, :t]
+    if settings.recon_log:
+        xv = np.log1p(xv)
+    return np.asarray(xv, dtype=np.float32)
+
+
 def load_clip(manifest: Manifest, row, settings: FrontendSettings,
               with_spect: bool = True) -> ClipData:
     """Load one manifest row, aligning features, spectrogram, and labels.
@@ -76,27 +108,12 @@ def load_clip(manifest: Manifest, row, settings: FrontendSettings,
     ``ClipData.spect`` only when ``with_spect`` is true: inference reads
     features alone.
     """
-    clip = load_audio(manifest.resolve(row.audio))
-    spec = stft_magnitude(clip, n_fft=settings.n_fft, win_len=settings.win_len, hop=settings.hop)
-    if row.features:
-        feats = read_features(manifest.resolve(row.features))
-    else:
+    spec, feats, labels, t = _aligned_spectrogram(manifest, row, settings)
+    if feats is None:
         feats = log_mel(spec, n_mels=settings.n_mels, f_min=settings.f_min, f_max=settings.f_max)
-    labels, label_hop = read_label_file(manifest.resolve(row.labels))
-
-    lengths = {"features": feats.frames, "spectrogram": spec.frames, "labels": labels.shape[1]}
-    t = min(lengths.values())
-    if max(lengths.values()) - t > 1:
-        raise DimensionError(f"{row.clip_id}: frame counts differ by more than one: {lengths}")
-    xv = None
-    if with_spect:
-        xv = spec.values[:, :t]
-        if settings.recon_log:
-            xv = np.log1p(xv)
-        xv = np.asarray(xv, dtype=np.float32)
     return ClipData(clip_id=row.clip_id,
                     features=np.asarray(feats.values[:, :t], dtype=np.float32),
-                    spect=xv,
+                    spect=_reconstruction_target(spec, t, settings) if with_spect else None,
                     labels=labels[:, :t],
                     hop=spec.hop)
 
@@ -263,16 +280,39 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, k: int,
 
     Frames are normalized to unit L2 before factorization so codebook
     allocation follows how often a spectral shape occurs rather than how loud
-    it is; silent frames drop out.  The returned columns are unit-norm either
-    way, so downstream use is unaffected.
+    it is; silent frames (norm <= 1e-8) drop out.  Of the n frames left,
+    every ``ceil(n / max_frames)``-th is kept when n exceeds ``max_frames``.
+    The returned columns are unit-norm either way, so downstream use is
+    unaffected.
+
+    Each train clip is read once, and only its float32 reconstruction target
+    is held (about 3.1 MB per minute of audio at the default frontend); no
+    log-mel is computed.  Only the selected frames are widened to float64,
+    so the matrix SNMF factorizes is the one the whole split, concatenated,
+    normalized and strided, would give, bit for bit.
     """
-    clips = load_split(manifest, "train", settings)
-    x = np.concatenate([np.asarray(c.spect, dtype=np.float64) for c in clips], axis=1)
-    norms = np.linalg.norm(x, axis=0)
-    x = x[:, norms > 1e-8] / norms[norms > 1e-8]
-    if x.shape[1] > max_frames:
-        stride = int(np.ceil(x.shape[1] / max_frames))
-        x = x[:, ::stride]
+    targets, norms = [], []
+    for row in split_rows(manifest, "train"):
+        spec, _, _, t = _aligned_spectrogram(manifest, row, settings)
+        target = _reconstruction_target(spec, t, settings)
+        # freed before the next clip's STFT: held across it, max RSS on a
+        # build-shaped split rose from 77 to 86 MB
+        del spec
+        targets.append(target)
+        norms.append(np.linalg.norm(target.astype(np.float64), axis=0))
+    norms = np.concatenate(norms)
+    kept = np.flatnonzero(norms > 1e-8)
+    stride = int(np.ceil(len(kept) / max_frames)) if len(kept) > max_frames else 1
+    picked = kept[::stride]
+
+    # picked is sorted, so each clip's columns are one contiguous run of it
+    starts = np.cumsum([0] + [target.shape[1] for target in targets])
+    bounds = np.searchsorted(picked, starts)
+    x = np.empty((targets[0].shape[0], len(picked)))
+    for i, target in enumerate(targets):
+        cols = picked[bounds[i]:bounds[i + 1]]
+        np.divide(target[:, cols - starts[i]], norms[cols], out=x[:, bounds[i]:bounds[i + 1]])
+    del targets  # SNMF reads x alone
     cfg = SnmfConfig(k=k, mu=mu, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
     dictionary, _ = train_snmf(x, cfg)
     return dictionary

@@ -36,6 +36,13 @@ batch = 8
 seed = 3
 """
 
+# frontend settings that pass every per-key range but no STFT or filterbank
+BAD_FRONTEND = [
+    ("f_max = 9000\n", "f_max"),
+    ("f_min = 4000\nf_max = 4000\n", "f_min"),
+    ("win_len = 600\nn_fft = 512\n", "win_len"),
+]
+
 
 @pytest.fixture(scope="module")
 def fast_cfg_file(tmp_path_factory):
@@ -99,6 +106,18 @@ class TestConfig:
         p.write_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"{key} must be"):
             parse_config(p)
+
+    @pytest.mark.parametrize("text, key", BAD_FRONTEND)
+    def test_frontend_cross_key_limits(self, tmp_path, text, key):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            parse_config(p)
+
+    def test_frontend_limits_at_their_edges_accepted(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("win_len = 512\nn_fft = 512\nf_min = 0\nf_max = 8000\n")
+        assert parse_config(p)["f_max"] == 8000.0
 
     def test_defaults_in_range(self):
         assert all(ok(default) for _, default, (_, ok) in SCHEMA.values())
@@ -322,6 +341,21 @@ class TestCliErrors:
         assert run_command(["train", "--config", str(bad), "--manifest", str(manifest),
                             "--dict", str(out / "dictionary.nsd"), "--out", str(target)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("text, key", BAD_FRONTEND)
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain-dict"])
+    def test_bad_frontend_limits_fail_without_outputs(self, pipeline, tmp_path, capsys,
+                                                      command, text, key):
+        cfg, _, manifest = pipeline
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(cfg.read_text() + text)
+        target = tmp_path / "out"
+        argv = [command, "--config", str(bad), "--out", str(target)]
+        if command == "pretrain-dict":
+            argv += ["--manifest", str(manifest)]
+        assert run_command(argv) == 1
+        assert key in capsys.readouterr().err
         assert not target.exists()
 
     def test_missing_dictionary_file(self, pipeline, tmp_path, capsys):

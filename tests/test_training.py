@@ -6,9 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nmfseg.corpus import Manifest, ManifestRow
+from nmfseg import training
+from nmfseg.corpus import HOP_SECONDS, Manifest, ManifestRow
 from nmfseg.errors import DimensionError, NumericError
+from nmfseg.frontend import AudioClip, FeatureSequence, save_audio, write_features
+from nmfseg.labels import write_label_file
 from nmfseg.network import init_model
+from nmfseg.nmf import SnmfConfig, dictionary_to_bytes, train_snmf
 from nmfseg.training import (FrontendSettings, TrainConfig, build_segments,
                              evaluate_split, load_clip, load_split, pretrain_dictionary,
                              train)
@@ -114,6 +118,114 @@ def test_evaluate_split_streams_clips(small_corpus):
         evaluate_split(model, sub, "eval")  # warm caches (mel filterbank) outside the trace
         peaks[n] = _peak_traced_bytes(lambda: evaluate_split(model, sub, "eval"))
     assert peaks[4] <= 1.10 * peaks[1], peaks
+
+
+# 40 train clips of 3 s (149 frames each); clip i is exactly zero over a
+# stretch that moves with i, so the 1e-8 norm floor drops whole frames
+_QUIET_CLIPS = 40
+_QUIET_SAMPLES = 48000
+_QUIET_FRAMES = 149
+
+
+@pytest.fixture(scope="module")
+def quiet_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("quiet")
+    rng = np.random.default_rng(11)
+    rows = []
+    for i in range(_QUIET_CLIPS):
+        samples = rng.uniform(0.02, 0.1) * rng.standard_normal(_QUIET_SAMPLES)
+        start = (i * 3700) % 36000
+        samples[start:start + 9000] = 0.0
+        save_audio(AudioClip(samples=samples), root / f"c{i}.wav", fmt="float32")
+        labels = rng.integers(0, 2, size=(4, _QUIET_FRAMES))
+        write_label_file(root / f"c{i}.lab", labels, HOP_SECONDS)
+        rows.append(ManifestRow(f"c{i}", f"c{i}.wav", "", f"c{i}.lab", "train"))
+    return Manifest(rows=rows, root=root)
+
+
+def _snmf_cfg():
+    return SnmfConfig(k=8, mu=0.1, max_iters=20, rel_tol=1e-5, seed=4)
+
+
+def _reference_dictionary(manifest, settings, max_frames):
+    """The codebook as fitted from the whole split: concatenate, normalize, stride."""
+    clips = load_split(manifest, "train", settings)
+    x = np.concatenate([np.asarray(c.spect, dtype=np.float64) for c in clips], axis=1)
+    norms = np.linalg.norm(x, axis=0)
+    x = x[:, norms > 1e-8] / norms[norms > 1e-8]
+    if x.shape[1] > max_frames:
+        x = x[:, ::int(np.ceil(x.shape[1] / max_frames))]
+    return train_snmf(x, _snmf_cfg())[0]
+
+
+def _pretrain(manifest, settings, max_frames):
+    cfg = _snmf_cfg()
+    return pretrain_dictionary(manifest, settings, k=cfg.k, mu=cfg.mu, max_iters=cfg.max_iters,
+                               rel_tol=cfg.rel_tol, seed=cfg.seed, max_frames=max_frames)
+
+
+class TestPretrainDictionary:
+    @pytest.mark.parametrize("recon_log", [False, True])
+    # 4884 of 5960 frames clear the floor: stride 1, and stride 13, which
+    # crosses the 149-frame clip ends at a different offset each time
+    @pytest.mark.parametrize("max_frames", [10_000, 400])
+    def test_matches_whole_split_reference(self, quiet_corpus, recon_log, max_frames):
+        settings = FrontendSettings(recon_log=recon_log)
+        spect = np.concatenate([c.spect for c in load_split(quiet_corpus, "train", settings)], axis=1)
+        kept = int(np.sum(np.linalg.norm(spect.astype(np.float64), axis=0) > 1e-8))
+        assert 0 < kept < spect.shape[1]  # the silent stretches fall under the floor
+        ours = _pretrain(quiet_corpus, settings, max_frames)
+        ref = _reference_dictionary(quiet_corpus, settings, max_frames)
+        assert dictionary_to_bytes(ours) == dictionary_to_bytes(ref)
+        assert ours.objective_trace == ref.objective_trace
+
+    @pytest.mark.parametrize("extra_frames", [1, -1])
+    def test_feature_file_rows_align_as_load_clip_does(self, quiet_corpus, tmp_path, extra_frames):
+        """A feature file one frame longer than the labels leaves t alone; one
+        frame shorter sets it.  Either way the codebook is the reference one."""
+        rows = []
+        for i, row in enumerate(quiet_corpus.for_split("train")[:8]):
+            if i % 2 == 0:
+                frames = _QUIET_FRAMES + extra_frames
+                write_features(FeatureSequence(values=np.zeros((3, frames), dtype=np.float32),
+                                               hop=HOP_SECONDS), tmp_path / f"{row.clip_id}.nsf")
+                row = replace(row, features=str(tmp_path / f"{row.clip_id}.nsf"))
+            rows.append(row)
+        manifest = Manifest(rows=rows, root=quiet_corpus.root)
+        settings = FrontendSettings()
+        ours = _pretrain(manifest, settings, max_frames=300)
+        assert dictionary_to_bytes(ours) == dictionary_to_bytes(
+            _reference_dictionary(manifest, settings, max_frames=300))
+
+    def test_computes_no_log_mel(self, quiet_corpus, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pretrain_dictionary computed log-mel features")
+
+        monkeypatch.setattr(training, "log_mel", forbidden)
+        dictionary = _pretrain(quiet_corpus, FrontendSettings(), max_frames=300)
+        assert dictionary.values.shape == (257, 8)
+
+    def test_holds_about_one_split_of_float32_targets(self, quiet_corpus, monkeypatch):
+        """Up to the SNMF call, the traced peak stays within 1.5x the split's
+        float32 reconstruction targets (1.28x measured).  Holding log-mel and
+        float64 copies of the split, as a whole-split load does, reaches 6.6x."""
+        settings = FrontendSettings()
+        target_bytes = sum(c.spect.nbytes for c in load_split(quiet_corpus, "train", settings))
+        seen = {}
+
+        def snmf_stub(x, cfg):
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            seen["shape"] = x.shape
+            return None, None
+
+        monkeypatch.setattr(training, "train_snmf", snmf_stub)
+        tracemalloc.start()
+        try:
+            _pretrain(quiet_corpus, settings, max_frames=400)
+        finally:
+            tracemalloc.stop()
+        assert seen["shape"][0] == 257 and seen["shape"][1] <= 400
+        assert seen["peak"] <= 1.5 * target_bytes, (seen["peak"], target_bytes)
 
 
 class TestTrain:
