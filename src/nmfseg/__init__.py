@@ -20,8 +20,8 @@ from .frontend import (AudioClip, FeatureSequence, FrontendSettings, Spectrogram
                        load_audio, log_mel, mel_filterbank, read_features, save_audio,
                        stft_magnitude, write_features)
 from .labels import label_matrix_from_range, read_label_file, write_label_file
-from .network import (LabelMatrix, SegModel, backward, bce_masked, encode, forward,
-                      init_model, load_model, save_model, total_loss)
+from .network import (LabelMatrix, SegModel, bce_masked, encode, forward, init_model,
+                      load_model, save_model)
 from .nmf import (Activations, Dictionary, SnmfConfig, load_dictionary, nmf_loss,
                   reconstruct, save_dictionary, snmf_objective, train_snmf, update_h,
                   update_w)

@@ -16,6 +16,10 @@ checkpoint, the training worker, the model ``training.train`` returns) runs
 float32.  Only models built by ``init_model`` hold float64; the
 finite-difference checks use them.
 
+Gradients: ``_backward_from_cache`` carries loss gradients on the logits and
+on H back to every parameter through what ``_forward_cache`` keeps.  The
+objective and the one loss-and-gradient engine live in ``training``.
+
 Checkpoints use the "NSM1" layout: magic; u32 header fields D, K, C,
 channels, kernel, block count, dilation count, then the dilation list; a u64
 byte length followed by an embedded "NSD1" dictionary blob (length 0 when no
@@ -335,13 +339,9 @@ def _backward_from_cache(model: SegModel, cache: dict, g_logits_flat: np.ndarray
     return grads
 
 
-def _as_feature_array(s) -> np.ndarray:
-    return np.asarray(s.values if isinstance(s, FeatureSequence) else s)
-
-
 def forward(model: SegModel, s) -> tuple[Activations, np.ndarray]:
     """Encode one feature sequence into (H, logits)."""
-    h, logits = encode(model, _as_feature_array(s)[None])
+    h, logits = encode(model, np.asarray(s.values if isinstance(s, FeatureSequence) else s)[None])
     return Activations(values=h[0]), logits[0]
 
 
@@ -355,10 +355,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bce_cells(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-cell BCE from logits as max(z, 0) - z*y + log(1 + exp(-|z|)), which never
+    overflows; in the operands' precision, so float32 logits keep a float32 log term."""
+    return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+
+
 def bce_masked(logits: np.ndarray, labels: LabelMatrix) -> float:
     """Binary cross-entropy from logits, averaged over annotated (class, frame) cells.
 
-    Computed as max(z, 0) - z*y + log(1 + exp(-|z|)), which never overflows.
     Returns 0 when every class is masked out.
     """
     logits = np.asarray(logits, dtype=np.float64)
@@ -367,73 +372,7 @@ def bce_masked(logits: np.ndarray, labels: LabelMatrix) -> float:
     n_cells = int(labels.mask.sum()) * labels.frames
     if n_cells == 0:
         return 0.0
-    z = logits[labels.mask]
-    y = labels.values[labels.mask]
-    cell = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(cell.sum() / n_cells)
-
-
-def _bce_grad(logits: np.ndarray, labels: LabelMatrix) -> np.ndarray:
-    g = np.zeros_like(logits)
-    n_cells = int(labels.mask.sum()) * labels.frames
-    if n_cells == 0:
-        return g
-    g[labels.mask] = (sigmoid(logits[labels.mask]) - labels.values[labels.mask]) / n_cells
-    return g
-
-
-def total_loss(model: SegModel, s, x, labels: LabelMatrix, cfg) -> tuple[float, dict]:
-    """Composite objective alpha*BCE + beta*||X - WH||^2 + gamma*||H||_1.
-
-    Returns the weighted total and the raw (unweighted) components under keys
-    "bce", "nmf", "l1".  The reconstruction term uses the frozen dictionary
-    attached to the model and is skipped (reported 0) when beta == 0.
-    """
-    h, logits = forward(model, s)
-    return _loss_given_forward(model, h.values, logits, x, labels, cfg)
-
-
-def _loss_given_forward(model, h, logits, x, labels, cfg) -> tuple[float, dict]:
-    comps = {"bce": bce_masked(logits, labels), "nmf": 0.0, "l1": float(h.sum())}
-    if cfg.beta != 0.0:
-        if model.w_ref is None:
-            raise ValueError("reconstruction loss requires a dictionary attached to the model")
-        xv = x.values if hasattr(x, "values") else np.asarray(x, dtype=np.float64)
-        if xv.shape != (model.w_ref.freq_bins, h.shape[1]):
-            raise DimensionError(f"spectrogram {xv.shape} incompatible with W {model.w_ref.values.shape} and T={h.shape[1]}")
-        diff = model.w_ref.values @ h - xv
-        comps["nmf"] = float(np.sum(diff * diff))
-    total = cfg.alpha * comps["bce"] + cfg.beta * comps["nmf"] + cfg.gamma * comps["l1"]
-    return total, comps
-
-
-def backward(model: SegModel, s, x, labels: LabelMatrix, cfg) -> dict:
-    """Exact gradients of total_loss for every trainable parameter."""
-    values = _as_feature_array(s)
-    cache = _forward_cache(model, values[None])
-    lay = cache["layout"]
-    h = cache["h"][0]
-    logits = cache["logits"][0]
-
-    g_logits_flat = lay.flat(model.c, logits.dtype)
-    lay.core(g_logits_flat)[:, 0, :] = cfg.alpha * _bce_grad(logits, labels)
-    g_h = np.zeros_like(h)
-    if cfg.beta != 0.0:
-        if model.w_ref is None:
-            raise ValueError("reconstruction loss requires a dictionary attached to the model")
-        xv = x.values if hasattr(x, "values") else np.asarray(x, dtype=np.float64)
-        w = model.w_ref.values
-        g_h += cfg.beta * 2.0 * (w.T @ (w @ h - xv))
-    if cfg.gamma != 0.0:
-        g_h += cfg.gamma  # d||H||_1/dH on the non-negative orthant
-    g_h_flat = lay.flat(model.k, h.dtype)
-    lay.core(g_h_flat)[:, 0, :] = g_h
-
-    grads = _backward_from_cache(model, cache, g_logits_flat, g_h_flat)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name}")
-    return grads
+    return float(_bce_cells(logits[labels.mask], labels.values[labels.mask]).sum() / n_cells)
 
 
 def save_model(model: SegModel, path) -> None:

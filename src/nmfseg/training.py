@@ -6,6 +6,10 @@ and one ADAM step.  The objective per segment is
 alpha * BCE + beta * ||X - W H||^2 + gamma * ||H||_1, averaged over the
 batch; the frozen dictionary W never receives gradient.
 
+``_batch_loss_and_grads`` is the one loss-and-gradient engine: training runs
+it in float32, and the finite-difference checks run it on float64 models,
+taking each perturbed loss from its forward-and-loss half ``_batch_loss``.
+
 Feature, spectrogram, and label frame counts may disagree by at most one
 frame (the STFT drops a partial frame at the clip edge); the surplus frame
 is truncated, anything larger is an error.
@@ -23,7 +27,7 @@ from .evaluate import F1Report, accumulate_counts, decide_frames
 from .frontend import (FeatureSequence, FrontendSettings, Spectrogram, load_audio, log_mel,
                        read_features, stft_magnitude)
 from .labels import label_matrix_from_range, read_label_file
-from .network import (LabelMatrix, SegModel, _backward_from_cache, _forward_cache,
+from .network import (LabelMatrix, SegModel, _backward_from_cache, _bce_cells, _forward_cache,
                       bce_masked, encode, init_model, sigmoid)
 from .nmf import Dictionary, SnmfConfig, train_snmf
 from .optim import adam_step, init_adam
@@ -148,26 +152,33 @@ def build_segments(clips: list[ClipData], segment_seconds: float) -> list[TrainS
     return segments
 
 
-def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, spects: np.ndarray,
-                          labels: list[LabelMatrix], cfg: TrainConfig):
-    """Mean-over-batch loss components and parameter gradients."""
+def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
+                labels: list[LabelMatrix], cfg: TrainConfig):
+    """Forward pass, mean-over-batch loss components, and the loss seeds.
+
+    Returns ``(comps, cache, g_logits_flat, g_h_flat)``: the components
+    "bce", "nmf", "l1" and their weighted "total", the forward cache, and the
+    gradients of the total on the flat logits and on flat H (None when beta
+    and gamma are both zero), both with zero guard columns.  Each sample's
+    BCE averages over its own annotated cells; a sample with every class
+    masked adds no BCE and no BCE gradient.
+    """
     batch = feats.shape[0]
     cache = _forward_cache(model, feats)
     lay = cache["layout"]
     h_flat, logits_flat = cache["h_flat"], cache["logits_flat"]
-    logits_core = lay.core(logits_flat)  # (C, B, T) view
 
+    z = lay.core(logits_flat)  # (C, B, T) view
+    annotated = np.stack([lab.mask for lab in labels], axis=1)[:, :, None]  # (C, B, 1)
+    y = np.stack([lab.values for lab in labels], axis=1)
+    n_cells = np.maximum(annotated.sum(axis=0) * lay.t, 1)  # (B, 1), 1 for an all-masked sample
+    cells = np.where(annotated, _bce_cells(z, y), 0.0)
+    bce_total = float((cells.sum(axis=(0, 2)) / n_cells[:, 0]).sum())
+    # in this order, at B = 1, the gradient is bit-equal to the
+    # excluded-class computation that acceptance criterion 4 rebuilds
+    g_bce = cfg.alpha * ((sigmoid(z) - y) / n_cells) / batch
     g_logits_flat = np.zeros_like(logits_flat)
-    g_logits_core = lay.core(g_logits_flat)
-    bce_total = 0.0
-    for b, lab in enumerate(labels):
-        n_cells = int(lab.mask.sum()) * lab.frames
-        if n_cells == 0:
-            continue
-        z = logits_core[:, b, :][lab.mask]
-        y = lab.values[lab.mask]
-        bce_total += float((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))).sum() / n_cells)
-        g_logits_core[:, b, :][lab.mask] = cfg.alpha * (sigmoid(z) - y) / n_cells / batch
+    lay.core(g_logits_flat)[...] = np.where(annotated, g_bce, 0.0)
 
     g_h_flat = None
     nmf_total = 0.0
@@ -178,17 +189,24 @@ def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, spects: np.ndarray
         diff = w @ h_flat
         lay.core(diff)[...] -= spects.transpose(1, 0, 2)
         nmf_total = float(np.sum(diff * diff))
-        g_h_flat = (cfg.beta * 2.0 / batch) * (w.T @ diff)
+        g_h_flat = w.T @ diff
+        g_h_flat *= cfg.beta * 2.0 / batch  # in place: one K x N temporary fewer per step
     l1_total = float(h_flat.sum())
     if cfg.gamma != 0.0:
         if g_h_flat is None:
             g_h_flat = np.zeros_like(h_flat)
         lay.core(g_h_flat)[...] += cfg.gamma / batch
 
-    grads = _backward_from_cache(model, cache, g_logits_flat, g_h_flat)
     comps = {"bce": bce_total / batch, "nmf": nmf_total / batch, "l1": l1_total / batch}
     comps["total"] = cfg.alpha * comps["bce"] + cfg.beta * comps["nmf"] + cfg.gamma * comps["l1"]
-    return comps, grads
+    return comps, cache, g_logits_flat, g_h_flat
+
+
+def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, spects: np.ndarray,
+                          labels: list[LabelMatrix], cfg: TrainConfig):
+    """Mean-over-batch loss components and parameter gradients: the engine ``train`` steps on."""
+    comps, cache, g_logits_flat, g_h_flat = _batch_loss(model, feats, spects, labels, cfg)
+    return comps, _backward_from_cache(model, cache, g_logits_flat, g_h_flat)
 
 
 def dev_metrics(model: SegModel, clips: list[ClipData], threshold: float) -> dict:

@@ -19,16 +19,30 @@ def make_tiny_model(seed=3, d=8, k=12, c=4, channels=8, f=20, dict_seed=7):
 
 
 def _min_pre_margin(model: SegModel, s: np.ndarray) -> float:
-    cache = _forward_cache(model, s[None])
+    cache = _forward_cache(model, s)
     lay = cache["layout"]
     pres = [lay.core(cache["layer_pres"][b][l]) for b in range(model.n_blocks)
             for l in range(len(model.dilations))] + [lay.core(cache["pre_out"])]
     return min(float(np.abs(p).min()) for p in pres)
 
 
+def _nudge_worst_channel(pre: np.ndarray, bias: np.ndarray, margin: float) -> bool:
+    """Move the first channel of a (C, B, T) pre-activation that sits within
+    ``margin`` of zero, by 2 * margin away from its worst cell."""
+    pre = pre.reshape(pre.shape[0], -1)
+    bad = np.abs(pre).min(axis=1) < margin
+    if not bad.any():
+        return False
+    ch = int(np.argmax(bad))
+    worst = pre[ch, np.argmin(np.abs(pre[ch]))]
+    bias[ch] += 2 * margin if worst >= 0 else -2 * margin
+    return True
+
+
 def nudge_away_from_relu_kinks(model: SegModel, s: np.ndarray, margin: float = 2e-2,
                                rounds: int = 200) -> float:
-    """Adjust biases until no pre-activation sits within ``margin`` of zero.
+    """Adjust biases until no pre-activation of the (B, D, T) batch ``s`` sits
+    within ``margin`` of zero.
 
     Central finite differences straddle the ReLU kink whenever a perturbation
     can flip a gate; moving every pre-activation away from zero makes the
@@ -37,25 +51,14 @@ def nudge_away_from_relu_kinks(model: SegModel, s: np.ndarray, margin: float = 2
     practice).  Returns the final minimum margin.
     """
     for _ in range(rounds):
-        cache = _forward_cache(model, s[None])
+        cache = _forward_cache(model, s)
         lay = cache["layout"]
         moved = False
         for b in range(model.n_blocks):
             for l in range(len(model.dilations)):
-                pre = lay.core(cache["layer_pres"][b][l])[:, 0, :]
-                bad = np.abs(pre).min(axis=1) < margin
-                if bad.any():
-                    ch = int(np.argmax(bad))
-                    worst = pre[ch, np.argmin(np.abs(pre[ch]))]
-                    model.conv_b[b][l][ch] += 2 * margin if worst >= 0 else -2 * margin
-                    moved = True
-        pre = lay.core(cache["pre_out"])[:, 0, :]
-        bad = np.abs(pre).min(axis=1) < margin
-        if bad.any():
-            ch = int(np.argmax(bad))
-            worst = pre[ch, np.argmin(np.abs(pre[ch]))]
-            model.out_b[ch] += 2 * margin if worst >= 0 else -2 * margin
-            moved = True
+                moved |= _nudge_worst_channel(lay.core(cache["layer_pres"][b][l]),
+                                              model.conv_b[b][l], margin)
+        moved |= _nudge_worst_channel(lay.core(cache["pre_out"]), model.out_b, margin)
         if not moved:
             break
     return _min_pre_margin(model, s)

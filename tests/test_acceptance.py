@@ -18,11 +18,11 @@ from nmfseg.cli import run_command
 from nmfseg.corpus import CLASS_NAMES, CorpusSpec, generate_corpus
 from nmfseg.evaluate import ClassF1
 from nmfseg.explain import RelevanceRecord, binarize, component_report, make_record
-from nmfseg.network import LabelMatrix, backward, forward, init_model, sigmoid, total_loss
+from nmfseg.network import LabelMatrix, init_model, sigmoid
 from nmfseg.nmf import SnmfConfig, nmf_loss, train_snmf
 from nmfseg.probing import ProbeTask, eval_probe, train_probe
-from nmfseg.training import (FrontendSettings, TrainConfig, evaluate_split,
-                             mean_activation_l1, pretrain_dictionary, train)
+from nmfseg.training import (FrontendSettings, TrainConfig, _batch_loss, _batch_loss_and_grads,
+                             evaluate_split, mean_activation_l1, pretrain_dictionary, train)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -71,23 +71,25 @@ class TestCriterion3GradientCorrectness:
         x = np.abs(rng.normal(size=(20, 10)))
         labels = LabelMatrix(values=(rng.random((4, 10)) > 0.5).astype(float),
                              mask=np.array([True, True, False, True]))
-        margin = nudge_away_from_relu_kinks(model, s)
+        # the training engine, run as a B = 1 batch
+        feats, spects, batch_labels = s[None], x[None], [labels]
+        margin = nudge_away_from_relu_kinks(model, feats)
         assert margin > 1e-4
 
         worst_overall = 0.0
         for alpha, beta, gamma in ((10, 0, 0), (0, 1, 0), (0, 0, 0.1), (10, 1, 0.1)):
             cfg = TrainConfig(alpha=alpha, beta=beta, gamma=gamma, batch_size=1,
                               epochs=1, seed=0)
-            grads = backward(model, s, x, labels, cfg)
+            grads = _batch_loss_and_grads(model, feats, spects, batch_labels, cfg)[1]
             for name, arr in model.parameters():
                 g_fd = np.zeros_like(arr)
                 flat = arr.ravel()
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + 1e-4
-                    up, _ = total_loss(model, s, x, labels, cfg)
+                    up = _batch_loss(model, feats, spects, batch_labels, cfg)[0]["total"]
                     flat[i] = orig - 1e-4
-                    down, _ = total_loss(model, s, x, labels, cfg)
+                    down = _batch_loss(model, feats, spects, batch_labels, cfg)[0]["total"]
                     flat[i] = orig
                     g_fd.ravel()[i] = (up - down) / 2e-4
                 g_an = grads[name]
@@ -110,7 +112,7 @@ class TestCriterion4MaskedBce:
         labels = LabelMatrix(values=(rng.random((4, 10)) > 0.5).astype(float),
                              mask=np.array([True, True, False, True]))
         cfg = TrainConfig(alpha=10, beta=0, gamma=0, batch_size=1, epochs=1, seed=0)
-        grads = backward(model, s, x, labels, cfg)
+        grads = _batch_loss_and_grads(model, s[None], x[None], [labels], cfg)[1]
         masked_zero = bool(np.all(grads["theta"][2] == 0.0))
 
         from nmfseg.network import _forward_cache

@@ -1,16 +1,30 @@
-"""Loss terms and the handwritten gradients, checked against finite differences."""
+"""Loss terms and the handwritten gradients, checked against finite differences.
+
+Every loss and gradient here comes from the training engine,
+``training._batch_loss_and_grads`` and its forward-and-loss half
+``_batch_loss``; single-sample cases run it at B = 1.
+"""
 
 import numpy as np
 import pytest
 
 from conftest import make_tiny_model, nudge_away_from_relu_kinks
-from nmfseg.network import (LabelMatrix, backward, bce_masked, forward,
-                            total_loss)
-from nmfseg.training import TrainConfig
+from nmfseg.network import LabelMatrix, bce_masked
+from nmfseg.training import TrainConfig, _batch_loss, _batch_loss_and_grads
 
 
 def _cfg(alpha, beta, gamma):
     return TrainConfig(alpha=alpha, beta=beta, gamma=gamma, batch_size=1, epochs=1, seed=0)
+
+
+def _loss(model, s, x, labels, cfg):
+    """Loss components of one (D, T) sample, run as a B = 1 batch."""
+    return _batch_loss(model, s[None], x[None], [labels], cfg)[0]
+
+
+def _grads(model, s, x, labels, cfg):
+    """Parameter gradients of one (D, T) sample, run as a B = 1 batch."""
+    return _batch_loss_and_grads(model, s[None], x[None], [labels], cfg)[1]
 
 
 def _rand_case(seed=42, t=10, f=20, c=4):
@@ -64,9 +78,9 @@ class TestBceMasked:
 class TestTotalLoss:
     def test_linear_combination(self):
         model, s, x, labels = _rand_case()
-        _, comps = total_loss(model, s, x, labels, _cfg(10, 1, 0.1))
-        total, _ = total_loss(model, s, x, labels, _cfg(10, 1, 0.1))
-        assert total == pytest.approx(10 * comps["bce"] + comps["nmf"] + 0.1 * comps["l1"], rel=1e-12)
+        comps = _loss(model, s, x, labels, _cfg(10, 1, 0.1))
+        assert comps["total"] == pytest.approx(10 * comps["bce"] + comps["nmf"] + 0.1 * comps["l1"],
+                                               rel=1e-12)
 
     def test_weights_from_components(self):
         # components (ln 2, 9, 2) with weights (10, 1, 0.1) combine to 16.131
@@ -75,8 +89,8 @@ class TestTotalLoss:
 
     def test_beta_zero_ignores_spectrogram(self):
         model, s, x, labels = _rand_case()
-        t1, _ = total_loss(model, s, x, labels, _cfg(10, 0, 0.1))
-        t2, _ = total_loss(model, s, x + 5.0, labels, _cfg(10, 0, 0.1))
+        t1 = _loss(model, s, x, labels, _cfg(10, 0, 0.1))["total"]
+        t2 = _loss(model, s, x + 5.0, labels, _cfg(10, 0, 0.1))["total"]
         assert t1 == t2
 
     def test_degenerate_composition(self):
@@ -84,13 +98,21 @@ class TestTotalLoss:
         zeros = {name: np.zeros_like(arr) for name, arr in model.parameters()}
         model.load_parameters(zeros)
         masked = LabelMatrix(values=labels.values, mask=np.zeros(4, bool))
-        total, comps = total_loss(model, s, x, masked, _cfg(10, 1, 0.0))
-        assert total == pytest.approx(float(np.sum(x * x)), rel=1e-9)
+        comps = _loss(model, s, x, masked, _cfg(10, 1, 0.0))
+        assert comps["total"] == pytest.approx(float(np.sum(x * x)), rel=1e-9)
         assert comps["bce"] == 0.0 and comps["l1"] == 0.0
 
+    def test_batch_bce_is_mean_of_per_sample_bce_masked(self):
+        model, feats, spects, labels = _batch_case()
+        comps, cache, _, _ = _batch_loss(model, feats, spects, labels, _cfg(10, 0, 0))
+        per_sample = [bce_masked(cache["logits"][b], labels[b]) for b in range(3)]
+        assert per_sample[2] == 0.0
+        assert comps["bce"] == pytest.approx(sum(per_sample) / 3, rel=1e-12)
 
-def _finite_difference_check(model, s, x, labels, cfg, step=1e-4, rtol=1e-4):
-    grads = backward(model, s, x, labels, cfg)
+
+def _finite_difference_check(model, feats, spects, labels, cfg, step=1e-4, rtol=1e-4):
+    """Engine gradients of a (B, D, T) batch against central differences of its loss."""
+    grads = _batch_loss_and_grads(model, feats, spects, labels, cfg)[1]
     worst = 0.0
     for name, arr in model.parameters():
         g_an = grads[name]
@@ -99,9 +121,9 @@ def _finite_difference_check(model, s, x, labels, cfg, step=1e-4, rtol=1e-4):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up, _ = total_loss(model, s, x, labels, cfg)
+            up = _batch_loss(model, feats, spects, labels, cfg)[0]["total"]
             flat[i] = orig - step
-            down, _ = total_loss(model, s, x, labels, cfg)
+            down = _batch_loss(model, feats, spects, labels, cfg)[0]["total"]
             flat[i] = orig
             g_fd.ravel()[i] = (up - down) / (2 * step)
         denom = np.maximum(np.maximum(np.abs(g_fd), np.abs(g_an)), 1e-30)
@@ -115,45 +137,78 @@ def _finite_difference_check(model, s, x, labels, cfg, step=1e-4, rtol=1e-4):
 @pytest.fixture(scope="module")
 def gradcheck_case():
     model, s, x, labels = _rand_case()
-    margin = nudge_away_from_relu_kinks(model, s)
+    margin = nudge_away_from_relu_kinks(model, s[None])
     assert margin > 1e-4, f"could not clear the ReLU kink band (margin {margin:.2e})"
     return model, s, x, labels
+
+
+def _batch_case(seed=46, t=10, f=20):
+    """Three samples with different masks: three classes annotated, one
+    class annotated, and every class masked.
+
+    At this seed the kink nudge clears every pre-activation by 1.7e-3; three
+    samples give each channel more cells to clear, and some seeds stop
+    near 1e-4.
+    """
+    rng = np.random.default_rng(seed)
+    model, _, _, _ = _rand_case()
+    feats = rng.normal(size=(3, 8, t))
+    spects = np.abs(rng.normal(size=(3, f, t)))
+    masks = ([True, False, True, True], [False, True, False, False], [False] * 4)
+    labels = [LabelMatrix(values=(rng.random((4, t)) > 0.5).astype(float), mask=np.array(m))
+              for m in masks]
+    return model, feats, spects, labels
 
 
 class TestGradients:
     @pytest.mark.parametrize("weights", [(10, 0, 0), (0, 1, 0), (0, 0, 0.1), (10, 1, 0.1)])
     def test_matches_finite_differences(self, gradcheck_case, weights):
         model, s, x, labels = gradcheck_case
-        _finite_difference_check(model, s, x, labels, _cfg(*weights))
+        _finite_difference_check(model, s[None], x[None], [labels], _cfg(*weights))
+
+    def test_batch_with_per_sample_masks_matches_finite_differences(self):
+        model, feats, spects, labels = _batch_case()
+        margin = nudge_away_from_relu_kinks(model, feats)
+        assert margin > 1e-4, f"could not clear the ReLU kink band (margin {margin:.2e})"
+        _finite_difference_check(model, feats, spects, labels, _cfg(10, 1, 0.1))
+
+    def test_batch_gradient_is_mean_of_sample_gradients(self):
+        # guard columns keep samples apart: no tap reads a neighbour's frames
+        model, feats, spects, labels = _batch_case()
+        cfg = _cfg(10, 1, 0.1)
+        batch = _batch_loss_and_grads(model, feats, spects, labels, cfg)[1]
+        singles = [_grads(model, feats[b], spects[b], labels[b], cfg) for b in range(3)]
+        for name, g in batch.items():
+            mean = sum(single[name] for single in singles) / 3
+            np.testing.assert_allclose(g, mean, rtol=1e-12, atol=1e-12 * np.abs(mean).max(), err_msg=name)
 
     def test_all_masked_pure_bce_grads_zero(self):
         model, s, x, labels = _rand_case()
         masked = LabelMatrix(values=labels.values, mask=np.zeros(4, bool))
-        grads = backward(model, s, x, masked, _cfg(10, 0, 0))
+        grads = _grads(model, s, x, masked, _cfg(10, 0, 0))
         for name, g in grads.items():
             assert np.all(g == 0.0), name
 
     def test_alpha_linearity(self):
         model, s, x, labels = _rand_case()
-        g1 = backward(model, s, x, labels, _cfg(10, 0, 0))
-        g2 = backward(model, s, x, labels, _cfg(20, 0, 0))
+        g1 = _grads(model, s, x, labels, _cfg(10, 0, 0))
+        g2 = _grads(model, s, x, labels, _cfg(20, 0, 0))
         for name in g1:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-12)
 
     def test_dictionary_receives_no_gradient(self):
         model, s, x, labels = _rand_case()
         before = model.w_ref.values.copy()
-        backward(model, s, x, labels, _cfg(10, 1, 0.1))
+        grads = _grads(model, s, x, labels, _cfg(10, 1, 0.1))
         np.testing.assert_array_equal(model.w_ref.values, before)
-        assert not any(name.startswith("w_ref") for name in
-                       backward(model, s, x, labels, _cfg(10, 1, 0.1)))
+        assert not any(name.startswith("w_ref") for name in grads)
 
 
 class TestMaskedClassGradients:
     def test_masked_row_zero_and_others_bit_identical(self):
         model, s, x, labels = _rand_case()
         cfg = _cfg(10, 0, 0)
-        grads = backward(model, s, x, labels, cfg)  # class 2 masked
+        grads = _grads(model, s, x, labels, cfg)  # class 2 masked
         assert np.all(grads["theta"][2] == 0.0)
 
         # independent reconstruction of the excluded-class computation
