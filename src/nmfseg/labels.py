@@ -17,16 +17,26 @@ from .network import LabelMatrix
 UNANNOTATED = -1
 
 
+# symbol code + 1 -> byte: -1 (unannotated) -> "-", 0 -> "0", 1 -> "1"
+_SYMBOL_BYTES = np.frombuffer(b"-01", dtype=np.uint8)
+
+
 def write_label_file(path, frames: np.ndarray, hop: float) -> None:
-    """Write a (C, T) symbol matrix with entries in {0, 1, -1(=unannotated)}."""
-    frames = np.asarray(frames)
-    c, t = frames.shape
-    lines = [f"FRAMES {hop:.6f} {c}"]
-    sym = {0: "0", 1: "1", UNANNOTATED: "-"}
-    for i in range(t):
-        lines.append(" ".join(sym[int(v)] for v in frames[:, i]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a (C, T) symbol matrix with entries in {0, 1, -1(=unannotated)}.
+
+    The body is built as the (T, 2C) byte grid that ``_read_fixed_width``
+    decodes (each symbol followed by a space, the last by a newline) and
+    written in one call.
+    """
+    codes = np.asarray(frames).astype(np.int64)  # truncates toward zero, as int() does
+    c, t = codes.shape
+    if codes.size and (codes.min() < UNANNOTATED or codes.max() > 1):
+        raise ValueError(f"label symbols must be 0, 1 or {UNANNOTATED}")
+    grid = np.full((t, max(2 * c, 1)), ord(" "), dtype=np.uint8)
+    grid[:, 0:2 * c:2] = _SYMBOL_BYTES[codes.T + 1]
+    grid[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"FRAMES {hop:.6f} {c}\n".encode("ascii") + grid.tobytes())
 
 
 def read_label_file(path) -> tuple[np.ndarray, float]:

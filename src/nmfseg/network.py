@@ -17,8 +17,13 @@ float32.  Only models built by ``init_model`` hold float64; the
 finite-difference checks use them.
 
 Gradients: ``_backward_from_cache`` carries loss gradients on the logits and
-on H back to every parameter through what ``_forward_cache`` keeps.  The
-objective and the one loss-and-gradient engine live in ``training``.
+on H back to every parameter through what ``_forward_cache`` keeps: each conv
+layer's input and post-ReLU output (``act > 0`` is the ReLU mask, so no
+pre-activation is kept), the block outputs, the skip sum, the head's
+pre-activation, H and the logits.  Both passes write their full-width arrays
+into a ``Workspace``, so a caller that passes the same one to every step (as
+``training.train`` does) allocates them once.  The objective and the one
+loss-and-gradient engine live in ``training``.
 
 Checkpoints use the "NSM1" layout: magic; u32 header fields D, K, C,
 channels, kernel, block count, dilation count, then the dilation list; a u64
@@ -29,6 +34,7 @@ order reported by ``SegModel.parameters()``.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -190,11 +196,6 @@ class _Layout:
         """(C, B, T) view of the payload columns."""
         return flat.reshape(flat.shape[0], self.b, self.s)[:, :, self.p:self.p + self.t]
 
-    def from_batch(self, x: np.ndarray) -> np.ndarray:
-        flat = self.flat(x.shape[1], x.dtype)
-        self.core(flat)[...] = x.transpose(1, 0, 2)
-        return flat
-
     def to_batch(self, flat: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(self.core(flat).transpose(1, 0, 2))
 
@@ -204,37 +205,78 @@ class _Layout:
         view[:, :, self.s - self.p:] = 0
 
 
-def _taps(w: np.ndarray) -> tuple:
-    """Contiguous per-tap weight matrices (a strided slice would miss BLAS)."""
-    return tuple(np.ascontiguousarray(w[:, :, j]) for j in range(3))
+class Workspace:
+    """Reusable arrays for the training step, one flat buffer per role.
+
+    ``take(role, shape, dtype)`` returns a C-contiguous view of the first
+    ``prod(shape)`` elements of the role's buffer, growing the buffer on first
+    use or when a larger shape asks for it, so a shorter batch reuses the same
+    memory.  A view holds whatever the role's last user wrote: the caller
+    writes every element it reads.  A forward cache and its backward pass
+    share one workspace; the next call on that workspace overwrites both.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def take(self, role, shape: tuple, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        buf = self._buffers.get((role, dtype))
+        if buf is None or buf.size < size:
+            buf = self._buffers[(role, dtype)] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
-def _dconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int, lay: _Layout) -> np.ndarray:
-    """Taps at -d, 0, +d over the guarded flat matrix."""
+def _taps(w: np.ndarray) -> np.ndarray:
+    """Contiguous per-tap weight matrices, stacked (a strided slice would miss BLAS)."""
+    return np.ascontiguousarray(w.transpose(2, 0, 1))
+
+
+def _tap_scratch(tmp: np.ndarray | None, rows: int, cols: int, dtype) -> np.ndarray:
+    """(rows, cols) scratch: a view of the flat buffer ``tmp``, or fresh when None."""
+    return np.empty((rows, cols), dtype=dtype) if tmp is None else tmp[:rows * cols].reshape(rows, cols)
+
+
+def _dconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int, lay: _Layout,
+                   out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Taps at -d, 0, +d over the guarded flat matrix.
+
+    Writes into ``out`` (C, N); the two shifted taps share ``tmp``, a flat
+    scratch of at least C * (N - d) elements.  Either is allocated when None.
+    """
     w0, w1, w2 = _taps(w)
-    y = w1 @ x
-    y[:, d:] += w0 @ x[:, :-d]
-    y[:, :-d] += w2 @ x[:, d:]
+    y = np.matmul(w1, x, out=out)
+    tmp = _tap_scratch(tmp, y.shape[0], y.shape[1] - d, y.dtype)
+    y[:, d:] += np.matmul(w0, x[:, :-d], out=tmp)
+    y[:, :-d] += np.matmul(w2, x[:, d:], out=tmp)
     y += b[:, None]
     lay.zero_guards(y)
     return y
 
 
-def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _Layout):
-    """Weight/bias/input gradients; ``g_pre`` must have zero guards."""
+def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _Layout,
+                 out: np.ndarray | None = None, tmp: np.ndarray | None = None):
+    """Weight/bias/input gradients; ``g_pre`` must have zero guards.
+
+    The input gradient goes into ``out`` (C, N), with ``tmp`` as tap scratch
+    as in ``_dconv_forward``; the weight and bias gradients are always fresh
+    arrays.
+    """
     w0, w1, w2 = _taps(w)
     g_w = np.empty_like(w)
     g_w[:, :, 1] = g_pre @ x.T
     g_w[:, :, 0] = g_pre[:, d:] @ x[:, :-d].T
     g_w[:, :, 2] = g_pre[:, :-d] @ x[:, d:].T
-    g_x = w1.T @ g_pre
-    g_x[:, :-d] += w0.T @ g_pre[:, d:]
-    g_x[:, d:] += w2.T @ g_pre[:, :-d]
+    g_x = np.matmul(w1.T, g_pre, out=out)
+    tmp = _tap_scratch(tmp, g_x.shape[0], g_x.shape[1] - d, g_x.dtype)
+    g_x[:, :-d] += np.matmul(w0.T, g_pre[:, d:], out=tmp)
+    g_x[:, d:] += np.matmul(w2.T, g_pre[:, :-d], out=tmp)
     lay.zero_guards(g_x)
     return g_w, g_pre.sum(axis=1), g_x
 
 
-def _bottleneck(model: SegModel, s: np.ndarray) -> tuple[_Layout, np.ndarray, np.ndarray]:
+def _bottleneck(model: SegModel, s: np.ndarray, ws: Workspace) -> tuple[_Layout, np.ndarray, np.ndarray]:
     """Layout, standardized flat input, and bottleneck output for a (B, D, T) batch.
 
     The batch is cast to the parameter dtype first, so the whole pass runs in
@@ -244,8 +286,12 @@ def _bottleneck(model: SegModel, s: np.ndarray) -> tuple[_Layout, np.ndarray, np
     if s.ndim != 3 or s.shape[1] != model.d:
         raise DimensionError(f"expected batch shape (B, {model.d}, T), got {s.shape}")
     lay = _Layout(s.shape[0], s.shape[2], max(model.dilations))
-    s_flat = lay.from_batch((s - INPUT_CENTER) * np.asarray(1.0 / INPUT_SCALE, dtype=s.dtype))
-    x = model.bneck_w @ s_flat
+    std = np.subtract(s, INPUT_CENTER, out=ws.take("s_std", s.shape, s.dtype))
+    std *= np.asarray(1.0 / INPUT_SCALE, dtype=s.dtype)
+    s_flat = ws.take("s_flat", (model.d, lay.n), s.dtype)
+    lay.zero_guards(s_flat)
+    lay.core(s_flat)[...] = std.transpose(1, 0, 2)
+    x = np.matmul(model.bneck_w, s_flat, out=ws.take("bneck", (model.channels, lay.n), s.dtype))
     x += model.bneck_b[:, None]
     lay.zero_guards(x)
     return lay, s_flat, x
@@ -258,7 +304,7 @@ def encode(model: SegModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     current layer output and the skip sum; ``_forward_cache`` computes the
     same values bit for bit but also keeps what the backward pass reads.
     """
-    lay, _, x = _bottleneck(model, s)
+    lay, _, x = _bottleneck(model, s, Workspace())
     skip = np.zeros_like(x)
     for b in range(model.n_blocks):
         v = x
@@ -275,65 +321,90 @@ def encode(model: SegModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lay.to_batch(h_flat), lay.to_batch(model.theta @ h_flat)
 
 
-def _forward_cache(model: SegModel, s: np.ndarray) -> dict:
-    """Training forward over a (B, D, T) batch, keeping every pre-activation."""
-    lay, s_flat, x = _bottleneck(model, s)
-    skip = np.zeros_like(x)
-    layer_inputs, layer_pres = [], []
+def _forward_cache(model: SegModel, s: np.ndarray, ws: Workspace | None = None) -> dict:
+    """Training forward over a (B, D, T) batch, keeping what the backward pass reads.
+
+    Every full-width array lives in ``ws`` (a fresh workspace when None).  The
+    cache holds each conv layer's input and post-ReLU output (the backward
+    mask ``act > 0`` equals ``pre > 0`` bit for bit), the block outputs, the
+    skip sum, the head's pre-activation, H and the logits.
+    """
+    ws = Workspace() if ws is None else ws
+    lay, s_flat, x = _bottleneck(model, s, ws)
+    dtype, c, n = x.dtype, model.channels, lay.n
+    layer_acts = ws.take("acts", (model.n_blocks, len(model.dilations), c, n), dtype)
+    block_outs = ws.take("blocks", (model.n_blocks, c, n), dtype)
+    tap = ws.take("tap", (c * n,), dtype)
+    skip = ws.take("skip", (c, n), dtype)
+    skip.fill(0)
+    layer_inputs = []
     for b in range(model.n_blocks):
-        u = x
-        v = u
-        inputs_b, pres_b = [], []
+        u = v = x
+        inputs_b = []
         for l, dil in enumerate(model.dilations):
-            pre = _dconv_forward(v, model.conv_w[b][l], model.conv_b[b][l], dil, lay)
             inputs_b.append(v)
-            pres_b.append(pre)
-            v = np.maximum(pre, 0.0)
-        x = u + v
-        skip = skip + x
+            v = _dconv_forward(v, model.conv_w[b][l], model.conv_b[b][l], dil, lay,
+                               out=layer_acts[b, l], tmp=tap)
+            np.maximum(v, 0.0, out=v)
+        x = np.add(u, v, out=block_outs[b])
+        skip += x
         layer_inputs.append(inputs_b)
-        layer_pres.append(pres_b)
-    pre_out = model.out_w @ skip
+    pre_out = np.matmul(model.out_w, skip, out=ws.take("pre_out", (model.k, n), dtype))
     pre_out += model.out_b[:, None]
     lay.zero_guards(pre_out)
-    h_flat = np.maximum(pre_out, 0.0)
-    logits_flat = model.theta @ h_flat
+    h_flat = np.maximum(pre_out, 0.0, out=ws.take("h", (model.k, n), dtype))
+    logits_flat = np.matmul(model.theta, h_flat, out=ws.take("logits", (model.c, n), dtype))
     return {
         "layout": lay, "s_flat": s_flat, "skip": skip, "pre_out": pre_out,
         "h_flat": h_flat, "logits_flat": logits_flat,
-        "layer_inputs": layer_inputs, "layer_pres": layer_pres,
+        "layer_inputs": layer_inputs, "layer_acts": layer_acts,
         "h": lay.to_batch(h_flat), "logits": lay.to_batch(logits_flat),
     }
 
 
 def _backward_from_cache(model: SegModel, cache: dict, g_logits_flat: np.ndarray,
-                         g_h_extra_flat: np.ndarray | None = None) -> dict:
+                         g_h_extra_flat: np.ndarray | None = None, ws: Workspace | None = None) -> dict:
     """Propagate flat-layout loss gradients to every trainable parameter.
 
-    Both gradient inputs must carry zero guard columns.
+    Both gradient inputs must carry zero guard columns.  The full-width
+    gradients live in ``ws`` (a fresh workspace when None); the returned
+    parameter gradients are fresh arrays, so the next step cannot touch them.
     """
+    ws = Workspace() if ws is None else ws
     lay = cache["layout"]
     h_flat = cache["h_flat"]
+    dtype, width = h_flat.dtype, (model.channels, lay.n)
     grads = {"theta": g_logits_flat @ h_flat.T}
-    g_h = model.theta.T @ g_logits_flat
+    g_h = np.matmul(model.theta.T, g_logits_flat, out=ws.take("g_h", h_flat.shape, dtype))
     if g_h_extra_flat is not None:
         g_h += g_h_extra_flat
-    g_pre_out = g_h * (cache["pre_out"] > 0)
+    mask = np.greater(cache["pre_out"], 0, out=ws.take("mask", h_flat.shape, bool))
+    g_pre_out = np.multiply(g_h, mask, out=ws.take("g_pre", h_flat.shape, dtype))
     grads["out_w"] = g_pre_out @ cache["skip"].T
     grads["out_b"] = g_pre_out.sum(axis=1)
-    g_skip = model.out_w.T @ g_pre_out
+    g_skip = np.matmul(model.out_w.T, g_pre_out, out=ws.take("g_skip", width, dtype))
 
-    g_x = np.zeros_like(g_skip)  # gradient on the residual stream from blocks above
+    # every conv layer's ReLU mask, pre-activation gradient and input gradient
+    # reuse one buffer each: a layer's input gradient is spent once the layer
+    # below has masked it into g_pre
+    mask = ws.take("mask", width, bool)
+    g_pre = ws.take("g_pre", width, dtype)
+    g_in = ws.take("g_in", width, dtype)
+    tap = ws.take("tap", (width[0] * width[1],), dtype)
+    g_xb = ws.take("g_xb", width, dtype)
+    g_x = ws.take("g_x", width, dtype)  # gradient on the residual stream from blocks above
+    g_x.fill(0)
     for b in range(model.n_blocks - 1, -1, -1):
-        g_xb = g_x + g_skip  # each block output feeds the skip sum
+        np.add(g_x, g_skip, out=g_xb)  # each block output feeds the skip sum
         g_v = g_xb
         for l in range(len(model.dilations) - 1, -1, -1):
-            g_pre = g_v * (cache["layer_pres"][b][l] > 0)
-            g_w, g_b, g_v = _dconv_grads(g_pre, cache["layer_inputs"][b][l],
-                                         model.conv_w[b][l], model.dilations[l], lay)
+            np.greater(cache["layer_acts"][b][l], 0, out=mask)
+            np.multiply(g_v, mask, out=g_pre)
+            g_w, g_b, g_v = _dconv_grads(g_pre, cache["layer_inputs"][b][l], model.conv_w[b][l],
+                                         model.dilations[l], lay, out=g_in, tmp=tap)
             grads[f"block{b}.conv{l}.w"] = g_w
             grads[f"block{b}.conv{l}.b"] = g_b
-        g_x = g_xb + g_v
+        np.add(g_xb, g_v, out=g_x)
     grads["bneck_w"] = g_x @ cache["s_flat"].T
     grads["bneck_b"] = g_x.sum(axis=1)
     return grads

@@ -9,6 +9,11 @@ batch; the frozen dictionary W never receives gradient.
 ``_batch_loss_and_grads`` is the one loss-and-gradient engine: training runs
 it in float32, and the finite-difference checks run it on float64 models,
 taking each perturbed loss from its forward-and-loss half ``_batch_loss``.
+``train`` hands every step one ``network.Workspace``, which holds the
+stacked batch and each full-width activation, residual and gradient, so
+steps after the first allocate only small arrays (parameter gradients,
+per-class loss terms); a call without a workspace gets a fresh one and
+computes the same bytes.
 
 Feature, spectrogram, and label frame counts may disagree by at most one
 frame (the STFT drops a partial frame at the clip edge); the surplus frame
@@ -27,8 +32,8 @@ from .evaluate import F1Report, accumulate_counts, decide_frames
 from .frontend import (FeatureSequence, FrontendSettings, Spectrogram, load_audio, log_mel,
                        read_features, stft_magnitude)
 from .labels import label_matrix_from_range, read_label_file
-from .network import (LabelMatrix, SegModel, _backward_from_cache, _bce_cells, _forward_cache,
-                      bce_masked, encode, init_model, sigmoid)
+from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, _bce_cells,
+                      _forward_cache, bce_masked, encode, init_model, sigmoid)
 from .nmf import Dictionary, SnmfConfig, train_snmf
 from .optim import adam_step, init_adam
 
@@ -153,7 +158,7 @@ def build_segments(clips: list[ClipData], segment_seconds: float) -> list[TrainS
 
 
 def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
-                labels: list[LabelMatrix], cfg: TrainConfig):
+                labels: list[LabelMatrix], cfg: TrainConfig, ws: Workspace | None = None):
     """Forward pass, mean-over-batch loss components, and the loss seeds.
 
     Returns ``(comps, cache, g_logits_flat, g_h_flat)``: the components
@@ -161,10 +166,12 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
     gradients of the total on the flat logits and on flat H (None when beta
     and gamma are both zero), both with zero guard columns.  Each sample's
     BCE averages over its own annotated cells; a sample with every class
-    masked adds no BCE and no BCE gradient.
+    masked adds no BCE and no BCE gradient.  The cache and the seeds live in
+    ``ws`` (a fresh workspace when None).
     """
+    ws = Workspace() if ws is None else ws
     batch = feats.shape[0]
-    cache = _forward_cache(model, feats)
+    cache = _forward_cache(model, feats, ws)
     lay = cache["layout"]
     h_flat, logits_flat = cache["h_flat"], cache["logits_flat"]
 
@@ -177,7 +184,8 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
     # in this order, at B = 1, the gradient is bit-equal to the
     # excluded-class computation that acceptance criterion 4 rebuilds
     g_bce = cfg.alpha * ((sigmoid(z) - y) / n_cells) / batch
-    g_logits_flat = np.zeros_like(logits_flat)
+    g_logits_flat = ws.take("g_logits", logits_flat.shape, logits_flat.dtype)
+    g_logits_flat.fill(0)
     lay.core(g_logits_flat)[...] = np.where(annotated, g_bce, 0.0)
 
     g_h_flat = None
@@ -186,15 +194,16 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
         if model.w_ref is None:
             raise ValueError("reconstruction loss requires a dictionary attached to the model")
         w = np.asarray(model.w_ref.values, dtype=h_flat.dtype)
-        diff = w @ h_flat
+        diff = np.matmul(w, h_flat, out=ws.take("diff", (w.shape[0], lay.n), h_flat.dtype))
         lay.core(diff)[...] -= spects.transpose(1, 0, 2)
-        nmf_total = float(np.sum(diff * diff))
-        g_h_flat = w.T @ diff
-        g_h_flat *= cfg.beta * 2.0 / batch  # in place: one K x N temporary fewer per step
+        nmf_total = float(np.sum(np.multiply(diff, diff, out=ws.take("diff_sq", diff.shape, diff.dtype))))
+        g_h_flat = np.matmul(w.T, diff, out=ws.take("g_h_loss", h_flat.shape, h_flat.dtype))
+        g_h_flat *= cfg.beta * 2.0 / batch
     l1_total = float(h_flat.sum())
     if cfg.gamma != 0.0:
         if g_h_flat is None:
-            g_h_flat = np.zeros_like(h_flat)
+            g_h_flat = ws.take("g_h_loss", h_flat.shape, h_flat.dtype)
+            g_h_flat.fill(0)
         lay.core(g_h_flat)[...] += cfg.gamma / batch
 
     comps = {"bce": bce_total / batch, "nmf": nmf_total / batch, "l1": l1_total / batch}
@@ -203,10 +212,21 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
 
 
 def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, spects: np.ndarray,
-                          labels: list[LabelMatrix], cfg: TrainConfig):
-    """Mean-over-batch loss components and parameter gradients: the engine ``train`` steps on."""
-    comps, cache, g_logits_flat, g_h_flat = _batch_loss(model, feats, spects, labels, cfg)
-    return comps, _backward_from_cache(model, cache, g_logits_flat, g_h_flat)
+                          labels: list[LabelMatrix], cfg: TrainConfig, ws: Workspace | None = None):
+    """Mean-over-batch loss components and parameter gradients: the engine ``train`` steps on.
+
+    ``train`` passes one workspace for the whole run, so a step reuses the
+    previous step's full-width arrays instead of allocating them; the
+    returned gradients are fresh arrays either way.
+    """
+    ws = Workspace() if ws is None else ws
+    comps, cache, g_logits_flat, g_h_flat = _batch_loss(model, feats, spects, labels, cfg, ws)
+    return comps, _backward_from_cache(model, cache, g_logits_flat, g_h_flat, ws)
+
+
+def _stack_into(ws: Workspace, role: str, arrays: list) -> np.ndarray:
+    """``np.stack(arrays)`` written into the workspace role ``role``."""
+    return np.stack(arrays, out=ws.take(role, (len(arrays), *arrays[0].shape), arrays[0].dtype))
 
 
 def dev_metrics(model: SegModel, clips: list[ClipData], threshold: float) -> dict:
@@ -253,6 +273,7 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
                         n_blocks=model.n_blocks, dilations=model.dilations)
     worker.w_ref = model.w_ref
     worker.load_parameters(params, dtype=np.float32)
+    ws = Workspace()  # every step's full-width arrays, allocated once per run
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(segments))
@@ -260,10 +281,10 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            feats = np.stack([segments[i].features for i in idx])
-            spects = np.stack([segments[i].spect for i in idx])
+            feats = _stack_into(ws, "feats", [segments[i].features for i in idx])
+            spects = _stack_into(ws, "spects", [segments[i].spect for i in idx])
             labs = [segments[i].labels for i in idx]
-            comps, grads = _batch_loss_and_grads(worker, feats, spects, labs, cfg)
+            comps, grads = _batch_loss_and_grads(worker, feats, spects, labs, cfg, ws)
             if not np.isfinite(comps["total"]):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             params, state = adam_step(params, grads, state, cfg.lr)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nmfseg.corpus import CorpusSpec, generate_corpus
-from nmfseg.network import SegModel, _forward_cache, init_model
+from nmfseg.network import SegModel, _dconv_forward, _forward_cache, init_model
 from nmfseg.nmf import Dictionary, normalize_columns
 
 
@@ -18,11 +18,22 @@ def make_tiny_model(seed=3, d=8, k=12, c=4, channels=8, f=20, dict_seed=7):
     return model
 
 
+def _conv_pres(model: SegModel, cache: dict) -> list:
+    """Each conv layer's (C, B, T) pre-activation, [block][layer].
+
+    The forward cache keeps post-ReLU outputs only; re-running each layer on
+    its cached input gives the pre-activation bit for bit.
+    """
+    lay = cache["layout"]
+    return [[lay.core(_dconv_forward(cache["layer_inputs"][b][l], model.conv_w[b][l],
+                                     model.conv_b[b][l], dil, lay))
+             for l, dil in enumerate(model.dilations)] for b in range(model.n_blocks)]
+
+
 def _min_pre_margin(model: SegModel, s: np.ndarray) -> float:
     cache = _forward_cache(model, s)
-    lay = cache["layout"]
-    pres = [lay.core(cache["layer_pres"][b][l]) for b in range(model.n_blocks)
-            for l in range(len(model.dilations))] + [lay.core(cache["pre_out"])]
+    pres = [p for block in _conv_pres(model, cache) for p in block]
+    pres.append(cache["layout"].core(cache["pre_out"]))
     return min(float(np.abs(p).min()) for p in pres)
 
 
@@ -52,13 +63,12 @@ def nudge_away_from_relu_kinks(model: SegModel, s: np.ndarray, margin: float = 2
     """
     for _ in range(rounds):
         cache = _forward_cache(model, s)
-        lay = cache["layout"]
+        pres = _conv_pres(model, cache)
         moved = False
         for b in range(model.n_blocks):
             for l in range(len(model.dilations)):
-                moved |= _nudge_worst_channel(lay.core(cache["layer_pres"][b][l]),
-                                              model.conv_b[b][l], margin)
-        moved |= _nudge_worst_channel(lay.core(cache["pre_out"]), model.out_b, margin)
+                moved |= _nudge_worst_channel(pres[b][l], model.conv_b[b][l], margin)
+        moved |= _nudge_worst_channel(cache["layout"].core(cache["pre_out"]), model.out_b, margin)
         if not moved:
             break
     return _min_pre_margin(model, s)

@@ -4,11 +4,15 @@
 (``layers.WRAPS``).  ``layers.install`` skips a name that no longer exists,
 so a traced run still exits 0 with ``correct: true`` but lacks every
 per-layer metric built on that span.  A rename or a deletion of a wrapped
-name fails here instead.  ``layers`` is only imported; nothing under
-``perfbench/`` is written.
+name fails here instead.  The attribute hooks of some wraps also read
+arguments by name; a renamed parameter makes the hook raise, and its span
+carries ``hook_error`` in place of its metric, so those names are pinned
+here too.  ``layers`` is only imported; nothing under ``perfbench/`` is
+written.
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -33,3 +37,31 @@ def test_wrapped_name_resolves(module, attr):
     for part in attr.split("."):  # "SegModel.load_parameters" names a method
         target = getattr(target, part, None)
     assert callable(target), f"perfbench wraps nmfseg.{module}.{attr}, which does not exist"
+
+
+# Argument names each attribute hook reads from the bound call; the hook
+# binds them with ``inspect.signature``, so a renamed parameter makes it raise
+# and its span carries ``hook_error`` instead of ``flops``/``live_bytes``.
+HOOK_ARGS = {
+    ("network", "_dconv_forward"): ("x", "w", "d"),
+    ("network", "_dconv_grads"): ("x", "w", "d"),
+    ("network", "_forward_cache"): (),  # reads only the returned cache
+    ("nmf", "update_h"): ("x", "w"),
+    ("nmf", "update_w"): ("x", "w"),
+    ("nmf", "snmf_objective"): ("x", "w"),
+    ("nmf", "train_snmf"): ("cfg",),
+    ("training", "build_segments"): ("clips",),
+}
+
+
+def test_hook_table_covers_every_hooked_wrap():
+    hooked = {(module, attr) for module, attr, _, hook in layers.WRAPS if hook is not None}
+    assert hooked == set(HOOK_ARGS)
+
+
+@pytest.mark.parametrize("module, attr", sorted(HOOK_ARGS), ids=[f"{m}.{a}" for m, a in sorted(HOOK_ARGS)])
+def test_hooked_arguments_keep_their_names(module, attr):
+    fn = getattr(importlib.import_module(f"nmfseg.{module}"), attr)
+    params = inspect.signature(fn).parameters
+    missing = [name for name in HOOK_ARGS[(module, attr)] if name not in params]
+    assert not missing, f"perfbench's hook on nmfseg.{module}.{attr} reads {missing}, which it no longer takes"

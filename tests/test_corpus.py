@@ -79,6 +79,32 @@ class TestLabelFiles:
         with pytest.raises(FormatError, match="line 2"):
             read_label_file(p)
 
+    @pytest.mark.parametrize("c", [1, 4])
+    @pytest.mark.parametrize("t", [1, 500])
+    def test_writer_bytes_equal_the_per_frame_join(self, tmp_path, c, t):
+        # random symbols, the first three cells 0, 1, - where they exist, and
+        # a "-" run of up to 7 frames in every class
+        rng = np.random.default_rng([c, t])
+        frames = rng.choice([0, 1, UNANNOTATED], size=(c, t)).astype(np.int8)
+        frames.flat[:3] = [0, 1, UNANNOTATED][:frames.size]
+        for row in frames:
+            start = int(rng.integers(0, t))
+            row[start:start + 7] = UNANNOTATED
+        p = tmp_path / "x.lab"
+        write_label_file(p, frames, hop=0.02)
+        sym = {0: "0", 1: "1", UNANNOTATED: "-"}  # the per-frame join the grid writer replaced
+        lines = [f"FRAMES {0.02:.6f} {c}"] + [" ".join(sym[int(v)] for v in frames[:, i])
+                                               for i in range(t)]
+        assert p.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+        assert _read_fixed_width(p.read_bytes()) is not None
+        back, hop = read_label_file(p)
+        np.testing.assert_array_equal(back, frames)
+        assert hop == 0.02
+
+    def test_writer_rejects_unknown_symbols(self, tmp_path):
+        with pytest.raises(ValueError, match="symbols"):
+            write_label_file(tmp_path / "x.lab", np.array([[0, 2]]), hop=0.02)
+
     def test_mask_from_range(self):
         frames = np.array([[1, 1, 0, 0], [0, UNANNOTATED, 0, 1]], dtype=np.int8)
         lab = label_matrix_from_range(frames, 0, 2)

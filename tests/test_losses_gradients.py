@@ -2,14 +2,19 @@
 
 Every loss and gradient here comes from the training engine,
 ``training._batch_loss_and_grads`` and its forward-and-loss half
-``_batch_loss``; single-sample cases run it at B = 1.
+``_batch_loss``; single-sample cases run it at B = 1.  ``TestWorkspace``
+checks that reusing one workspace across steps, as training does, changes
+no byte and allocates little.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_tiny_model, nudge_away_from_relu_kinks
-from nmfseg.network import LabelMatrix, bce_masked
+from nmfseg.network import LabelMatrix, Workspace, bce_masked, init_model
+from nmfseg.nmf import Dictionary, normalize_columns
 from nmfseg.training import TrainConfig, _batch_loss, _batch_loss_and_grads
 
 
@@ -224,3 +229,69 @@ class TestMaskedClassGradients:
         oracle_theta = g_flat @ cache["h_flat"].T
         for c in (0, 1, 3):
             np.testing.assert_array_equal(grads["theta"][c], oracle_theta[c])
+
+
+def _float32_batch(model, batch, t, f, seed):
+    """A float32 (B, D, T) batch with spectrogram targets and mixed masks."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(-11.5, 4.0, size=(batch, model.d, t)).astype(np.float32)
+    spects = np.abs(rng.normal(size=(batch, f, t))).astype(np.float32)
+    labels = [LabelMatrix(values=(rng.random((model.c, t)) > 0.5).astype(float),
+                          mask=rng.random(model.c) > 0.3) for _ in range(batch)]
+    return feats, spects, labels
+
+
+class TestWorkspace:
+    """``train`` passes one workspace to every step; a step must not see
+    what the step before left in it."""
+
+    @staticmethod
+    def _float32_model():
+        model = make_tiny_model(seed=5)
+        model.load_parameters(dict(model.parameters()), dtype=np.float32)
+        return model
+
+    def test_reused_workspace_is_bit_equal_to_a_fresh_one(self):
+        # B = 6 after B = 16 puts the guard columns where payload was
+        model, cfg, ws = self._float32_model(), _cfg(10, 1, 0.1), Workspace()
+        for step, batch in enumerate((16, 6, 16)):
+            case = _float32_batch(model, batch, t=12, f=20, seed=step)
+            comps, grads = _batch_loss_and_grads(model, *case, cfg, ws=ws)
+            fresh_comps, fresh_grads = _batch_loss_and_grads(model, *case, cfg)
+            assert comps == fresh_comps, batch
+            assert grads.keys() == fresh_grads.keys()
+            for name, g in grads.items():
+                assert g.tobytes() == fresh_grads[name].tobytes(), (batch, name)
+
+    def test_returned_gradients_survive_the_next_step(self):
+        model, cfg, ws = self._float32_model(), _cfg(10, 1, 0.1), Workspace()
+        grads = _batch_loss_and_grads(model, *_float32_batch(model, 16, 12, 20, seed=0), cfg, ws=ws)[1]
+        kept = {name: g.copy() for name, g in grads.items()}
+        _batch_loss_and_grads(model, *_float32_batch(model, 6, 12, 20, seed=1), cfg, ws=ws)
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, kept[name], err_msg=name)
+
+    def test_second_step_allocates_little_at_desk_shape(self):
+        """After one warm-up step on a workspace, a B = 16, T = 200 step at
+        desk model shape (D = 80, K = 64, C = 4, 64 channels, F = 257) peaks
+        under 8 MB of traced allocation.
+
+        Measured with this setup: 43.9 MB when every step allocated its
+        full-width arrays, 1.7 MB with the workspace; the rest is the
+        per-class BCE terms, the (B, K, T) copies of H and the logits, and
+        the fresh parameter gradients.
+        """
+        rng = np.random.default_rng(0)
+        model = init_model(80, 64, 4, seed=1)
+        w, _ = normalize_columns(1.0 - rng.random((257, 64)), np.ones((64, 1)))
+        model.attach_dictionary(Dictionary(values=w))
+        model.load_parameters(dict(model.parameters()), dtype=np.float32)
+        case, cfg, ws = _float32_batch(model, 16, 200, 257, seed=2), _cfg(10, 1, 0.1), Workspace()
+        _batch_loss_and_grads(model, *case, cfg, ws=ws)
+        tracemalloc.start()
+        try:
+            _batch_loss_and_grads(model, *case, cfg, ws=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"second step peaked at {peak / 1e6:.1f} MB of traced allocation"
