@@ -9,6 +9,10 @@ is the non-negative activation matrix H.  Class logits are theta @ H with no
 bias.  All convolutions zero-pad symmetrically so the frame count never
 changes.
 
+Parameters: ``parameter_table`` lays out the 35 trainable arrays in one
+vector, ``SegModel.flat``, whose named arrays are views into it; gradients,
+ADAM state and the checkpoint payload are vectors with the same layout.
+
 Precision: a forward pass computes in the dtype of the model's parameters,
 whatever dtype the input batch has.  Checkpoints store float32, and
 ``model_from_bytes`` loads float32, so every model that infers (a reloaded
@@ -20,16 +24,17 @@ Gradients: ``_backward_from_cache`` carries loss gradients on the logits and
 on H back to every parameter through what ``_forward_cache`` keeps: each conv
 layer's input and post-ReLU output (``act > 0`` is the ReLU mask, so no
 pre-activation is kept), the block outputs, the skip sum, the head's
-pre-activation, H and the logits.  Both passes write their full-width arrays
-into a ``Workspace``, so a caller that passes the same one to every step (as
-``training.train`` does) allocates them once.  The objective and the one
-loss-and-gradient engine live in ``training``.
+pre-activation, H and the logits.  It writes each parameter's gradient into
+that parameter's slice of one gradient vector.  Both passes write their
+full-width arrays into a ``Workspace``, so a caller that passes the same one
+to every step (as ``training.train`` does) allocates them once.  The
+objective and the one loss-and-gradient engine live in ``training``.
 
 Checkpoints use the "NSM1" layout: magic; u32 header fields D, K, C,
 channels, kernel, block count, dilation count, then the dilation list; a u64
 byte length followed by an embedded "NSD1" dictionary blob (length 0 when no
-dictionary is attached); then every parameter as little-endian f32 in the
-order reported by ``SegModel.parameters()``.
+dictionary is attached); then ``flat`` as little-endian f32.  The loader
+accepts only this architecture's kernel, block count and dilations.
 """
 
 from __future__ import annotations
@@ -85,55 +90,78 @@ class LabelMatrix:
         return self.values.shape[1]
 
 
-@dataclass
+def _conv_name(block: int, layer: int, part: str) -> str:
+    return f"block{block}.conv{layer}.{part}"
+
+
+def parameter_table(d: int, k: int, c: int, channels: int) -> list[tuple[str, tuple]]:
+    """Name and shape of every trainable array, in NSM1 order: the one statement of the layout."""
+    convs = [(_conv_name(b, l, part), shape) for b in range(DEFAULT_BLOCKS)
+             for l in range(len(DEFAULT_DILATIONS))
+             for part, shape in (("w", (channels, channels, KERNEL)), ("b", (channels,)))]
+    return [("bneck_w", (channels, d)), ("bneck_b", (channels,)), *convs,
+            ("out_w", (k, channels)), ("out_b", (k,)), ("theta", (c, k))]
+
+
+def parameter_count(d: int, k: int, c: int, channels: int) -> int:
+    return sum(math.prod(shape) for _, shape in parameter_table(d, k, c, channels))
+
+
 class SegModel:
-    """Encoder + linear head parameters, plus an optional frozen dictionary."""
+    """Encoder + linear head parameters, plus an optional frozen dictionary.
 
-    d: int
-    k: int
-    c: int
-    channels: int
-    dilations: tuple
-    n_blocks: int
-    kernel: int
-    bneck_w: np.ndarray
-    bneck_b: np.ndarray
-    conv_w: list  # [block][layer] -> (channels, channels, kernel)
-    conv_b: list
-    out_w: np.ndarray
-    out_b: np.ndarray
-    theta: np.ndarray
-    w_ref: Dictionary | None = None
+    ``bneck_w``, ``bneck_b``, ``conv_w``/``conv_b`` ([block][layer]), ``out_w``,
+    ``out_b`` and ``theta`` are views into ``flat``, rebound when it is
+    assigned, so forward passes and ``save_model`` read what a view write set.
+    """
 
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """All trainable arrays in checkpoint order (w_ref excluded)."""
-        out = [("bneck_w", self.bneck_w), ("bneck_b", self.bneck_b)]
-        for b in range(self.n_blocks):
-            for l in range(len(self.dilations)):
-                out.append((f"block{b}.conv{l}.w", self.conv_w[b][l]))
-                out.append((f"block{b}.conv{l}.b", self.conv_b[b][l]))
-        out.append(("out_w", self.out_w))
-        out.append(("out_b", self.out_b))
-        out.append(("theta", self.theta))
-        return out
+    n_blocks = DEFAULT_BLOCKS
+    dilations = DEFAULT_DILATIONS
+    kernel = KERNEL
+
+    def __init__(self, d: int, k: int, c: int, channels: int, flat: np.ndarray,
+                 w_ref: Dictionary | None = None):
+        self.d, self.k, self.c, self.channels = d, k, c, channels
+        self.flat = flat
+        self.w_ref = w_ref
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._flat
+
+    @flat.setter
+    def flat(self, vector: np.ndarray) -> None:
+        views, n = dict(self.parameters(vector)), len(self.dilations)
+        self._flat = vector
+        self.conv_w = [[views.pop(_conv_name(b, l, "w")) for l in range(n)] for b in range(self.n_blocks)]
+        self.conv_b = [[views.pop(_conv_name(b, l, "b")) for l in range(n)] for b in range(self.n_blocks)]
+        vars(self).update(views)  # bneck_w, bneck_b, out_w, out_b, theta
+
+    def parameters(self, vector: np.ndarray | None = None) -> list[tuple[str, np.ndarray]]:
+        """(name, view) of every trainable array in checkpoint order (w_ref excluded).
+
+        The views are into ``vector`` (default: ``flat``): any 1-D array laid
+        out like ``flat``, such as a gradient.
+        """
+        vector = self._flat if vector is None else vector
+        table = parameter_table(self.d, self.k, self.c, self.channels)
+        ends = np.cumsum([math.prod(shape) for _, shape in table])
+        if vector.shape != (ends[-1],):
+            raise DimensionError(f"parameter vector of shape {vector.shape}, model has {ends[-1]} values")
+        return [(name, part.reshape(shape)) for (name, shape), part in zip(table, np.split(vector, ends[:-1]))]
 
     def parameter_count(self) -> int:
-        return sum(a.size for _, a in self.parameters())
+        return self._flat.size
 
     def load_parameters(self, params: dict, dtype=np.float64) -> None:
-        for name, arr in self.parameters():
+        """Replace ``flat`` by a new ``dtype`` vector holding the named arrays."""
+        vector = np.empty(self._flat.size, dtype=dtype)
+        for name, view in self.parameters(vector):
             new = np.asarray(params[name])
-            if new.shape != arr.shape:
-                raise DimensionError(f"{name}: shape {new.shape} != {arr.shape}")
-        self.bneck_w = np.array(params["bneck_w"], dtype=dtype)
-        self.bneck_b = np.array(params["bneck_b"], dtype=dtype)
-        for b in range(self.n_blocks):
-            for l in range(len(self.dilations)):
-                self.conv_w[b][l] = np.array(params[f"block{b}.conv{l}.w"], dtype=dtype)
-                self.conv_b[b][l] = np.array(params[f"block{b}.conv{l}.b"], dtype=dtype)
-        self.out_w = np.array(params["out_w"], dtype=dtype)
-        self.out_b = np.array(params["out_b"], dtype=dtype)
-        self.theta = np.array(params["theta"], dtype=dtype)
+            if new.shape != view.shape:
+                raise DimensionError(f"{name}: shape {new.shape} != {view.shape}")
+            view[...] = new
+        self.flat = vector
 
     def attach_dictionary(self, dictionary: Dictionary) -> None:
         if dictionary.components != self.k:
@@ -141,33 +169,18 @@ class SegModel:
         self.w_ref = dictionary
 
 
-def init_model(d: int, k: int, c: int, seed: int, channels: int = DEFAULT_CHANNELS,
-               n_blocks: int = DEFAULT_BLOCKS, dilations: tuple = DEFAULT_DILATIONS) -> SegModel:
-    """Seeded uniform init with bound sqrt(1/fan_in); biases start at zero."""
+def init_model(d: int, k: int, c: int, seed: int, channels: int = DEFAULT_CHANNELS) -> SegModel:
+    """Seeded uniform init, weights drawn in checkpoint order with bound
+    sqrt(1/fan_in) (fan-in: the shape past the output axis); biases are zero."""
     if min(d, k, c) < 1:
         raise ValueError(f"dimensions must be >= 1, got D={d}, K={k}, C={c}")
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = np.sqrt(1.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    bneck_w = uniform((channels, d), d)
-    bneck_b = np.zeros(channels)
-    conv_w, conv_b = [], []
-    for _ in range(n_blocks):
-        ws, bs = [], []
-        for _ in dilations:
-            ws.append(uniform((channels, channels, KERNEL), channels * KERNEL))
-            bs.append(np.zeros(channels))
-        conv_w.append(ws)
-        conv_b.append(bs)
-    out_w = uniform((k, channels), channels)
-    out_b = np.zeros(k)
-    theta = uniform((c, k), k)
-    return SegModel(d=d, k=k, c=c, channels=channels, dilations=tuple(dilations),
-                    n_blocks=n_blocks, kernel=KERNEL, bneck_w=bneck_w, bneck_b=bneck_b,
-                    conv_w=conv_w, conv_b=conv_b, out_w=out_w, out_b=out_b, theta=theta)
+    model = SegModel(d, k, c, channels, np.zeros(parameter_count(d, k, c, channels)))
+    for _, arr in model.parameters():
+        if arr.ndim > 1:
+            bound = np.sqrt(1.0 / math.prod(arr.shape[1:]))
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
+    return model
 
 
 class _Layout:
@@ -188,9 +201,6 @@ class _Layout:
         self.p = pad
         self.s = frames + 2 * pad
         self.n = batch * self.s
-
-    def flat(self, channels: int, dtype) -> np.ndarray:
-        return np.zeros((channels, self.n), dtype=dtype)
 
     def core(self, flat: np.ndarray) -> np.ndarray:
         """(C, B, T) view of the payload columns."""
@@ -255,16 +265,14 @@ def _dconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int, lay: _La
     return y
 
 
-def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _Layout,
-                 out: np.ndarray | None = None, tmp: np.ndarray | None = None):
-    """Weight/bias/input gradients; ``g_pre`` must have zero guards.
+def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _Layout, g_w: np.ndarray,
+                 g_b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Weight and bias gradients into ``g_w`` and ``g_b``; returns the input gradient.
 
-    The input gradient goes into ``out`` (C, N), with ``tmp`` as tap scratch
-    as in ``_dconv_forward``; the weight and bias gradients are always fresh
-    arrays.
+    ``g_pre`` must have zero guards.  The input gradient goes into ``out``
+    (C, N), with ``tmp`` as tap scratch as in ``_dconv_forward``.
     """
     w0, w1, w2 = _taps(w)
-    g_w = np.empty_like(w)
     g_w[:, :, 1] = g_pre @ x.T
     g_w[:, :, 0] = g_pre[:, d:] @ x[:, :-d].T
     g_w[:, :, 2] = g_pre[:, :-d] @ x[:, d:].T
@@ -273,7 +281,8 @@ def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _
     g_x[:, :-d] += np.matmul(w0.T, g_pre[:, d:], out=tmp)
     g_x[:, d:] += np.matmul(w2.T, g_pre[:, :-d], out=tmp)
     lay.zero_guards(g_x)
-    return g_w, g_pre.sum(axis=1), g_x
+    g_pre.sum(axis=1, out=g_b)
+    return g_x
 
 
 def _bottleneck(model: SegModel, s: np.ndarray, ws: Workspace) -> tuple[_Layout, np.ndarray, np.ndarray]:
@@ -327,7 +336,8 @@ def _forward_cache(model: SegModel, s: np.ndarray, ws: Workspace | None = None) 
     Every full-width array lives in ``ws`` (a fresh workspace when None).  The
     cache holds each conv layer's input and post-ReLU output (the backward
     mask ``act > 0`` equals ``pre > 0`` bit for bit), the block outputs, the
-    skip sum, the head's pre-activation, H and the logits.
+    skip sum, the head's pre-activation, and flat H and logits
+    (``layout.to_batch`` gives their (B, K, T) and (B, C, T) forms).
     """
     ws = Workspace() if ws is None else ws
     lay, s_flat, x = _bottleneck(model, s, ws)
@@ -358,30 +368,30 @@ def _forward_cache(model: SegModel, s: np.ndarray, ws: Workspace | None = None) 
         "layout": lay, "s_flat": s_flat, "skip": skip, "pre_out": pre_out,
         "h_flat": h_flat, "logits_flat": logits_flat,
         "layer_inputs": layer_inputs, "layer_acts": layer_acts,
-        "h": lay.to_batch(h_flat), "logits": lay.to_batch(logits_flat),
     }
 
 
 def _backward_from_cache(model: SegModel, cache: dict, g_logits_flat: np.ndarray,
-                         g_h_extra_flat: np.ndarray | None = None, ws: Workspace | None = None) -> dict:
+                         g_h_extra_flat: np.ndarray | None = None, ws: Workspace | None = None):
     """Propagate flat-layout loss gradients to every trainable parameter.
 
-    Both gradient inputs must carry zero guard columns.  The full-width
-    gradients live in ``ws`` (a fresh workspace when None); the returned
-    parameter gradients are fresh arrays, so the next step cannot touch them.
+    Returns a fresh gradient vector laid out like ``model.flat``, so the next
+    step cannot touch it.  Both gradient inputs must carry zero guard columns.
+    The full-width gradients live in ``ws`` (a fresh workspace when None).
     """
     ws = Workspace() if ws is None else ws
     lay = cache["layout"]
     h_flat = cache["h_flat"]
     dtype, width = h_flat.dtype, (model.channels, lay.n)
-    grads = {"theta": g_logits_flat @ h_flat.T}
+    grads = SegModel(model.d, model.k, model.c, model.channels, np.empty_like(model.flat))
+    np.matmul(g_logits_flat, h_flat.T, out=grads.theta)
     g_h = np.matmul(model.theta.T, g_logits_flat, out=ws.take("g_h", h_flat.shape, dtype))
     if g_h_extra_flat is not None:
         g_h += g_h_extra_flat
     mask = np.greater(cache["pre_out"], 0, out=ws.take("mask", h_flat.shape, bool))
     g_pre_out = np.multiply(g_h, mask, out=ws.take("g_pre", h_flat.shape, dtype))
-    grads["out_w"] = g_pre_out @ cache["skip"].T
-    grads["out_b"] = g_pre_out.sum(axis=1)
+    np.matmul(g_pre_out, cache["skip"].T, out=grads.out_w)
+    g_pre_out.sum(axis=1, out=grads.out_b)
     g_skip = np.matmul(model.out_w.T, g_pre_out, out=ws.take("g_skip", width, dtype))
 
     # every conv layer's ReLU mask, pre-activation gradient and input gradient
@@ -400,14 +410,13 @@ def _backward_from_cache(model: SegModel, cache: dict, g_logits_flat: np.ndarray
         for l in range(len(model.dilations) - 1, -1, -1):
             np.greater(cache["layer_acts"][b][l], 0, out=mask)
             np.multiply(g_v, mask, out=g_pre)
-            g_w, g_b, g_v = _dconv_grads(g_pre, cache["layer_inputs"][b][l], model.conv_w[b][l],
-                                         model.dilations[l], lay, out=g_in, tmp=tap)
-            grads[f"block{b}.conv{l}.w"] = g_w
-            grads[f"block{b}.conv{l}.b"] = g_b
+            g_v = _dconv_grads(g_pre, cache["layer_inputs"][b][l], model.conv_w[b][l],
+                               model.dilations[l], lay, grads.conv_w[b][l], grads.conv_b[b][l],
+                               out=g_in, tmp=tap)
         np.add(g_xb, g_v, out=g_x)
-    grads["bneck_w"] = g_x @ cache["s_flat"].T
-    grads["bneck_b"] = g_x.sum(axis=1)
-    return grads
+    np.matmul(g_x, cache["s_flat"].T, out=grads.bneck_w)
+    g_x.sum(axis=1, out=grads.bneck_b)
+    return grads.flat
 
 
 def forward(model: SegModel, s) -> tuple[Activations, np.ndarray]:
@@ -452,10 +461,10 @@ def save_model(model: SegModel, path) -> None:
     A parameter that is non-finite once rounded to float32 raises
     NumericError before the file is opened.
     """
-    params = [(pname, np.asarray(arr, dtype="<f4")) for pname, arr in model.parameters()]
-    for pname, arr in params:
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"refusing to save non-finite parameter {pname}")
+    payload = np.asarray(model.flat, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        bad = next(pname for pname, arr in model.parameters(payload) if not np.all(np.isfinite(arr)))
+        raise NumericError(f"refusing to save non-finite parameter {bad}")
     dict_blob = dictionary_to_bytes(model.w_ref) if model.w_ref is not None else b""
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -464,8 +473,7 @@ def save_model(model: SegModel, path) -> None:
         fh.write(struct.pack(f"<{len(model.dilations)}I", *model.dilations))
         fh.write(struct.pack("<Q", len(dict_blob)))
         fh.write(dict_blob)
-        for _, arr in params:
-            fh.write(arr.tobytes())
+        fh.write(payload.tobytes())
 
 
 def load_model(path) -> SegModel:
@@ -502,20 +510,17 @@ def model_from_bytes(blob: bytes, name: str = "<bytes>") -> SegModel:
 
     if kernel != KERNEL:
         raise FormatError(f"{name}: unsupported kernel width {kernel}")
-    if min(d, k, c, channels, n_blocks, n_dils, *dilations) < 1:
-        raise FormatError(f"{name}: zero dimension in header {(d, k, c, channels, n_blocks, dilations)}")
-    count = (channels * d + channels + n_blocks * n_dils * (channels * channels * kernel + channels)
-             + k * channels + k + c * k)
+    if (n_blocks, dilations) != (DEFAULT_BLOCKS, DEFAULT_DILATIONS):
+        raise FormatError(f"{name}: unsupported architecture: {n_blocks} blocks of dilations {dilations}")
+    if min(d, k, c, channels) < 1:
+        raise FormatError(f"{name}: zero dimension in header {(d, k, c, channels)}")
+    count = parameter_count(d, k, c, channels)
     if 4 * count != len(blob) - off:
         raise FormatError(f"{name}: header implies {4 * count} parameter bytes, file holds {len(blob) - off}")
-    if not np.all(np.isfinite(np.frombuffer(blob, dtype="<f4", offset=off))):
+    payload = np.frombuffer(blob, dtype="<f4", offset=off)
+    if not np.all(np.isfinite(payload)):
         raise FormatError(f"{name}: non-finite parameters")
-    model = init_model(d, k, c, seed=0, channels=channels, n_blocks=n_blocks, dilations=dilations)
-    params = {}
-    for pname, arr in model.parameters():
-        params[pname] = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=off).reshape(arr.shape)
-        off += 4 * arr.size
-    model.load_parameters(params, dtype=np.float32)
+    model = SegModel(d, k, c, channels, payload.astype(np.float32))
     if w_ref is not None:
         model.attach_dictionary(w_ref)
     return model

@@ -1,40 +1,53 @@
-"""ADAM optimizer over named parameter dictionaries."""
+"""ADAM (Kingma & Ba, ICLR 2015) over one float64 parameter array, updated in place.
+
+The update runs over fixed-size chunks: a temporary the size of a desk-shape
+parameter vector (1.56 MB) would be a fresh memory mapping, paged in again on
+every step.  Elementwise arithmetic does not depend on how the array is split,
+so the result is bit for bit the per-array formula.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+CHUNK = 8192  # elements; 64 KiB temporaries stay below the allocator's mmap threshold
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """Float64 first/second moments, shaped like the parameters, and the step counter."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def init_adam(params: dict) -> AdamState:
-    state = AdamState()
-    for name, arr in params.items():
-        state.m[name] = np.zeros_like(np.asarray(arr, dtype=np.float64))
-        state.v[name] = np.zeros_like(np.asarray(arr, dtype=np.float64))
-    return state
+def init_adam(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros(params.shape), v=np.zeros(params.shape))
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> tuple[dict, AdamState]:
-    """One bias-corrected ADAM update; returns fresh parameter arrays."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One bias-corrected ADAM update of the C-contiguous float64 ``params``, in place.
+
+    ``grads`` has the shape of ``params``; a float32 gradient is widened to
+    float64 before any product.
+    """
+    if params.dtype != np.float64 or not params.flags.c_contiguous or grads.shape != params.shape:
+        raise TypeError(f"ADAM updates C-contiguous float64 parameters with a gradient of their "
+                        f"shape, got {params.dtype} {params.shape} and {grads.shape}")
     state.t += 1
-    t = state.t
-    out = {}
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
-        out[name] = np.asarray(p, dtype=np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return out, state
+    p_all, g_all, m_all, v_all = (a.reshape(-1) for a in (params, grads, state.m, state.v))
+    for lo in range(0, p_all.size, CHUNK):
+        part = slice(lo, lo + CHUNK)
+        g = np.asarray(g_all[part], dtype=np.float64)
+        m, v = m_all[part], v_all[part]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** state.t)
+        v_hat = v / (1.0 - beta2 ** state.t)
+        p_all[part] -= lr * m_hat / (np.sqrt(v_hat) + eps)

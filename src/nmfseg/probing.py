@@ -90,15 +90,14 @@ def train_probe(task: ProbeTask, epochs: int = 200, lr: float = 1e-2, seed: int 
     k = x.shape[1]
     rng = np.random.default_rng(seed)
     bound = np.sqrt(1.0 / k)
-    params = {"w": rng.uniform(-bound, bound, size=(task.class_count, k))}
-    state = init_adam(params)
+    w = rng.uniform(-bound, bound, size=(task.class_count, k))
+    state = init_adam(w)
     onehot = np.zeros((len(y), task.class_count))
     onehot[np.arange(len(y)), y] = 1.0
     for _ in range(epochs):
-        probs = _softmax(x @ params["w"].T)
-        grads = {"w": (probs - onehot).T @ x / len(y)}
-        params, state = adam_step(params, grads, state, lr)
-    return params["w"]
+        probs = _softmax(x @ w.T)
+        adam_step(w, (probs - onehot).T @ x / len(y), state, lr)
+    return w
 
 
 def eval_probe(weights: np.ndarray, task: ProbeTask) -> ProbeResult:

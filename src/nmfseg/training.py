@@ -11,9 +11,8 @@ it in float32, and the finite-difference checks run it on float64 models,
 taking each perturbed loss from its forward-and-loss half ``_batch_loss``.
 ``train`` hands every step one ``network.Workspace``, which holds the
 stacked batch and each full-width activation, residual and gradient, so
-steps after the first allocate only small arrays (parameter gradients,
-per-class loss terms); a call without a workspace gets a fresh one and
-computes the same bytes.
+steps after the first allocate only the gradient vector and small arrays;
+a call without a workspace gets a fresh one and computes the same bytes.
 
 Feature, spectrogram, and label frame counts may disagree by at most one
 frame (the STFT drops a partial frame at the clip edge); the surplus frame
@@ -33,7 +32,7 @@ from .frontend import (FeatureSequence, FrontendSettings, Spectrogram, load_audi
                        read_features, stft_magnitude)
 from .labels import label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, _bce_cells,
-                      _forward_cache, bce_masked, encode, init_model, sigmoid)
+                      _forward_cache, bce_masked, encode, sigmoid)
 from .nmf import Dictionary, SnmfConfig, train_snmf
 from .optim import adam_step, init_adam
 
@@ -213,11 +212,10 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
 
 def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, spects: np.ndarray,
                           labels: list[LabelMatrix], cfg: TrainConfig, ws: Workspace | None = None):
-    """Mean-over-batch loss components and parameter gradients: the engine ``train`` steps on.
-
-    ``train`` passes one workspace for the whole run, so a step reuses the
-    previous step's full-width arrays instead of allocating them; the
-    returned gradients are fresh arrays either way.
+    """``(comps, grad)``: mean-over-batch loss components and the gradient vector, laid
+    out like ``model.flat``; the engine ``train`` steps on.  ``train`` passes one
+    workspace for the whole run, so a step reuses the previous step's full-width
+    arrays instead of allocating them; ``grad`` is a fresh vector either way.
     """
     ws = Workspace() if ws is None else ws
     comps, cache, g_logits_flat, g_h_flat = _batch_loss(model, feats, spects, labels, cfg, ws)
@@ -260,19 +258,14 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
         raise ValueError("train split yields no segments; clips shorter than segment_seconds?")
 
     rng = np.random.default_rng(cfg.seed)
-    params = {name: arr.copy() for name, arr in model.parameters()}
-    state = init_adam(params)
+    # ADAM steps float64 master weights; the worker computes on their float32 copy
+    master = model.flat.astype(np.float64)
+    state = init_adam(master)
+    worker = SegModel(model.d, model.k, model.c, model.channels, master.astype(np.float32), model.w_ref)
     best_macro = -1.0
-    best_params = {name: arr.copy() for name, arr in params.items()}
+    best = worker.flat.copy()
     best_epoch = -1
     trace = []
-
-    # single-precision working copy for the compute-heavy passes; ADAM keeps
-    # double-precision master weights
-    worker = init_model(model.d, model.k, model.c, seed=0, channels=model.channels,
-                        n_blocks=model.n_blocks, dilations=model.dilations)
-    worker.w_ref = model.w_ref
-    worker.load_parameters(params, dtype=np.float32)
     ws = Workspace()  # every step's full-width arrays, allocated once per run
 
     for epoch in range(cfg.epochs):
@@ -284,14 +277,13 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
             feats = _stack_into(ws, "feats", [segments[i].features for i in idx])
             spects = _stack_into(ws, "spects", [segments[i].spect for i in idx])
             labs = [segments[i].labels for i in idx]
-            comps, grads = _batch_loss_and_grads(worker, feats, spects, labs, cfg, ws)
+            comps, grad = _batch_loss_and_grads(worker, feats, spects, labs, cfg, ws)
             if not np.isfinite(comps["total"]):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
-            params, state = adam_step(params, grads, state, cfg.lr)
-            for name, arr in params.items():
-                if not np.all(np.isfinite(arr)):
-                    raise NumericError(f"non-finite {name} after the ADAM step at epoch {epoch}")
-            worker.load_parameters(params, dtype=np.float32)
+            adam_step(master, grad, state, cfg.lr)
+            if not np.all(np.isfinite(master)):
+                raise NumericError(f"non-finite parameters after the ADAM step at epoch {epoch}")
+            np.copyto(worker.flat, master)
             for key in sums:
                 sums[key] += comps[key]
             n_batches += 1
@@ -303,10 +295,10 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
         trace.append(entry)
         if dev["macro_f1"] > best_macro:
             best_macro = dev["macro_f1"]
-            best_params = {name: arr.copy() for name, arr in params.items()}
+            best = worker.flat.copy()
             best_epoch = epoch
 
-    model.load_parameters(best_params, dtype=np.float32)
+    model.flat = best
     for entry in trace:
         entry["best_epoch"] = best_epoch
     return model, trace

@@ -18,6 +18,24 @@ def make_tiny_model(seed=3, d=8, k=12, c=4, channels=8, f=20, dict_seed=7):
     return model
 
 
+def named_arrays(model: SegModel) -> list:
+    """The model's named parameter attributes, in the NSM1 order the README gives."""
+    convs = [arr for b in range(model.n_blocks) for l in range(len(model.dilations))
+             for arr in (model.conv_w[b][l], model.conv_b[b][l])]
+    return [model.bneck_w, model.bneck_b, *convs, model.out_w, model.out_b, model.theta]
+
+
+def assert_views_of_flat(model: SegModel) -> None:
+    """Every named parameter is the table's view into ``model.flat``, so a
+    forward pass and ``save_model`` read the same numbers."""
+    table = model.parameters()
+    arrays = named_arrays(model)
+    assert len(arrays) == len(table) == 35
+    for (name, view), arr in zip(table, arrays):
+        assert np.shares_memory(arr, model.flat), name
+        assert arr.shape == view.shape and arr.ctypes.data == view.ctypes.data, name
+
+
 def _conv_pres(model: SegModel, cache: dict) -> list:
     """Each conv layer's (C, B, T) pre-activation, [block][layer].
 

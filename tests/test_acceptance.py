@@ -80,7 +80,7 @@ class TestCriterion3GradientCorrectness:
         for alpha, beta, gamma in ((10, 0, 0), (0, 1, 0), (0, 0, 0.1), (10, 1, 0.1)):
             cfg = TrainConfig(alpha=alpha, beta=beta, gamma=gamma, batch_size=1,
                               epochs=1, seed=0)
-            grads = _batch_loss_and_grads(model, feats, spects, batch_labels, cfg)[1]
+            grads = dict(model.parameters(_batch_loss_and_grads(model, feats, spects, batch_labels, cfg)[1]))
             for name, arr in model.parameters():
                 g_fd = np.zeros_like(arr)
                 flat = arr.ravel()
@@ -112,15 +112,15 @@ class TestCriterion4MaskedBce:
         labels = LabelMatrix(values=(rng.random((4, 10)) > 0.5).astype(float),
                              mask=np.array([True, True, False, True]))
         cfg = TrainConfig(alpha=10, beta=0, gamma=0, batch_size=1, epochs=1, seed=0)
-        grads = _batch_loss_and_grads(model, s[None], x[None], [labels], cfg)[1]
+        grads = dict(model.parameters(_batch_loss_and_grads(model, s[None], x[None], [labels], cfg)[1]))
         masked_zero = bool(np.all(grads["theta"][2] == 0.0))
 
         from nmfseg.network import _forward_cache
         cache = _forward_cache(model, np.asarray(s, dtype=np.float64)[None])
         lay = cache["layout"]
-        logits = cache["logits"][0]
+        logits = lay.to_batch(cache["logits_flat"])[0]
         n_cells = 3 * labels.frames
-        g_flat = lay.flat(4, np.float64)
+        g_flat = np.zeros((4, lay.n))
         core = lay.core(g_flat)[:, 0, :]
         for c in (0, 1, 3):
             core[c] = 10.0 * ((sigmoid(logits[c]) - labels.values[c]) / n_cells)

@@ -16,6 +16,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,3 +66,35 @@ def test_hooked_arguments_keep_their_names(module, attr):
     params = inspect.signature(fn).parameters
     missing = [name for name in HOOK_ARGS[(module, attr)] if name not in params]
     assert not missing, f"perfbench's hook on nmfseg.{module}.{attr} reads {missing}, which it no longer takes"
+
+
+def test_train_steps_through_adam_step(small_corpus, monkeypatch):
+    """``training.step_ms.*`` are the gaps between ``optim.adam_step`` returns
+    inside ``training.train``: a loop that updated its parameters some other
+    way would leave them at 0 while the run still reads ``correct: true``.
+    The benchmark wraps the name where ``training`` looks it up, as here."""
+    from nmfseg import training
+    from nmfseg.network import init_model
+    from nmfseg.nmf import Dictionary, normalize_columns
+
+    assert ("optim", "adam_step") in WRAPPED
+    calls, segments = [], []
+    adam_step, build_segments = training.adam_step, training.build_segments
+
+    def counting_adam_step(*args, **kwargs):
+        calls.append(1)
+        return adam_step(*args, **kwargs)
+
+    def recording_build_segments(*args, **kwargs):
+        segments.extend(build_segments(*args, **kwargs))
+        return segments
+
+    monkeypatch.setattr(training, "adam_step", counting_adam_step)
+    monkeypatch.setattr(training, "build_segments", recording_build_segments)
+
+    _, manifest = small_corpus
+    model = init_model(d=80, k=16, c=4, seed=0)
+    w, _ = normalize_columns(1.0 - np.random.default_rng(0).random((257, 16)), np.ones((16, 1)))
+    model.attach_dictionary(Dictionary(values=w))
+    training.train(model, manifest, training.TrainConfig(batch_size=8, epochs=1, seed=0))
+    assert segments and len(calls) == -(-len(segments) // 8)

@@ -25,7 +25,7 @@ class TestPredictFrames:
 
     def test_saturated_logits(self):
         model = make_tiny_model()
-        model.theta = np.full_like(model.theta, 10.0)
+        model.theta[...] = 10.0
         rng = np.random.default_rng(1)
         seq = FeatureSequence(values=rng.normal(size=(8, 6)), hop=0.02)
         h, logits = forward(model, seq)

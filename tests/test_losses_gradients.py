@@ -28,8 +28,8 @@ def _loss(model, s, x, labels, cfg):
 
 
 def _grads(model, s, x, labels, cfg):
-    """Parameter gradients of one (D, T) sample, run as a B = 1 batch."""
-    return _batch_loss_and_grads(model, s[None], x[None], [labels], cfg)[1]
+    """Named parameter gradients of one (D, T) sample, run as a B = 1 batch."""
+    return dict(model.parameters(_batch_loss_and_grads(model, s[None], x[None], [labels], cfg)[1]))
 
 
 def _rand_case(seed=42, t=10, f=20, c=4):
@@ -110,14 +110,15 @@ class TestTotalLoss:
     def test_batch_bce_is_mean_of_per_sample_bce_masked(self):
         model, feats, spects, labels = _batch_case()
         comps, cache, _, _ = _batch_loss(model, feats, spects, labels, _cfg(10, 0, 0))
-        per_sample = [bce_masked(cache["logits"][b], labels[b]) for b in range(3)]
+        logits = cache["layout"].to_batch(cache["logits_flat"])
+        per_sample = [bce_masked(logits[b], labels[b]) for b in range(3)]
         assert per_sample[2] == 0.0
         assert comps["bce"] == pytest.approx(sum(per_sample) / 3, rel=1e-12)
 
 
 def _finite_difference_check(model, feats, spects, labels, cfg, step=1e-4, rtol=1e-4):
     """Engine gradients of a (B, D, T) batch against central differences of its loss."""
-    grads = _batch_loss_and_grads(model, feats, spects, labels, cfg)[1]
+    grads = dict(model.parameters(_batch_loss_and_grads(model, feats, spects, labels, cfg)[1]))
     worst = 0.0
     for name, arr in model.parameters():
         g_an = grads[name]
@@ -181,7 +182,7 @@ class TestGradients:
         # guard columns keep samples apart: no tap reads a neighbour's frames
         model, feats, spects, labels = _batch_case()
         cfg = _cfg(10, 1, 0.1)
-        batch = _batch_loss_and_grads(model, feats, spects, labels, cfg)[1]
+        batch = dict(model.parameters(_batch_loss_and_grads(model, feats, spects, labels, cfg)[1]))
         singles = [_grads(model, feats[b], spects[b], labels[b], cfg) for b in range(3)]
         for name, g in batch.items():
             mean = sum(single[name] for single in singles) / 3
@@ -220,9 +221,9 @@ class TestMaskedClassGradients:
         from nmfseg.network import _forward_cache, sigmoid
         cache = _forward_cache(model, np.asarray(s, dtype=np.float64)[None])
         lay = cache["layout"]
-        logits = cache["logits"][0]
+        logits = lay.to_batch(cache["logits_flat"])[0]
         n_cells = 3 * labels.frames
-        g_flat = lay.flat(4, np.float64)
+        g_flat = np.zeros((4, lay.n))
         core = lay.core(g_flat)[:, 0, :]
         for c in (0, 1, 3):
             core[c] = 10.0 * ((sigmoid(logits[c]) - labels.values[c]) / n_cells)
@@ -256,20 +257,17 @@ class TestWorkspace:
         model, cfg, ws = self._float32_model(), _cfg(10, 1, 0.1), Workspace()
         for step, batch in enumerate((16, 6, 16)):
             case = _float32_batch(model, batch, t=12, f=20, seed=step)
-            comps, grads = _batch_loss_and_grads(model, *case, cfg, ws=ws)
-            fresh_comps, fresh_grads = _batch_loss_and_grads(model, *case, cfg)
+            comps, grad = _batch_loss_and_grads(model, *case, cfg, ws=ws)
+            fresh_comps, fresh_grad = _batch_loss_and_grads(model, *case, cfg)
             assert comps == fresh_comps, batch
-            assert grads.keys() == fresh_grads.keys()
-            for name, g in grads.items():
-                assert g.tobytes() == fresh_grads[name].tobytes(), (batch, name)
+            assert grad.tobytes() == fresh_grad.tobytes(), batch
 
     def test_returned_gradients_survive_the_next_step(self):
         model, cfg, ws = self._float32_model(), _cfg(10, 1, 0.1), Workspace()
-        grads = _batch_loss_and_grads(model, *_float32_batch(model, 16, 12, 20, seed=0), cfg, ws=ws)[1]
-        kept = {name: g.copy() for name, g in grads.items()}
+        grad = _batch_loss_and_grads(model, *_float32_batch(model, 16, 12, 20, seed=0), cfg, ws=ws)[1]
+        kept = grad.copy()
         _batch_loss_and_grads(model, *_float32_batch(model, 6, 12, 20, seed=1), cfg, ws=ws)
-        for name, g in grads.items():
-            np.testing.assert_array_equal(g, kept[name], err_msg=name)
+        np.testing.assert_array_equal(grad, kept)
 
     def test_second_step_allocates_little_at_desk_shape(self):
         """After one warm-up step on a workspace, a B = 16, T = 200 step at
@@ -278,8 +276,7 @@ class TestWorkspace:
 
         Measured with this setup: 43.9 MB when every step allocated its
         full-width arrays, 1.7 MB with the workspace; the rest is the
-        per-class BCE terms, the (B, K, T) copies of H and the logits, and
-        the fresh parameter gradients.
+        per-class BCE terms and the fresh gradient vector.
         """
         rng = np.random.default_rng(0)
         model = init_model(80, 64, 4, seed=1)

@@ -1,13 +1,16 @@
 """Encoder architecture: initialization, forward contract, checkpoint format."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_tiny_model
+from conftest import assert_views_of_flat, make_tiny_model, named_arrays
 from nmfseg import network
-from nmfseg.errors import DimensionError, FormatError, NumericError
+from nmfseg.errors import DimensionError, FormatError, NmfsegError, NumericError
 from nmfseg.evaluate import decide_frames
 from nmfseg.network import (INPUT_CENTER, INPUT_SCALE, SegModel, _forward_cache, encode,
                             forward, init_model, load_model, model_from_bytes, save_model)
@@ -131,8 +134,9 @@ class TestEncode:
         h, logits = encode(model, s)
         cache = _forward_cache(model, s)
         assert h.dtype == logits.dtype == dtype
-        assert np.array_equal(h, cache["h"])
-        assert np.array_equal(logits, cache["logits"])
+        lay = cache["layout"]
+        assert np.array_equal(h, lay.to_batch(cache["h_flat"]))
+        assert np.array_equal(logits, lay.to_batch(cache["logits_flat"]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batched_equals_per_clip(self, dtype):
@@ -281,17 +285,91 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=r"\[dict\]"):
             model_from_bytes(bytes(blob))
 
-    @pytest.mark.parametrize("field, value", [(0, 2 ** 31), (3, 2 ** 31), (0, 0), (6, 2 ** 32 - 1)])
+    @pytest.mark.parametrize("field, value", [(0, 2 ** 31), (3, 2 ** 31), (0, 0), (6, 2 ** 32 - 1),
+                                              (7, 2 ** 30), (5, 2 ** 32 - 1)])
     def test_forged_header_rejected_before_allocating(self, tmp_path, monkeypatch, field, value):
-        """Header fields 0..6 are D, K, C, channels, kernel, blocks, #dilations."""
+        """Header fields 0..6 are D, K, C, channels, kernel, blocks, #dilations;
+        field 7 is the first dilation."""
         p = tmp_path / "m.nsm"
         save_model(make_tiny_model(seed=5), p)
         blob = bytearray(p.read_bytes())
         struct.pack_into("<I", blob, 4 + 4 * field, value)
 
         def no_alloc(*args, **kwargs):
-            raise AssertionError("init_model called on a forged header")
+            raise AssertionError("SegModel built from a forged header")
 
-        monkeypatch.setattr(network, "init_model", no_alloc)
+        monkeypatch.setattr(network, "SegModel", no_alloc)
         with pytest.raises(FormatError):
             model_from_bytes(bytes(blob))
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory):
+    p = tmp_path_factory.mktemp("nsm") / "m.nsm"
+    save_model(make_tiny_model(seed=5), p)
+    return p.read_bytes()
+
+
+# header, dilation list and dictionary length, then the NSD1 header
+_NSM1_HEAD = 32 + 4 * 5 + 8 + 12
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pos=st.one_of(st.integers(0, _NSM1_HEAD + 16), st.integers(0, 20_000)), mask=st.integers(1, 255))
+def test_single_byte_flip_loads_or_raises_nmfseg_error(tiny_blob, pos, mask):
+    """A flipped byte may load (a parameter or dictionary value that stays
+    finite) but never raises anything outside ``NmfsegError``: no
+    ``struct.error``, ``IndexError``, bare ``ValueError`` or ``MemoryError``."""
+    blob = bytearray(tiny_blob)
+    blob[pos % len(blob)] ^= mask
+    try:
+        model_from_bytes(bytes(blob))
+    except NmfsegError:
+        pass
+
+
+class TestParameterLayout:
+    """One vector holds every parameter, in the order the README's NSM1 row gives."""
+
+    def test_hand_packed_checkpoint_loads_by_name_and_saves_back(self, tmp_path):
+        d, k, c, ch = 3, 2, 2, 4
+        names = ["bneck_w", "bneck_b"]
+        shapes = [(ch, d), (ch,)]
+        for b in range(3):
+            for l in range(5):
+                names += [f"block{b}.conv{l}.w", f"block{b}.conv{l}.b"]
+                shapes += [(ch, ch, 3), (ch,)]
+        names += ["out_w", "out_b", "theta"]
+        shapes += [(k, ch), (k,), (c, k)]
+        values = np.arange(1, sum(math.prod(shape) for shape in shapes) + 1, dtype="<f4")  # all distinct
+        blob = (b"NSM1" + struct.pack("<7I", d, k, c, ch, 3, 3, 5) + struct.pack("<5I", 1, 2, 4, 8, 16)
+                + struct.pack("<Q", 0) + values.tobytes())
+
+        model = model_from_bytes(blob)
+        assert [name for name, _ in model.parameters()] == names
+        off = 0
+        for name, shape, arr in zip(names, shapes, named_arrays(model)):
+            size = math.prod(shape)
+            np.testing.assert_array_equal(arr, values[off:off + size].reshape(shape), err_msg=name)
+            off += size
+        p = tmp_path / "m.nsm"
+        save_model(model, p)
+        assert p.read_bytes() == blob
+
+    @pytest.mark.parametrize("source", ["init_model", "load_model", "load_parameters"])
+    def test_named_arrays_are_views_of_flat(self, tmp_path, source):
+        model = make_tiny_model(seed=5)
+        if source == "load_model":
+            save_model(model, tmp_path / "m.nsm")
+            model = load_model(tmp_path / "m.nsm")
+        elif source == "load_parameters":
+            model.load_parameters(dict(model.parameters()), dtype=np.float32)
+        assert_views_of_flat(model)
+
+    def test_gradient_vector_is_named_by_the_same_table(self):
+        model = make_tiny_model(seed=5)
+        grad = np.arange(model.parameter_count(), dtype=np.float64)
+        for (name, g), (_, p) in zip(model.parameters(grad), model.parameters()):
+            assert g.shape == p.shape and np.shares_memory(g, grad), name
+        with pytest.raises(DimensionError):
+            model.parameters(grad[1:])

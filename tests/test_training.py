@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import assert_views_of_flat
 from nmfseg import training
 from nmfseg.corpus import HOP_SECONDS, Manifest, ManifestRow
 from nmfseg.errors import DimensionError, NumericError
@@ -273,6 +274,7 @@ class TestTrain:
         best_macro = max(e["dev_macro_f1"] for e in trace)
         assert trace[best]["dev_macro_f1"] == best_macro
         assert all(arr.dtype == np.float32 for _, arr in model.parameters())
+        assert_views_of_flat(model)
 
     def test_non_finite_adam_step_raises(self, trained_setup):
         """With lr = nan and a single batch in a single epoch the loss stays
