@@ -8,15 +8,15 @@ identical runs produce identical bytes.  On failure, files created by the
 failed run are removed.
 
 Corpus synthesis (``gen-data``) runs one worker process per usable CPU by
-default; NMFSEG_THREADS, a positive integer, caps that count.  Per-clip seeds
-keep the corpus byte-identical at any worker count.
+default, and ``train`` runs two threads; NMFSEG_THREADS, a positive integer,
+caps both counts (``parallel.workers``).  Every output is byte-identical at
+any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .corpus import CLASS_NAMES, generate_corpus, load_manifest
-from .errors import ConfigError, NmfsegError
+from .errors import NmfsegError
 from .evaluate import (decide_frames, frames_to_segments, report_to_dict,
                        write_f1_csv, write_f1_json, write_segments)
 from .explain import (component_report, make_record, report_summary,
@@ -33,6 +33,7 @@ from .explain import (component_report, make_record, report_summary,
 from .labels import read_label_file
 from .network import encode, init_model, load_model, save_model
 from .nmf import save_dictionary, load_dictionary
+from .parallel import workers
 from .probing import build_synthetic_task, eval_probe, load_probe_manifest, train_probe, write_result_json
 from .training import (evaluate_split, load_clip, pretrain_dictionary,
                        reconstruction_error, split_rows, train)
@@ -79,29 +80,11 @@ def _write_run_log(run: _Run, command: str, cfg: dict, inputs: dict, metrics: di
         fh.write("\n")
 
 
-def _workers() -> int:
-    """Usable CPUs, capped by NMFSEG_THREADS when it is set."""
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        usable = os.cpu_count() or 1
-    raw = os.environ.get("NMFSEG_THREADS")
-    if raw is None:
-        return usable
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError(f"NMFSEG_THREADS must be a positive integer, got {raw!r}")
-    return min(usable, cap)
-
-
 def _cmd_gen_data(args, cfg, run: _Run):
     spec = cfgmod.corpus_spec(cfg)
     corpus_dir = run.out / "corpus"
     run.track_tree(corpus_dir)
-    manifest = generate_corpus(spec, corpus_dir, workers=_workers())
+    manifest = generate_corpus(spec, corpus_dir, workers=workers())
     counts = {}
     for split in ("train", "dev", "test"):
         counts[split] = len(manifest.for_split(split))

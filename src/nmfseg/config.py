@@ -12,13 +12,12 @@ run logs, and what the config hash covers.
 from __future__ import annotations
 
 import hashlib
-import math
 
 from .corpus import CorpusSpec
-from .errors import ConfigError
+from .errors import BOOL, NONNEG, POSITIVE, SIZE, ConfigError
 from .frontend import SAMPLE_RATE, FrontendSettings
 from .nmf import SnmfConfig
-from .training import TrainConfig
+from .training import TRAIN_RANGES, TrainConfig
 
 _TRUE = {"1", "true", "yes"}
 _FALSE = {"0", "false", "no"}
@@ -33,58 +32,50 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# Allowed ranges as (description for error messages, predicate on the parsed value).
-_SIZE = ("an integer >= 1", lambda v: v >= 1)
-_SEED = ("an integer >= 0", lambda v: v >= 0)
-_NONNEG = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
-_POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
-_UNIT = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
-_BOOL = ("a boolean", lambda v: True)
-
 # key -> (type constructor, default, allowed range)
 SCHEMA = {
-    "seed": (int, 0, _SEED),
-    # loss weights and optimization
-    "alpha": (float, 10.0, _NONNEG),
-    "beta": (float, 1.0, _NONNEG),
-    "gamma": (float, 0.1, _NONNEG),
-    "lr": (float, 1e-3, _POSITIVE),
-    "batch": (int, 16, _SIZE),
-    "epochs": (int, 120, _SIZE),
-    "segment_seconds": (float, 4.0, _POSITIVE),
-    "threshold": (float, 0.5, _UNIT),
+    "seed": (int, 0, TRAIN_RANGES["seed"]),
+    # loss weights and optimization, range-checked again by TrainConfig
+    "alpha": (float, 10.0, TRAIN_RANGES["alpha"]),
+    "beta": (float, 1.0, TRAIN_RANGES["beta"]),
+    "gamma": (float, 0.1, TRAIN_RANGES["gamma"]),
+    "lr": (float, 1e-3, TRAIN_RANGES["lr"]),
+    "batch": (int, 16, TRAIN_RANGES["batch_size"]),
+    "epochs": (int, 120, TRAIN_RANGES["epochs"]),
+    "segment_seconds": (float, 4.0, TRAIN_RANGES["segment_seconds"]),
+    "threshold": (float, 0.5, TRAIN_RANGES["threshold"]),
     # model
-    "k": (int, 64, _SIZE),
-    "channels": (int, 64, _SIZE),
+    "k": (int, 64, SIZE),
+    "channels": (int, 64, SIZE),
     # dictionary pretraining
-    "mu": (float, 0.1, _NONNEG),
-    "dict_iters": (int, 300, _SIZE),
-    "dict_tol": (float, 1e-5, _NONNEG),
-    "dict_frames": (int, 3000, _SIZE),
+    "mu": (float, 0.1, NONNEG),
+    "dict_iters": (int, 300, SIZE),
+    "dict_tol": (float, 1e-5, NONNEG),
+    "dict_frames": (int, 3000, SIZE),
     # frontend
-    "n_fft": (int, 512, _SIZE),
-    "win_len": (int, 400, _SIZE),
-    "hop": (int, 320, _SIZE),
-    "n_mels": (int, 80, _SIZE),
-    "f_min": (float, 0.0, _NONNEG),
-    "f_max": (float, 8000.0, _NONNEG),
-    "recon_log": (_parse_bool, False, _BOOL),
+    "n_fft": (int, 512, SIZE),
+    "win_len": (int, 400, SIZE),
+    "hop": (int, 320, SIZE),
+    "n_mels": (int, 80, SIZE),
+    "f_min": (float, 0.0, NONNEG),
+    "f_max": (float, 8000.0, NONNEG),
+    "recon_log": (_parse_bool, False, BOOL),
     # corpus generation
-    "train_minutes": (float, 20.0, _POSITIVE),
-    "dev_minutes": (float, 5.0, _POSITIVE),
-    "test_minutes": (float, 5.0, _POSITIVE),
-    "clip_seconds": (float, 10.0, _POSITIVE),
-    "rate_speech": (float, 6.0, _NONNEG),
-    "rate_overlap": (float, 6.0, _NONNEG),
-    "rate_music": (float, 6.0, _NONNEG),
-    "rate_noise": (float, 6.0, _NONNEG),
+    "train_minutes": (float, 20.0, POSITIVE),
+    "dev_minutes": (float, 5.0, POSITIVE),
+    "test_minutes": (float, 5.0, POSITIVE),
+    "clip_seconds": (float, 10.0, POSITIVE),
+    "rate_speech": (float, 6.0, NONNEG),
+    "rate_overlap": (float, 6.0, NONNEG),
+    "rate_music": (float, 6.0, NONNEG),
+    "rate_noise": (float, 6.0, NONNEG),
     # inference / reporting
-    "min_dur": (float, 0.0, _NONNEG),
+    "min_dur": (float, 0.0, NONNEG),
     # probes
-    "probe_epochs": (int, 300, _SIZE),
-    "probe_lr": (float, 1e-2, _POSITIVE),
-    "probe_per_class": (int, 20, _SIZE),
-    "probe_seconds": (float, 1.0, _POSITIVE),
+    "probe_epochs": (int, 300, SIZE),
+    "probe_lr": (float, 1e-2, POSITIVE),
+    "probe_per_class": (int, 20, SIZE),
+    "probe_seconds": (float, 1.0, POSITIVE),
 }
 
 
@@ -110,9 +101,8 @@ def parse_config(path) -> dict:
                 cfg[key] = ctor(value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    for key, (_, _, (allowed, ok)) in SCHEMA.items():
-        if not ok(cfg[key]):
-            raise ConfigError(f"{path}: {key} must be {allowed}, got {cfg[key]!r}")
+    for key, (_, _, allowed) in SCHEMA.items():
+        allowed.check(key, cfg[key], where=f"{path}: ")
     if cfg["win_len"] > cfg["n_fft"]:
         raise ConfigError(f"{path}: win_len must be <= n_fft, got win_len={cfg['win_len']}, "
                           f"n_fft={cfg['n_fft']}")

@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the allowed ranges of
+configuration values, whose violation raises ConfigError."""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple
 
 
 class NmfsegError(Exception):
@@ -23,3 +29,22 @@ class DimensionError(NmfsegError):
 
 class NumericError(NmfsegError):
     """Raised when a computation produces non-finite values."""
+
+
+class Range(NamedTuple):
+    """An allowed range: its description for error messages, and its predicate."""
+
+    allowed: str
+    ok: Callable
+
+    def check(self, key: str, value, where: str = "") -> None:
+        if not self.ok(value):
+            raise ConfigError(f"{where}{key} must be {self.allowed}, got {value!r}")
+
+
+SIZE = Range("an integer >= 1", lambda v: v >= 1)
+SEED = Range("an integer >= 0", lambda v: v >= 0)
+NONNEG = Range("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+POSITIVE = Range("finite and > 0", lambda v: math.isfinite(v) and v > 0)
+UNIT = Range("in (0, 1)", lambda v: 0.0 < v < 1.0)
+BOOL = Range("a boolean", lambda v: True)

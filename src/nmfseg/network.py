@@ -27,8 +27,11 @@ pre-activation is kept), the block outputs, the skip sum, the head's
 pre-activation, H and the logits.  It writes each parameter's gradient into
 that parameter's slice of one gradient vector.  Both passes write their
 full-width arrays into a ``Workspace``, so a caller that passes the same one
-to every step (as ``training.train`` does) allocates them once.  The
-objective and the one loss-and-gradient engine live in ``training``.
+to every step (as ``training.train`` does) allocates them once.  Both
+passes only read the model, so threads may run them on separate workspaces
+at once: the engine in ``training`` runs one batch shard per thread, each on
+a child of its step workspace, and sums the shards' gradient vectors.  The
+objective and that one loss-and-gradient engine live in ``training``.
 
 Checkpoints use the "NSM1" layout: magic; u32 header fields D, K, C,
 channels, kernel, block count, dilation count, then the dilation list; a u64
@@ -224,10 +227,19 @@ class Workspace:
     memory.  A view holds whatever the role's last user wrote: the caller
     writes every element it reads.  A forward cache and its backward pass
     share one workspace; the next call on that workspace overwrites both.
+    ``child(i)`` is a workspace of its own, one per batch shard, so shards
+    that run at the same time never share a buffer.
     """
 
     def __init__(self):
         self._buffers: dict = {}
+        self._children: dict = {}
+
+    def child(self, index: int) -> "Workspace":
+        """The ``index``-th child workspace, created on first use."""
+        if index not in self._children:
+            self._children[index] = Workspace()
+        return self._children[index]
 
     def take(self, role, shape: tuple, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)

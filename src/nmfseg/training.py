@@ -9,10 +9,18 @@ batch; the frozen dictionary W never receives gradient.
 ``_batch_loss_and_grads`` is the one loss-and-gradient engine: training runs
 it in float32, and the finite-difference checks run it on float64 models,
 taking each perturbed loss from its forward-and-loss half ``_batch_loss``.
-``train`` hands every step one ``network.Workspace``, which holds the
-stacked batch and each full-width activation, residual and gradient, so
-steps after the first allocate only the gradient vector and small arrays;
-a call without a workspace gets a fresh one and computes the same bytes.
+It splits a batch into ``parallel.SHARDS`` fixed shards, runs each on its own
+thread and child workspace, and sums the shards' loss components and
+gradients in shard order; the split depends on the batch size alone, so no
+output depends on the thread count.  ``train`` hands every step one
+``network.Workspace``, which holds the stacked batch and, in one child per
+shard, each full-width activation, residual and gradient, so steps after the
+first allocate only the shard gradient vectors and small arrays; a call
+without a workspace gets a fresh one and computes the same bytes.
+
+``train`` runs with OpenBLAS at one thread (``parallel.serial_blas``): its
+two threads are the shards, the clip loads of ``load_split`` and the dev
+encodes of ``dev_metrics``.
 
 Feature, spectrogram, and label frame counts may disagree by at most one
 frame (the STFT drops a partial frame at the clip edge); the surplus frame
@@ -25,8 +33,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import parallel
 from .corpus import CLASS_NAMES, Manifest
-from .errors import DimensionError, NumericError
+from .errors import NONNEG, POSITIVE, SEED, SIZE, UNIT, ConfigError, DimensionError, NumericError
 from .evaluate import F1Report, accumulate_counts, decide_frames
 from .frontend import (FeatureSequence, FrontendSettings, Spectrogram, load_audio, log_mel,
                        read_features, stft_magnitude)
@@ -37,9 +46,16 @@ from .nmf import Dictionary, SnmfConfig, train_snmf
 from .optim import adam_step, init_adam
 
 
+# the allowed range of each TrainConfig field; config.SCHEMA checks its keys against these
+TRAIN_RANGES = {"alpha": NONNEG, "beta": NONNEG, "gamma": NONNEG, "lr": POSITIVE,
+                "batch_size": SIZE, "segment_seconds": POSITIVE, "epochs": SIZE, "seed": SEED,
+                "threshold": UNIT}
+
+
 @dataclass
 class TrainConfig:
-    """Loss weights and optimization settings."""
+    """Loss weights and optimization settings; a value out of its range in
+    ``TRAIN_RANGES`` raises ConfigError, as do three zero loss weights."""
 
     alpha: float = 10.0
     beta: float = 1.0
@@ -52,12 +68,10 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        for key, allowed in TRAIN_RANGES.items():
+            allowed.check(key, getattr(self, key))
         if self.alpha + self.beta + self.gamma <= 0:
-            raise ValueError("at least one loss weight must be positive")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("loss weights must be non-negative")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+            raise ConfigError("at least one loss weight must be positive")
 
 
 @dataclass
@@ -136,8 +150,12 @@ def split_rows(manifest: Manifest, split: str) -> list:
 
 def load_split(manifest: Manifest, split: str, settings: FrontendSettings,
                with_spect: bool = True) -> list[ClipData]:
-    """Every clip of a split, held at once; for stages that revisit clips."""
-    return [load_clip(manifest, row, settings, with_spect) for row in split_rows(manifest, split)]
+    """Every clip of a split, held at once; for stages that revisit clips.
+
+    The clips load on the ``parallel`` pool, in manifest order.
+    """
+    return parallel.map(lambda row: load_clip(manifest, row, settings, with_spect),
+                        split_rows(manifest, split))
 
 
 def build_segments(clips: list[ClipData], segment_seconds: float) -> list[TrainSegment]:
@@ -157,7 +175,8 @@ def build_segments(clips: list[ClipData], segment_seconds: float) -> list[TrainS
 
 
 def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
-                labels: list[LabelMatrix], cfg: TrainConfig, ws: Workspace | None = None):
+                labels: list[LabelMatrix], cfg: TrainConfig, ws: Workspace | None = None,
+                batch: int | None = None):
     """Forward pass, mean-over-batch loss components, and the loss seeds.
 
     Returns ``(comps, cache, g_logits_flat, g_h_flat)``: the components
@@ -166,10 +185,11 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
     and gamma are both zero), both with zero guard columns.  Each sample's
     BCE averages over its own annotated cells; a sample with every class
     masked adds no BCE and no BCE gradient.  The cache and the seeds live in
-    ``ws`` (a fresh workspace when None).
+    ``ws`` (a fresh workspace when None).  When ``feats`` is one shard of a
+    batch, ``batch`` is the whole batch's size, which every mean divides by.
     """
     ws = Workspace() if ws is None else ws
-    batch = feats.shape[0]
+    batch = feats.shape[0] if batch is None else batch
     cache = _forward_cache(model, feats, ws)
     lay = cache["layout"]
     h_flat, logits_flat = cache["h_flat"], cache["logits_flat"]
@@ -213,13 +233,33 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
 def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, spects: np.ndarray,
                           labels: list[LabelMatrix], cfg: TrainConfig, ws: Workspace | None = None):
     """``(comps, grad)``: mean-over-batch loss components and the gradient vector, laid
-    out like ``model.flat``; the engine ``train`` steps on.  ``train`` passes one
-    workspace for the whole run, so a step reuses the previous step's full-width
-    arrays instead of allocating them; ``grad`` is a fresh vector either way.
+    out like ``model.flat``; the engine ``train`` steps on.
+
+    A batch of B samples is cut into ``parallel.SHARDS`` = 2 shards of
+    consecutive samples: the first ceil(B / 2), and the rest, so a B = 1
+    batch is one shard.  Each shard runs the forward, loss and backward passes on the
+    ``parallel`` pool, in its own child of ``ws``, with every mean taken over
+    the whole batch; ``comps`` and ``grad`` are the shard sums in shard
+    order.  ``train`` passes one workspace for the whole run, so a step
+    reuses the previous step's full-width arrays instead of allocating them;
+    ``grad`` is a fresh vector either way.
     """
     ws = Workspace() if ws is None else ws
-    comps, cache, g_logits_flat, g_h_flat = _batch_loss(model, feats, spects, labels, cfg, ws)
-    return comps, _backward_from_cache(model, cache, g_logits_flat, g_h_flat, ws)
+    batch = feats.shape[0]
+    bounds = [-(-batch * i // parallel.SHARDS) for i in range(parallel.SHARDS + 1)]
+    shards = [(ws.child(i), slice(lo, hi)) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+
+    def run(shard):
+        child, part = shard
+        comps, cache, g_logits_flat, g_h_flat = _batch_loss(model, feats[part], spects[part], labels[part],
+                                                            cfg, child, batch)
+        return comps, _backward_from_cache(model, cache, g_logits_flat, g_h_flat, child)
+
+    (comps, grad), *rest = parallel.map(run, shards)
+    for more, g in rest:
+        comps = {key: comps[key] + more[key] for key in comps}
+        grad += g
+    return comps, grad
 
 
 def _stack_into(ws: Workspace, role: str, arrays: list) -> np.ndarray:
@@ -228,11 +268,14 @@ def _stack_into(ws: Workspace, role: str, arrays: list) -> np.ndarray:
 
 
 def dev_metrics(model: SegModel, clips: list[ClipData], threshold: float) -> dict:
-    """Mean BCE and aggregate per-class F1 over full-length clips."""
+    """Mean BCE and aggregate per-class F1 over full-length clips.
+
+    The clips encode on the ``parallel`` pool and are scored in clip order.
+    """
     report = F1Report()
     bce_sum = 0.0
-    for clip in clips:
-        logits = encode(model, clip.features[None])[1][0]
+    all_logits = parallel.map(lambda clip: encode(model, clip.features[None])[1][0], clips)
+    for clip, logits in zip(clips, all_logits):
         lab = label_matrix_from_range(clip.labels, 0, clip.labels.shape[1])
         bce_sum += bce_masked(logits, lab)
         binary = decide_frames(logits, threshold, clip.hop).binary
@@ -241,6 +284,7 @@ def dev_metrics(model: SegModel, clips: list[ClipData], threshold: float) -> dic
     return {"bce": bce_sum / len(clips), "f1": f1s, "macro_f1": report.macro_f1()}
 
 
+@parallel.serial_blas()
 def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
           settings: FrontendSettings | None = None) -> tuple[SegModel, list[dict]]:
     """Train on the manifest's train split, keeping the best-dev checkpoint.
@@ -248,7 +292,9 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
     Returns the model (float32 parameters set to the best dev epoch, as the
     checkpoint stores them and as dev scored them) and one trace entry per
     epoch with train loss components and dev metrics.  A loss or an ADAM
-    step that goes non-finite raises NumericError.
+    step that goes non-finite raises NumericError.  The whole run holds
+    OpenBLAS at one thread (``parallel.serial_blas``), its clip loads and
+    dev passes included.
     """
     settings = settings or FrontendSettings()
     train_clips = load_split(manifest, "train", settings)

@@ -20,6 +20,7 @@ from nmfseg.errors import ConfigError
 from nmfseg.frontend import FrontendSettings
 from nmfseg.labels import write_label_file
 from nmfseg.network import load_model, save_model
+from nmfseg.parallel import workers
 from nmfseg.training import evaluate_split, load_clip
 
 FAST_CFG = """
@@ -289,11 +290,11 @@ class TestWorkerCount:
     def test_default_is_usable_cpus_capped_by_env(self, monkeypatch):
         usable = len(os.sched_getaffinity(0))
         monkeypatch.delenv("NMFSEG_THREADS", raising=False)
-        assert cli._workers() == usable
+        assert workers() == usable
         monkeypatch.setenv("NMFSEG_THREADS", "1")
-        assert cli._workers() == 1
+        assert workers() == 1
         monkeypatch.setenv("NMFSEG_THREADS", str(usable + 5))
-        assert cli._workers() == usable
+        assert workers() == usable
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
     def test_invalid_value_fails_gen_data(self, fast_cfg_file, tmp_path, monkeypatch, capsys, raw):
@@ -316,6 +317,20 @@ class TestWorkerCount:
             trees.append(_tree_bytes(out / "corpus"))
         assert len(trees[0]) == 37  # 18 clips x (WAV + labels) + manifest.csv
         assert trees[0] == trees[1]
+
+    def test_train_default_and_one_worker_write_identical_bytes(self, pipeline, tmp_path, monkeypatch):
+        cfg, out, manifest = pipeline
+        written = []
+        for raw in (None, "1"):
+            if raw is None:
+                monkeypatch.delenv("NMFSEG_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("NMFSEG_THREADS", raw)
+            target = tmp_path / f"threads-{raw}"
+            assert run_command(["train", "--config", str(cfg), "--manifest", str(manifest),
+                                "--dict", str(out / "dictionary.nsd"), "--out", str(target)]) == 0
+            written.append({name: (target / name).read_bytes() for name in ("model.nsm", "trace.json")})
+        assert written[0] == written[1]
 
 
 class TestCliErrors:

@@ -1,0 +1,193 @@
+"""The two-thread training run: sharded engine, pooled clip loads and dev
+encodes, and the OpenBLAS thread setting they run under."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from conftest import make_tiny_model
+from nmfseg import parallel
+from nmfseg.corpus import CLASS_NAMES
+from nmfseg.evaluate import F1Report, accumulate_counts, decide_frames
+from nmfseg.labels import label_matrix_from_range
+from nmfseg.network import (LabelMatrix, Workspace, _backward_from_cache, bce_masked, encode,
+                            init_model)
+from nmfseg.nmf import Dictionary, normalize_columns
+from nmfseg.training import (FrontendSettings, TrainConfig, _batch_loss, _batch_loss_and_grads,
+                             dev_metrics, load_clip, load_split, split_rows)
+
+needs_blas_setter = pytest.mark.skipif(parallel._blas_threads() is None,
+                                       reason="no OpenBLAS thread-count setter in this NumPy build")
+
+
+@pytest.fixture(scope="module")
+def desk_batch():
+    """A float64 desk-shape model and a B = 16, T = 200 batch with mixed masks."""
+    rng = np.random.default_rng(5)
+    d, k, c, f, b, t = 80, 64, 4, 257, 16, 200
+    model = init_model(d, k, c, seed=2)
+    w, _ = normalize_columns(1.0 - rng.random((f, k)), np.ones((k, 1)))
+    model.attach_dictionary(Dictionary(values=w))
+    feats = rng.normal(-10.0, 3.0, size=(b, d, t))
+    spects = np.abs(rng.normal(size=(b, f, t)))
+    labels = [LabelMatrix(values=(rng.random((c, t)) > 0.5).astype(float), mask=rng.random(c) > 0.3)
+              for _ in range(b)]
+    return model, feats, spects, labels, TrainConfig(batch_size=b)
+
+
+def _with_workers(monkeypatch, n):
+    monkeypatch.setattr(parallel, "workers", lambda: n)
+
+
+@pytest.fixture
+def serial_blas():
+    """OpenBLAS at one thread, as ``train`` runs it, so two workers use the pool."""
+    with parallel.serial_blas():
+        yield
+
+
+class TestShardedEngine:
+    def test_matches_whole_batch_reference(self, desk_batch):
+        model, feats, spects, labels, cfg = desk_batch
+        comps, grad = _batch_loss_and_grads(model, feats, spects, labels, cfg)
+        ref_comps, cache, g_logits, g_h = _batch_loss(model, feats, spects, labels, cfg, Workspace())
+        ref = _backward_from_cache(model, cache, g_logits, g_h)
+        assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+        for key, value in ref_comps.items():
+            assert comps[key] == pytest.approx(value, rel=1e-12, abs=0), key
+
+    def test_bytes_do_not_depend_on_workers(self, desk_batch, monkeypatch, serial_blas):
+        """Also with thread switches forced every 10 us, so a buffer the two
+        shards shared would show up as moved bytes."""
+        model, feats, spects, labels, cfg = desk_batch
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for n in (1, 2, 2, 1):
+                _with_workers(monkeypatch, n)
+                comps, grad = _batch_loss_and_grads(model, feats, spects, labels, cfg, Workspace())
+                runs.append((comps, grad.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_single_sample_batch_is_one_shard(self, monkeypatch):
+        """B = 1 runs the unsharded arithmetic, which criterion 4 rebuilds bit for bit."""
+        rng = np.random.default_rng(1)
+        model = make_tiny_model(seed=3)
+        feats, spects = rng.normal(size=(1, 8, 10)), np.abs(rng.normal(size=(1, 20, 10)))
+        labels = [LabelMatrix(values=(rng.random((4, 10)) > 0.5).astype(float),
+                              mask=np.array([True, False, True, True]))]
+        cfg = TrainConfig(batch_size=1)
+        calls = []
+        real_map = parallel.map
+
+        def counting_map(fn, items):
+            calls.append(len(items))
+            return real_map(fn, items)
+
+        monkeypatch.setattr(parallel, "map", counting_map)
+        comps, grad = _batch_loss_and_grads(model, feats, spects, labels, cfg)
+        ref_comps, cache, g_logits, g_h = _batch_loss(model, feats, spects, labels, cfg)
+        assert calls == [1]
+        assert comps == ref_comps
+        assert grad.tobytes() == _backward_from_cache(model, cache, g_logits, g_h).tobytes()
+
+
+class TestPooledStages:
+    def test_load_split_equals_sequential_loads(self, small_corpus, monkeypatch, serial_blas):
+        _, manifest = small_corpus
+        settings = FrontendSettings()
+        _with_workers(monkeypatch, 2)
+        pooled = load_split(manifest, "train", settings)
+        sequential = [load_clip(manifest, row, settings) for row in split_rows(manifest, "train")]
+        assert len(pooled) == len(sequential) > 1
+        for a, b in zip(pooled, sequential):
+            assert a.clip_id == b.clip_id and a.hop == b.hop
+            for name in ("features", "spect", "labels"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.clip_id, name)
+
+    def test_dev_metrics_equals_sequential_loop(self, small_corpus, monkeypatch, serial_blas):
+        _, manifest = small_corpus
+        clips = load_split(manifest, "dev", FrontendSettings(), with_spect=False)
+        model = init_model(d=80, k=16, c=4, seed=4)
+        model.flat = model.flat.astype(np.float32)
+        report, bce_sum = F1Report(), 0.0
+        for clip in clips:
+            logits = encode(model, clip.features[None])[1][0]
+            lab = label_matrix_from_range(clip.labels, 0, clip.labels.shape[1])
+            bce_sum += bce_masked(logits, lab)
+            accumulate_counts(report, decide_frames(logits, 0.5, clip.hop).binary, lab,
+                              CLASS_NAMES[: lab.classes])
+        _with_workers(monkeypatch, 2)
+        dev = dev_metrics(model, clips, 0.5)
+        assert len(clips) > 1
+        assert dev["bce"] == bce_sum / len(clips)
+        assert dev["macro_f1"] == report.macro_f1()
+        assert dev["f1"] == {name: e.f1 for name, e in report.per_class.items() if e.defined}
+
+
+class TestPool:
+    @needs_blas_setter
+    def test_two_workers_run_calls_at_once(self, monkeypatch, serial_blas):
+        _with_workers(monkeypatch, 2)
+        barrier = threading.Barrier(2, timeout=30)  # passes only when both calls run concurrently
+        assert parallel.map(lambda x: (barrier.wait(), x * x)[1], [3, 4]) == [9, 16]
+
+    def test_one_worker_runs_inline(self, monkeypatch, serial_blas):
+        _with_workers(monkeypatch, 1)
+        main = threading.current_thread()
+        assert parallel.map(lambda x: threading.current_thread() is main, range(3)) == [True] * 3
+
+    @needs_blas_setter
+    def test_multithreaded_blas_runs_inline(self, monkeypatch):
+        _with_workers(monkeypatch, 2)
+        setter, getter = parallel._blas_threads()
+        previous = getter()
+        setter(2)
+        try:
+            main = threading.current_thread()
+            assert parallel.map(lambda x: threading.current_thread() is main, range(2)) == [True, True]
+        finally:
+            setter(previous)
+
+    def test_first_error_is_raised(self, monkeypatch, serial_blas):
+        _with_workers(monkeypatch, 2)
+
+        def fail_on_one(x):
+            if x == 1:
+                raise KeyError(x)
+            return x
+
+        with pytest.raises(KeyError):
+            parallel.map(fail_on_one, [0, 1])
+
+
+class TestSerialBlas:
+    @needs_blas_setter
+    def test_restores_thread_count_when_body_raises(self):
+        setter, getter = parallel._blas_threads()
+        previous = getter()
+        setter(2)
+        try:
+            with pytest.raises(RuntimeError):
+                with parallel.serial_blas():
+                    assert getter() == 1
+                    raise RuntimeError("body failed")
+            assert getter() == 2
+        finally:
+            setter(previous)
+
+    def test_without_setter_changes_nothing_and_pool_runs_inline(self, monkeypatch):
+        found = parallel._blas_threads()
+        before = found[1]() if found else None
+        monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
+        _with_workers(monkeypatch, 2)
+        main = threading.current_thread()
+        with parallel.serial_blas():
+            assert (found[1]() if found else None) == before
+            assert parallel.map(lambda x: threading.current_thread() is main, range(2)) == [True, True]
+        assert (found[1]() if found else None) == before

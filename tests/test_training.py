@@ -9,7 +9,7 @@ import pytest
 from conftest import assert_views_of_flat
 from nmfseg import training
 from nmfseg.corpus import HOP_SECONDS, Manifest, ManifestRow
-from nmfseg.errors import DimensionError, NumericError
+from nmfseg.errors import ConfigError, DimensionError, NumericError
 from nmfseg.frontend import AudioClip, FeatureSequence, save_audio, write_features
 from nmfseg.labels import write_label_file
 from nmfseg.network import init_model
@@ -276,13 +276,20 @@ class TestTrain:
         assert all(arr.dtype == np.float32 for _, arr in model.parameters())
         assert_views_of_flat(model)
 
-    def test_non_finite_adam_step_raises(self, trained_setup):
-        """With lr = nan and a single batch in a single epoch the loss stays
-        finite, so only the check on the ADAM output can stop the run."""
+    def test_non_finite_adam_step_raises(self, trained_setup, monkeypatch):
+        """An ADAM step that writes a NaN, in a single batch of a single epoch
+        whose loss stays finite: only the check on the ADAM output can stop the run."""
         manifest, settings, dictionary = trained_setup
         model = init_model(d=80, k=16, c=4, seed=0)
         model.attach_dictionary(dictionary)
-        cfg = TrainConfig(lr=float("nan"), batch_size=64, epochs=1, seed=0)
+        real_step = training.adam_step
+
+        def nan_step(params, grad, state, lr):
+            real_step(params, grad, state, lr)
+            params[0] = np.nan
+
+        monkeypatch.setattr(training, "adam_step", nan_step)
+        cfg = TrainConfig(batch_size=64, epochs=1, seed=0)
         with pytest.raises(NumericError, match="ADAM"):
             train(model, manifest, cfg, settings)
 
@@ -297,17 +304,25 @@ class TestTrain:
 
 class TestTrainConfig:
     def test_requires_positive_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(alpha=0, beta=0, gamma=0)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TrainConfig(alpha=-1, beta=1, gamma=0)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.raises(ConfigError, match="threshold"):
             TrainConfig(threshold=threshold)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", float("nan")), ("lr", -1.0), ("lr", 0.0), ("batch_size", 0), ("batch_size", -3),
+        ("epochs", 0), ("segment_seconds", 0.0), ("seed", -1), ("gamma", float("inf")),
+    ])
+    def test_value_outside_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            TrainConfig(**{key: value})
 
     def test_defaults(self):
         cfg = TrainConfig()
