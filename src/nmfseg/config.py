@@ -16,7 +16,7 @@ import hashlib
 from .corpus import CorpusSpec
 from .errors import BOOL, NONNEG, POSITIVE, SIZE, ConfigError
 from .frontend import SAMPLE_RATE, FrontendSettings
-from .nmf import SnmfConfig
+from .nmf import SNMF_RANGES, SnmfConfig
 from .training import TRAIN_RANGES, TrainConfig
 
 _TRUE = {"1", "true", "yes"}
@@ -45,12 +45,12 @@ SCHEMA = {
     "segment_seconds": (float, 4.0, TRAIN_RANGES["segment_seconds"]),
     "threshold": (float, 0.5, TRAIN_RANGES["threshold"]),
     # model
-    "k": (int, 64, SIZE),
+    "k": (int, 64, SNMF_RANGES["k"]),
     "channels": (int, 64, SIZE),
-    # dictionary pretraining
-    "mu": (float, 0.1, NONNEG),
-    "dict_iters": (int, 300, SIZE),
-    "dict_tol": (float, 1e-5, NONNEG),
+    # dictionary pretraining, range-checked again by SnmfConfig
+    "mu": (float, 0.1, SNMF_RANGES["mu"]),
+    "dict_iters": (int, 300, SNMF_RANGES["max_iters"]),
+    "dict_tol": (float, 1e-5, SNMF_RANGES["rel_tol"]),
     "dict_frames": (int, 3000, SIZE),
     # frontend
     "n_fft": (int, 512, SIZE),

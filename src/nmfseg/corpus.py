@@ -167,10 +167,15 @@ def _harmonic_stack(rng, n: int, sr: int, f0: float, amps: np.ndarray, vibrato: 
     drift = 1.0 + vibrato * np.sin(2 * np.pi * drift_rate * t + rng.uniform(0, 2 * np.pi))
     phase = 2 * np.pi * np.cumsum(f0 * drift) / sr
     sig = np.zeros(n)
+    harmonic = np.empty(n)  # one buffer for every harmonic, same operations in the same order
     for k, a in enumerate(amps, start=1):
         if k * f0 >= sr / 2:
             break
-        sig += a * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
+        np.multiply(k, phase, out=harmonic)
+        harmonic += rng.uniform(0, 2 * np.pi)
+        np.sin(harmonic, out=harmonic)
+        harmonic *= a
+        sig += harmonic
     return sig
 
 

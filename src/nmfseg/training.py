@@ -366,8 +366,10 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, k: int,
     is held (about 3.1 MB per minute of audio at the default frontend); no
     log-mel is computed.  Only the selected frames are widened to float64,
     so the matrix SNMF factorizes is the one the whole split, concatenated,
-    normalized and strided, would give, bit for bit.
+    normalized and strided, would give, bit for bit.  The SNMF settings are
+    checked before any clip is read.
     """
+    cfg = SnmfConfig(k=k, mu=mu, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
     targets, norms = [], []
     for row in split_rows(manifest, "train"):
         spec, _, _, t = _aligned_spectrogram(manifest, row, settings)
@@ -390,7 +392,6 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, k: int,
         cols = picked[bounds[i]:bounds[i + 1]]
         np.divide(target[:, cols - starts[i]], norms[cols], out=x[:, bounds[i]:bounds[i + 1]])
     del targets  # SNMF reads x alone
-    cfg = SnmfConfig(k=k, mu=mu, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
     dictionary, _ = train_snmf(x, cfg)
     return dictionary
 

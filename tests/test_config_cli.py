@@ -97,6 +97,7 @@ class TestConfig:
         ("dict_frames", "0"), ("n_fft", "0"), ("win_len", "0"), ("hop", "0"), ("n_mels", "0"),
         ("probe_epochs", "0"), ("probe_per_class", "0"), ("seed", "-1"),
         ("alpha", "-1"), ("beta", "nan"), ("gamma", "inf"), ("mu", "-0.1"), ("dict_tol", "nan"),
+        ("dict_tol", "0"),
         ("f_min", "-1"), ("f_max", "inf"), ("rate_noise", "-2"), ("min_dur", "nan"),
         ("segment_seconds", "0"), ("clip_seconds", "0"), ("train_minutes", "-1"),
         ("probe_seconds", "nan"), ("lr", "nan"), ("lr", "0"), ("lr", "-1e-3"), ("probe_lr", "0"),

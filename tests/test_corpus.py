@@ -139,6 +139,30 @@ class TestSynthesizeClip:
         assert np.abs(samples).max() <= 0.99 + 1e-9
 
 
+class TestHarmonicStack:
+    @staticmethod
+    def _fresh_arrays(rng, n, sr, f0, amps, vibrato):
+        """The stack with fresh temporaries per harmonic, the reference for
+        the reused-buffer version."""
+        t = np.arange(n) / sr
+        drift_rate = rng.uniform(0.5, 2.0)
+        drift = 1.0 + vibrato * np.sin(2 * np.pi * drift_rate * t + rng.uniform(0, 2 * np.pi))
+        phase = 2 * np.pi * np.cumsum(f0 * drift) / sr
+        sig = np.zeros(n)
+        for k, a in enumerate(amps, start=1):
+            if k * f0 >= sr / 2:
+                break
+            sig += a * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
+        return sig
+
+    @pytest.mark.parametrize("f0, n_harm", [(98.0, 28), (4978.0, 1), (3000.0, 5)])
+    def test_bit_equal_to_fresh_temporaries(self, f0, n_harm):
+        amps = np.random.default_rng(1).random(n_harm)
+        got = corpus._harmonic_stack(np.random.default_rng(2), 4001, 16000, f0, amps, 0.03)
+        ref = self._fresh_arrays(np.random.default_rng(2), 4001, 16000, f0, amps, 0.03)
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestOnePole:
     @pytest.mark.parametrize("n", [1, 2, 16000])
     def test_matches_lfilter_bit_for_bit(self, n):

@@ -1,0 +1,93 @@
+"""tools/identity.py: the artifact comparison, and a smoke run of the whole
+pipeline in two worktrees of one commit."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "identity.py"
+
+_spec = importlib.util.spec_from_file_location("identity", TOOL)
+identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(identity)
+
+
+def _tree(root: Path, files: dict) -> Path:
+    for name, blob in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(blob)
+    return root
+
+
+class TestCompare:
+    def test_run_logs_are_compared_with_their_run_directory_masked(self, tmp_path):
+        a = _tree(tmp_path / "parent", {"x.run.json": f'{{"out": "{tmp_path}/parent/m"}}'.encode()})
+        b = _tree(tmp_path / "change", {"x.run.json": f'{{"out": "{tmp_path}/change/m"}}'.encode()})
+        lines, ok = identity.compare(a, b)
+        assert ok and lines[0] == "same   x.run.json"
+
+    def test_paths_outside_run_logs_are_not_masked(self, tmp_path):
+        a = _tree(tmp_path / "parent", {"notes.txt": str(tmp_path / "parent").encode()})
+        b = _tree(tmp_path / "change", {"notes.txt": str(tmp_path / "change").encode()})
+        _, ok = identity.compare(a, b)
+        assert not ok
+
+    def test_moved_artifact_names_its_first_differing_byte(self, tmp_path):
+        a = _tree(tmp_path / "parent", {"model.nsm": b"NSM1abcd", "same.bin": b"\x00"})
+        b = _tree(tmp_path / "change", {"model.nsm": b"NSM1abXd", "same.bin": b"\x00"})
+        lines, ok = identity.compare(a, b)
+        assert not ok
+        assert lines[:2] == ["moved  model.nsm  (first difference at byte 6)", "same   same.bin"]
+        assert lines[-1] == "2 artifacts: 1 same, 1 moved (0 declared)"
+
+    def test_a_prefix_differs_at_the_shorter_length(self, tmp_path):
+        a = _tree(tmp_path / "parent", {"t.json": b"[1, 2]"})
+        b = _tree(tmp_path / "change", {"t.json": b"[1, 2]\n"})
+        assert identity.compare(a, b)[0][0] == "moved  t.json  (first difference at byte 6)"
+
+    def test_declared_moves_pass_and_others_fail(self, tmp_path):
+        a = _tree(tmp_path / "parent", {"trace.json": b"1", "sub/f1.csv": b"a"})
+        b = _tree(tmp_path / "change", {"trace.json": b"2", "sub/f1.csv": b"a", "extra.bin": b""})
+        lines, ok = identity.compare(a, b, {"trace.json"})
+        assert not ok
+        assert "moved  extra.bin  (only in change)" in lines
+        assert "moved  trace.json  (first difference at byte 0)  [declared]" in lines
+        _, ok = identity.compare(a, b, {"trace.json", "extra.bin"})
+        assert ok
+
+
+def _has_head_commit() -> bool:
+    try:
+        done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", "HEAD"],
+                              capture_output=True)
+    except OSError:
+        return False
+    return done.returncode == 0
+
+
+@pytest.mark.skipif(not _has_head_commit(), reason="needs a git checkout with a HEAD commit")
+def test_head_against_itself_reports_every_artifact_same(tmp_path):
+    """No hash is pinned: OpenBLAS picks its kernels per CPU, so only the two
+    runs on this machine are compared."""
+    done = subprocess.run([sys.executable, str(TOOL), "HEAD", "--shape", "small", "--seed", "5"],
+                          capture_output=True, text=True, timeout=600,
+                          env=dict(os.environ, TMPDIR=str(tmp_path)))
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    artifacts = {line.split()[1] for line in lines[:-1]}
+    assert all(line.startswith("same   ") for line in lines[:-1])
+    for name in ("corpus/manifest.csv", "dictionary.nsd", "model.nsm", "trace.json",
+                 "eval/f1.json", "segment/segment.run.json", "explain/summary.json",
+                 "probe/probe_results.json", "ablate-beta/model_beta5.nsm", "report/report.json"):
+        assert name in artifacts
+    assert lines[-1] == f"{len(artifacts)} artifacts: {len(artifacts)} same, 0 moved (0 declared)"
+    worktrees = subprocess.run(["git", "-C", str(ROOT), "worktree", "list"],
+                               capture_output=True, text=True).stdout
+    assert str(tmp_path) not in worktrees
+    assert list(tmp_path.iterdir()) == []

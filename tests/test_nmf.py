@@ -8,12 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nmfseg.errors import DimensionError, FormatError
-from nmfseg.nmf import (Dictionary, SnmfConfig, dictionary_from_bytes,
+from nmfseg import nmf
+from nmfseg.errors import ConfigError, DimensionError, FormatError
+from nmfseg.nmf import (DENOM_GUARD, Dictionary, SnmfConfig, dictionary_from_bytes,
                         dictionary_to_bytes, load_dictionary, nmf_loss,
                         normalize_columns, reconstruct, save_dictionary,
                         snmf_objective, train_snmf, update_h, update_w)
+
+TINY = np.finfo(np.float64).tiny
 
 
 class TestUpdateH:
@@ -47,6 +52,10 @@ class TestUpdateH:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             update_h(np.ones((3, 4)), np.ones((3, 2)), np.ones((5, 4)), mu=0.0)
+
+    def test_nan_survives_the_flush(self):
+        h = update_h(np.array([[4.0]]), np.array([[2.0]]), np.array([[np.nan]]), mu=0.0)
+        assert np.isnan(h[0, 0])
 
 
 class TestUpdateW:
@@ -243,6 +252,93 @@ class TestSharedProductLoop:
         assert np.all(h.values == 0.0)
 
 
+def _block_matrix(seed=0, f=12, t=48, blocks=3):
+    """Frames that each fill one band of bins: a component tuned to one band
+    gets almost no support from the others' frames, so its activations there
+    shrink geometrically and pass through the subnormal range."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((f, t))
+    width = f // blocks
+    for j in range(t):
+        band = j % blocks
+        x[band * width:(band + 1) * width, j] = rng.random(width) + 0.5
+    return x
+
+
+def _unflushed_snmf(x, cfg):
+    """train_snmf's float64 loop, shared products and Gram-form trace
+    included, with no flush of subnormal activations.  Returns normalized
+    (W, H), the trace, and the most subnormal H entries after any update."""
+    rng = np.random.default_rng(cfg.seed)
+    w = 1.0 - rng.random((x.shape[0], cfg.k))
+    h = 1.0 - rng.random((cfg.k, x.shape[1]))
+    w, h = normalize_columns(w, h)
+    trace = [snmf_objective(x, w, h, cfg.mu)]
+    xx = float(np.sum(x * x))
+    wtw = w.T @ w
+    most_subnormal = 0
+    for _ in range(cfg.max_iters):
+        h = h * (w.T @ x) / (wtw @ h + cfg.mu + DENOM_GUARD)
+        most_subnormal = max(most_subnormal, int(np.sum((h > 0) & (h < TINY))))
+        xht = x @ h.T
+        hht = h @ h.T
+        w = w * xht / (w @ hht + DENOM_GUARD)
+        wtw = w.T @ w
+        fit = xx - 2.0 * float(np.sum(w * xht)) + float(np.sum(wtw * hht))
+        trace.append(0.5 * fit + cfg.mu * float(np.sum(h)))
+        if abs(trace[-2] - trace[-1]) / trace[-2] < cfg.rel_tol:
+            break
+    w, h = normalize_columns(w, h)
+    return w, h, trace, most_subnormal
+
+
+class TestSubnormalFlush:
+    """update_h flushes activations below the smallest normal float to zero;
+    the iterates and the trace must not move while every H row lives."""
+
+    CFG = SnmfConfig(k=6, mu=0.1, max_iters=60, rel_tol=1e-12, seed=0)
+
+    def test_no_update_leaves_a_subnormal_entry(self, monkeypatch):
+        # the case exercises the flush: without it, H does turn subnormal
+        *_, most_subnormal = _unflushed_snmf(_block_matrix(), self.CFG)
+        assert most_subnormal > 0
+        seen = []
+
+        def recording_update_h(*args, **kwargs):
+            h = update_h(*args, **kwargs)
+            seen.append(int(np.sum((h > 0) & (h < TINY))))
+            return h
+
+        monkeypatch.setattr(nmf, "update_h", recording_update_h)
+        train_snmf(_block_matrix(), self.CFG)
+        assert len(seen) == self.CFG.max_iters
+        assert sum(seen) == 0
+
+    def test_w_and_trace_bit_equal_to_the_unflushed_loop(self):
+        x = _block_matrix()
+        d, _ = train_snmf(x, self.CFG)
+        w_ref, _, trace_ref, _ = _unflushed_snmf(x, self.CFG)
+        assert d.dead_columns_reset == 0
+        np.testing.assert_array_equal(d.values, w_ref)
+        assert d.objective_trace == trace_ref
+
+    def test_a_row_that_turns_wholly_subnormal_is_a_counted_dead_column(self):
+        # mu = 1e308 scales the first update's activations to about 1e-308,
+        # so row 0 (largest entry 2.17e-308) lands wholly below the smallest
+        # normal float while the other rows keep normal entries
+        x = 2.0 * np.random.default_rng(19).random((8, 6))
+        cfg = SnmfConfig(k=4, mu=1e308, max_iters=1, rel_tol=1e-12, seed=2)
+        d, h = train_snmf(x, cfg)
+        assert d.dead_columns_reset == 1
+        np.testing.assert_allclose(d.values[:, 0], 1.0 / np.sqrt(8))
+        assert np.all(h.values[0] == 0.0) and np.all(np.any(h.values[1:] > 0, axis=1))
+        # without the flush the row stays subnormal and its column is
+        # normalized from values near 1e-297 instead of being reset
+        w_ref, h_ref, _, most_subnormal = _unflushed_snmf(x, cfg)
+        assert most_subnormal > 0 and np.all(h_ref[0] < TINY)
+        assert np.all(w_ref[:, 0] > 0)
+
+
 def test_sparse_nmf_demo_reports_monotone_traces():
     """The demo's near-exact rank-5 input checks monotonicity to 1e-12
     absolute, so it catches rounding drift in the recorded objective."""
@@ -253,6 +349,16 @@ def test_sparse_nmf_demo_reports_monotone_traces():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.count("objective non-increasing at every iteration: True") == 2, out.stdout
+
+
+class TestSnmfConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("k", 0), ("mu", float("nan")), ("mu", -0.1), ("mu", float("inf")), ("max_iters", -5),
+        ("max_iters", 0), ("rel_tol", 0.0), ("rel_tol", float("nan")), ("seed", -1),
+    ])
+    def test_value_outside_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            SnmfConfig(**{field: value})
 
 
 class TestDictionaryFile:
@@ -299,3 +405,29 @@ class TestDictionaryFile:
         struct.pack_into("<f", blob, 12 + 4 * 4, bad)
         with pytest.raises(FormatError, match=match):
             dictionary_from_bytes(bytes(blob))
+
+
+_NSD1 = dictionary_to_bytes(Dictionary(
+    values=normalize_columns(np.random.default_rng(20).random((5, 3)), np.ones((3, 1)))[0],
+    mu=0.1, seed=7))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pos=st.integers(0, len(_NSD1) - 1), mask=st.integers(1, 255))
+def test_nsd1_single_byte_flip_parses_or_raises_format_error(pos, mask):
+    """A flipped byte may still parse (a value that stays finite and
+    non-negative, or a footer field), but nothing other than FormatError
+    escapes: no struct.error, IndexError or bare ValueError."""
+    blob = bytearray(_NSD1)
+    blob[pos] ^= mask
+    try:
+        d = dictionary_from_bytes(bytes(blob))
+    except FormatError:
+        return
+    assert np.all(np.isfinite(d.values)) and np.all(d.values >= 0)
+
+
+def test_nsd1_every_truncation_raises_format_error():
+    for length in range(len(_NSD1)):
+        with pytest.raises(FormatError):
+            dictionary_from_bytes(_NSD1[:length])

@@ -1,0 +1,163 @@
+"""Byte identity of every pipeline artifact between two commits.
+
+    python3 tools/identity.py PARENT_REV [--shape small|desk] [--seed N]
+                              [--declared FILE ...]
+
+Checks out PARENT_REV and ``HEAD`` (uncommitted edits are not seen) as two
+detached ``git worktree``s in a temporary directory, and runs the same
+seeded pipeline in each with ``NMFSEG_THREADS=1``:
+
+    gen-data -> pretrain-dict -> train -> eval / segment / explain (test)
+    -> probe -> ablate-beta -> report
+
+It then prints one line per artifact, ``same`` or ``moved`` with the first
+differing byte offset, and a summary.  Paths in ``*.run.json`` files are
+masked first, since each side writes under its own directory.  The exit
+status is 1 if an artifact moved (or exists on one side only) that is not
+named with ``--declared`` (paths relative to the run directory, e.g.
+``trace.json``), 2 if a commit cannot be checked out or a stage failed, and
+0 otherwise.
+
+``small`` takes a few seconds per side on 2 vCPUs.  ``desk`` is the default
+clip, codebook and model shape on 10/2/2 minutes of audio for 3 epochs, and
+takes about half a minute per side.
+Hashes are not comparable across hosts (OpenBLAS picks its kernels per
+CPU), so compare two commits on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SHAPES = {
+    "small": {"train_minutes": 0.25, "dev_minutes": 0.25, "test_minutes": 0.25,
+              "clip_seconds": 5.0, "k": 8, "channels": 8, "dict_iters": 20, "dict_frames": 200,
+              "epochs": 1, "batch": 4, "probe_epochs": 5, "probe_per_class": 2,
+              "probe_seconds": 0.5},
+    "desk": {"train_minutes": 10.0, "dev_minutes": 2.0, "test_minutes": 2.0, "epochs": 3},
+}
+
+MASK = "<run>"
+
+
+def pipeline(out: Path) -> list[list[str]]:
+    """The CLI argument lists of one run, in order, writing under ``out``."""
+    cfg, manifest = str(out.parent / f"{out.name}.cfg"), str(out / "corpus" / "manifest.csv")
+    model, dictionary = str(out / "model.nsm"), str(out / "dictionary.nsd")
+    return [
+        ["gen-data", "--config", cfg, "--out", str(out)],
+        ["pretrain-dict", "--config", cfg, "--manifest", manifest, "--out", str(out)],
+        ["train", "--config", cfg, "--manifest", manifest, "--dict", dictionary, "--out", str(out)],
+        *([stage, "--config", cfg, "--model", model, "--manifest", manifest, "--split", "test",
+           "--out", str(out / stage)] for stage in ("eval", "segment", "explain")),
+        ["probe", "--config", cfg, "--model", model, "--out", str(out / "probe")],
+        ["ablate-beta", "--config", cfg, "--manifest", manifest, "--dict", dictionary,
+         "--out", str(out / "ablate-beta")],
+        ["report", "--config", cfg, "--dir", str(out), "--out", str(out / "report")],
+    ]
+
+
+def run_pipeline(tree: Path, out: Path, shape: str, seed: int) -> None:
+    """Run every stage with ``tree``'s sources; raise RuntimeError on a failed stage."""
+    out.mkdir(parents=True)
+    config = dict(SHAPES[shape], seed=seed)
+    (out.parent / f"{out.name}.cfg").write_text(
+        "".join(f"{key} = {value}\n" for key, value in config.items()))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), NMFSEG_THREADS="1")
+    for argv in pipeline(out):
+        done = subprocess.run([sys.executable, "-c", "from nmfseg.cli import main; main()", *argv],
+                              cwd=out, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"{tree.name}: stage {argv[0]} exited {done.returncode}\n{done.stderr}")
+
+
+def artifact_bytes(path: Path, out: Path) -> bytes:
+    """A file's bytes, with ``out`` masked in run logs."""
+    blob = path.read_bytes()
+    if path.name.endswith(".run.json"):
+        blob = blob.replace(str(out).encode(), MASK.encode())
+    return blob
+
+
+def first_difference(a: bytes, b: bytes) -> int:
+    """Offset of the first differing byte; the shorter length if one is a prefix."""
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return min(len(a), len(b))
+
+
+def compare(parent: Path, change: Path, declared=()) -> tuple[list[str], bool]:
+    """One line per artifact under either run directory, and whether every
+    moved artifact is declared."""
+    names = sorted({p.relative_to(root).as_posix()
+                    for root in (parent, change) for p in root.rglob("*") if p.is_file()})
+    lines, ok, moved = [], True, 0
+    for name in names:
+        a, b = parent / name, change / name
+        if not a.exists() or not b.exists():
+            status = f"moved  {name}  (only in {'change' if b.exists() else 'parent'})"
+        else:
+            blob_a, blob_b = artifact_bytes(a, parent), artifact_bytes(b, change)
+            if blob_a == blob_b:
+                lines.append(f"same   {name}")
+                continue
+            status = f"moved  {name}  (first difference at byte {first_difference(blob_a, blob_b)})"
+        moved += 1
+        if name in declared:
+            status += "  [declared]"
+        else:
+            ok = False
+        lines.append(status)
+    lines.append(f"{len(names)} artifacts: {len(names) - moved} same, {moved} moved"
+                 f" ({sum(name in declared for name in names)} declared)")
+    return lines, ok
+
+
+def worktree(rev: str, path: Path) -> None:
+    done = subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                           str(path), rev], capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"cannot check out {rev!r}: {done.stderr.strip()}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="the commit to compare HEAD against")
+    parser.add_argument("--shape", choices=sorted(SHAPES), default="small")
+    parser.add_argument("--seed", type=int, default=4242)
+    parser.add_argument("--declared", nargs="*", default=[],
+                        help="artifacts (relative paths) that are allowed to move")
+    args = parser.parse_args(argv)
+
+    work = Path(tempfile.mkdtemp(prefix="nmfseg-identity-"))
+    trees = {"parent": work / "tree-parent", "change": work / "tree-change"}
+    try:
+        for side, rev in (("parent", args.parent), ("change", "HEAD")):
+            worktree(rev, trees[side])
+        for side in ("parent", "change"):
+            run_pipeline(trees[side], work / side, args.shape, args.seed)
+        lines, ok = compare(work / "parent", work / "change", set(args.declared))
+    except RuntimeError as exc:
+        print(f"identity: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        for tree in trees.values():
+            if tree.exists():
+                subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                               check=False)
+        shutil.rmtree(work, ignore_errors=True)
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
