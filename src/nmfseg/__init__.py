@@ -12,8 +12,8 @@ representation.
 from .corpus import CLASS_NAMES, CorpusSpec, Manifest, generate_corpus, load_manifest
 from .errors import (ConfigError, DimensionError, FormatError, IngestionError,
                      NmfsegError, NumericError)
-from .evaluate import (ClassF1, F1Report, FrameDecisions, Segment, f1_with_ci,
-                       frames_to_segments, predict_frames, rasterize_segments)
+from .evaluate import (ClassF1, F1Report, FrameDecisions, Segment, decide_frames,
+                       f1_with_ci, frames_to_segments, rasterize_segments)
 from .explain import (ComponentReport, RelevanceRecord, binarize, component_report,
                       component_spectrum, make_record, pool_time, relevance)
 from .frontend import (AudioClip, FeatureSequence, FrontendSettings, Spectrogram,
@@ -27,8 +27,8 @@ from .nmf import (Activations, Dictionary, SnmfConfig, load_dictionary, nmf_loss
                   update_w)
 from .optim import AdamState, adam_step, init_adam
 from .probing import (ProbeResult, ProbeTask, build_synthetic_task, eval_probe,
-                      extract_frozen_h, train_probe)
-from .training import (TrainConfig, evaluate_split, mean_activation_l1,
+                      load_probe_manifest, train_probe)
+from .training import (TrainConfig, encode_rows, evaluate_split, mean_activation_l1,
                        pretrain_dictionary, reconstruction_error, train)
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """Command-line surface tying the pipeline stages together.
 
 Every subcommand takes --config (flat key=value file), --out (artifact
-directory), and optionally --seed to override the configured seed.  Each run
-writes a machine-readable ``<command>.run.json`` with the resolved
-configuration, its hash, and the run's metrics; logs carry no timestamps, so
-identical runs produce identical bytes.  On failure, files created by the
-failed run are removed.
+directory), and optionally --seed to override the configured seed.  Each
+handler returns its metrics and artifacts, and ``run_command`` writes them to
+a machine-readable ``<command>.run.json`` with the resolved configuration,
+its hash, and the input paths; logs carry no timestamps, so identical runs
+produce identical bytes.  On failure, files created by the failed run are
+removed.
 
 Corpus synthesis (``gen-data``) runs one worker process per usable CPU by
 default, and ``train`` runs two threads; NMFSEG_THREADS, a positive integer,
@@ -31,11 +32,11 @@ from .explain import (component_report, make_record, report_summary,
                       write_component_csv, write_sample_csv, write_spectrum_csv,
                       write_summary_json)
 from .labels import read_label_file
-from .network import encode, init_model, load_model, save_model
+from .network import init_model, load_model, save_model
 from .nmf import save_dictionary, load_dictionary
 from .parallel import workers
 from .probing import build_synthetic_task, eval_probe, load_probe_manifest, train_probe, write_result_json
-from .training import (evaluate_split, load_clip, pretrain_dictionary,
+from .training import (encode_rows, evaluate_split, load_clip, pretrain_dictionary,
                        reconstruction_error, split_rows, train)
 
 
@@ -85,12 +86,8 @@ def _cmd_gen_data(args, cfg, run: _Run):
     corpus_dir = run.out / "corpus"
     run.track_tree(corpus_dir)
     manifest = generate_corpus(spec, corpus_dir, workers=workers())
-    counts = {}
-    for split in ("train", "dev", "test"):
-        counts[split] = len(manifest.for_split(split))
-    _write_run_log(run, "gen-data", cfg, {}, {"clips": counts},
-                   [corpus_dir / "manifest.csv"])
-    return 0
+    counts = {split: len(manifest.for_split(split)) for split in ("train", "dev", "test")}
+    return {"clips": counts}, [corpus_dir / "manifest.csv"]
 
 
 def _cmd_pretrain_dict(args, cfg, run: _Run):
@@ -106,8 +103,7 @@ def _cmd_pretrain_dict(args, cfg, run: _Run):
                "final_objective": dictionary.objective_trace[-1],
                "stopped_on_tol": dictionary.stopped_on_tol,
                "dead_columns_reset": dictionary.dead_columns_reset}
-    _write_run_log(run, "pretrain-dict", cfg, {"manifest": str(args.manifest)}, metrics, [out])
-    return 0
+    return metrics, [out]
 
 
 def _train_dims(manifest, settings) -> tuple[int, int]:
@@ -135,30 +131,23 @@ def _cmd_train(args, cfg, run: _Run):
     last = trace[-1]
     metrics = {"best_epoch": last["best_epoch"], "epochs": len(trace),
                "final_dev_macro_f1": last["dev_macro_f1"], "final_dev_bce": last["dev_bce"]}
-    _write_run_log(run, "train", cfg,
-                   {"manifest": str(args.manifest), "dict": str(args.dict)},
-                   metrics, [model_path, trace_path])
-    return 0
+    return metrics, [model_path, trace_path]
 
 
 def _cmd_segment(args, cfg, run: _Run):
     model = load_model(args.model)
     settings = cfgmod.frontend_settings(cfg)
     manifest = load_manifest(args.manifest)
-    seg_dir = run.out / "segments"
-    artifacts = []
-    for row in split_rows(manifest, args.split):
-        clip = load_clip(manifest, row, settings, with_spect=False)
-        decisions = decide_frames(encode(model, clip.features[None])[1][0], cfg["threshold"],
-                                  clip.hop)
+
+    def write(clip, h, logits):
+        decisions = decide_frames(logits, cfg["threshold"], clip.hop)
         segments = frames_to_segments(decisions, min_dur=cfg["min_dur"], class_names=CLASS_NAMES)
         out = run.path("segments", f"{clip.clip_id}.seg")
         write_segments(out, clip.clip_id, segments)
-        artifacts.append(out)
-    _write_run_log(run, "segment", cfg,
-                   {"model": str(args.model), "manifest": str(args.manifest), "split": args.split},
-                   {"files": len(artifacts)}, artifacts)
-    return 0
+        return out
+
+    artifacts = encode_rows(model, manifest, split_rows(manifest, args.split), settings, write)
+    return {"files": len(artifacts)}, artifacts
 
 
 def _cmd_eval(args, cfg, run: _Run):
@@ -170,11 +159,7 @@ def _cmd_eval(args, cfg, run: _Run):
     json_path = run.path("f1.json")
     write_f1_csv(report, csv_path)
     write_f1_json(report, json_path)
-    _write_run_log(run, "eval", cfg,
-                   {"model": str(args.model), "manifest": str(args.manifest), "split": args.split},
-                   {"f1": report_to_dict(report), "macro_f1": report.macro_f1()},
-                   [csv_path, json_path])
-    return 0
+    return {"f1": report_to_dict(report), "macro_f1": report.macro_f1()}, [csv_path, json_path]
 
 
 def _dominant_class(labels: np.ndarray) -> int:
@@ -207,11 +192,12 @@ def _cmd_explain(args, cfg, run: _Run):
         chosen.extend((row, c) for row in matching[:per_class])
     if not chosen:
         raise NmfsegError("no clips with a dominant class; cannot build relevance records")
-    records = []
-    for row, c in chosen:
-        clip = load_clip(manifest, row, settings, with_spect=False)
-        h, _ = encode(model, clip.features[None])
-        records.append(make_record(clip.clip_id, c, h[0], model.theta, tau=args.tau))
+    class_of = {row.clip_id: c for row, c in chosen}
+
+    def record(clip, h, logits):
+        return make_record(clip.clip_id, class_of[clip.clip_id], h, model.theta, tau=args.tau)
+
+    records = encode_rows(model, manifest, [row for row, _ in chosen], settings, record)
     report = component_report(records, samples_per_class=per_class)
 
     comp_csv = run.path("components.csv")
@@ -227,10 +213,7 @@ def _cmd_explain(args, cfg, run: _Run):
             write_spectrum_csv(model.w_ref, k, spectrum,
                                sample_rate=16000, n_fft=settings.n_fft)
             artifacts.append(spectrum)
-    _write_run_log(run, "explain", cfg,
-                   {"model": str(args.model), "manifest": str(args.manifest), "split": args.split},
-                   report_summary(report), artifacts)
-    return 0
+    return report_summary(report), artifacts
 
 
 def _cmd_probe(args, cfg, run: _Run):
@@ -257,8 +240,7 @@ def _cmd_probe(args, cfg, run: _Run):
     out = run.path("probe_results.json")
     write_result_json(results, out)
     metrics = {name: {"accuracy": r.accuracy, "uar": r.uar} for name, r in results.items()}
-    _write_run_log(run, "probe", cfg, {"model": str(args.model)}, metrics, [out])
-    return 0
+    return metrics, [out]
 
 
 def _cmd_ablate_beta(args, cfg, run: _Run):
@@ -297,10 +279,7 @@ def _cmd_ablate_beta(args, cfg, run: _Run):
         for r in rows:
             writer.writerow([f"{r['beta']:g}", f"{r['recon_per_frame']:.6f}"]
                             + [f"{r['f1'].get(n, float('nan')):.6f}" for n in CLASS_NAMES])
-    _write_run_log(run, "ablate-beta", cfg,
-                   {"manifest": str(args.manifest), "dict": str(args.dict)},
-                   metrics, [out, csv_path])
-    return 0
+    return metrics, [out, csv_path]
 
 
 def _cmd_report(args, cfg, run: _Run):
@@ -317,8 +296,7 @@ def _cmd_report(args, cfg, run: _Run):
     with open(out, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_run_log(run, "report", cfg, {"dir": str(args.dir)}, {"runs": len(summary)}, [out])
-    return 0
+    return {"runs": len(summary)}, [out]
 
 
 _COMMANDS = {
@@ -343,14 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        if "manifest" in required:
-            p.add_argument("--manifest", required=True)
-        if "dict" in required:
-            p.add_argument("--dict", required=True)
-        if "model" in required:
-            p.add_argument("--model", required=True)
-        if "dir" in required:
-            p.add_argument("--dir", required=True)
+        for key in required:
+            p.add_argument(f"--{key}", required=True)
         if name in ("segment", "eval", "explain"):
             p.add_argument("--split", default="test")
         if name == "explain":
@@ -370,13 +342,16 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     run = _Run(Path(args.out))
-    handler = _COMMANDS[args.command][0]
+    handler, required = _COMMANDS[args.command]
     try:
         cfg = cfgmod.parse_config(args.config) if args.config else cfgmod.default_config()
         if args.seed is not None:
             cfg["seed"] = args.seed
         run.out.mkdir(parents=True, exist_ok=True)
-        return handler(args, cfg, run)
+        metrics, artifacts = handler(args, cfg, run)
+        inputs = {key: str(getattr(args, key)) for key in (*required, "split") if hasattr(args, key)}
+        _write_run_log(run, args.command, cfg, inputs, metrics, artifacts)
+        return 0
     except (NmfsegError, OSError, ValueError) as exc:
         run.cleanup()
         print(f"nmfseg {args.command}: error: {exc}", file=sys.stderr)

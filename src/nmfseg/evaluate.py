@@ -1,4 +1,4 @@
-"""Frame-level inference, segment extraction, and per-class F1 with confidence intervals.
+"""Frame decisions, segment extraction, and per-class F1 with confidence intervals.
 
 Evaluation is frame-based: each class is scored independently over all
 annotated frames, with a 95% interval from the normal approximation
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .network import LabelMatrix, SegModel, forward, sigmoid
+from .network import LabelMatrix, sigmoid
 
 
 @dataclass
@@ -92,12 +92,6 @@ def decide_frames(logits: np.ndarray, threshold: float, hop: float) -> FrameDeci
     probs = sigmoid(logits)
     return FrameDecisions(probs=probs, binary=(probs > threshold).astype(np.int8),
                           hop=hop, threshold=threshold)
-
-
-def predict_frames(model: SegModel, s, threshold: float = 0.5) -> FrameDecisions:
-    """Class probabilities sigmoid(theta @ H), decided by ``decide_frames``."""
-    h, logits = forward(model, s)
-    return decide_frames(logits, threshold, s.hop if hasattr(s, "hop") else 0.02)
 
 
 def frames_to_segments(decisions: FrameDecisions, min_dur: float = 0.0,

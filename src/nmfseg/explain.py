@@ -64,19 +64,15 @@ def relevance(z: np.ndarray, theta_row: np.ndarray) -> np.ndarray:
     return z * theta_row
 
 
-def binarize(r: np.ndarray, tau: float = 0.5, prefilter: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def binarize(r: np.ndarray, tau: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """Min-max normalize r and threshold strictly above ``tau``.
 
     A constant r has no spread; it normalizes to all zeros and therefore to no
-    active components.  With ``prefilter`` the raw relevances are first
-    clipped to zero wherever they do not exceed ``tau`` (an alternative
-    reading of the extraction rule, off by default).
+    active components.
     """
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     r = np.asarray(r, dtype=np.float64)
-    if prefilter:
-        r = np.where(r > tau, r, 0.0)
     lo, hi = r.min(), r.max()
     if hi == lo:
         r_norm = np.zeros_like(r)
@@ -86,11 +82,11 @@ def binarize(r: np.ndarray, tau: float = 0.5, prefilter: bool = False) -> tuple[
 
 
 def make_record(sample_id: str, class_id: int, h: np.ndarray, theta: np.ndarray,
-                tau: float = 0.5, prefilter: bool = False) -> RelevanceRecord:
+                tau: float = 0.5) -> RelevanceRecord:
     """Full extraction pipeline for one sample against its class's head row."""
     z = pool_time(h)
     r = relevance(z, np.asarray(theta, dtype=np.float64)[class_id])
-    r_norm, b = binarize(r, tau=tau, prefilter=prefilter)
+    r_norm, b = binarize(r, tau=tau)
     return RelevanceRecord(sample_id=sample_id, class_id=class_id, z=z, r=r,
                            r_norm=r_norm, b=b)
 

@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import one_pole
-from .errors import DimensionError
+from .errors import DimensionError, FormatError
 from .frontend import (AudioClip, FrontendSettings, load_audio, log_mel, read_features,
                        stft_magnitude)
-from .network import SegModel, encode, forward
-from .nmf import Activations
+from .network import SegModel, encode
 from .optim import adam_step, init_adam
 
 
@@ -65,12 +64,6 @@ class ProbeResult:
     uar: float
     per_class_recall: dict  # class index -> recall (absent classes omitted)
     confusion: np.ndarray  # (class_count, class_count), rows = reference
-
-
-def extract_frozen_h(model: SegModel, s) -> Activations:
-    """Forward pass for representation extraction; parameters untouched."""
-    h, _ = forward(model, s)
-    return h
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -195,26 +188,39 @@ def build_synthetic_task(model: SegModel, task: str, n_classes: int, per_class: 
 
 
 def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=None) -> ProbeTask:
-    """Build a task from CSV rows of (audio-or-feature path, integer label)."""
+    """Build a task from CSV rows of (audio-or-feature path, integer label >= 0).
+
+    Blank rows and rows starting with ``#`` are skipped.  A row without two
+    columns, a label that is not a non-negative integer, and a file with no
+    rows raise FormatError naming the file and the line.
+    """
     settings = settings or FrontendSettings()
     root = Path(path).parent
     items = []
-    pad_to = 0
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(row) != 2:
-                raise ValueError(f"{path}: malformed probe row {row}")
-            src, label = root / row[0], int(row[1])
+                raise FormatError(f"{where}: expected 2 columns (path, label), got {len(row)}")
+            try:
+                label = int(row[1])
+            except ValueError:
+                raise FormatError(f"{where}: label {row[1]!r} is not an integer") from None
+            if label < 0:
+                raise FormatError(f"{where}: label {label} is negative")
+            src = root / row[0]
             if str(src).endswith(".nsf"):
                 feats = read_features(src)
             else:
                 clip = load_audio(src)
                 spec = stft_magnitude(clip, n_fft=settings.n_fft, win_len=settings.win_len, hop=settings.hop)
                 feats = log_mel(spec, n_mels=settings.n_mels, f_min=settings.f_min, f_max=settings.f_max)
-            h = extract_frozen_h(model, feats)
-            items.append((h.values, label))
-            pad_to = max(pad_to, h.values.shape[1])
-    labels = sorted({label for _, label in items})
-    return ProbeTask(name=name, class_count=max(labels) + 1, items=items, pad_to=pad_to)
+            h, _ = encode(model, feats.values[None])
+            items.append((h[0], label))
+    if not items:
+        raise FormatError(f"{path}: no probe rows")
+    return ProbeTask(name=name, class_count=max(label for _, label in items) + 1, items=items,
+                     pad_to=max(h.shape[1] for h, _ in items))

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -423,3 +424,67 @@ class TestRunLogReproducibility:
         assert replay_log["metrics"] == log["metrics"]
         assert replay_log["config_hash"] == log["config_hash"]
         assert (replay_out / "model.nsm").read_bytes() == (out / "model.nsm").read_bytes()
+
+
+class TestRunLogInputs:
+    """Each ``*.run.json`` names the input paths it was given, plus ``--split``."""
+
+    def test_pipeline_stages(self, pipeline):
+        _, out, manifest = pipeline
+        expected = {"gen-data": {}, "pretrain-dict": {"manifest": str(manifest)},
+                    "train": {"manifest": str(manifest), "dict": str(out / "dictionary.nsd")}}
+        for command, inputs in expected.items():
+            assert json.loads((out / f"{command}.run.json").read_text())["inputs"] == inputs
+
+    @pytest.mark.parametrize("command", ["segment", "eval", "explain", "probe", "ablate-beta", "report"])
+    def test_later_stages(self, pipeline, tmp_path, command):
+        cfg, out, manifest = pipeline
+        model, dictionary = str(out / "model.nsm"), str(out / "dictionary.nsd")
+        split = {"model": model, "manifest": str(manifest), "split": "dev"}
+        flags = {"segment": split, "eval": split, "explain": split, "probe": {"model": model},
+                 "ablate-beta": {"manifest": str(manifest), "dict": dictionary},
+                 "report": {"dir": str(out)}}[command]
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+        for key, value in flags.items():
+            argv += [f"--{key}", value]
+        if command == "probe":
+            # the task manifest is an input too, but the log leaves it out
+            corpus = load_manifest(manifest)
+            task = tmp_path / "task.csv"
+            task.write_text("".join(f"{corpus.resolve(row.audio)},{i % 2}\n"
+                                    for i, row in enumerate(corpus.for_split("test")[:4])))
+            argv += ["--task-manifest", str(task)]
+        assert run_command(argv) == 0
+        assert json.loads((tmp_path / "run" / f"{command}.run.json").read_text())["inputs"] == flags
+
+
+class TestOneClipAtATime:
+    """No clip's arrays are alive when an inference stage loads the next one."""
+
+    @pytest.mark.parametrize("stage", ["evaluate_split", "mean_activation_l1", "reconstruction_error",
+                                       "segment", "explain"])
+    def test_no_clip_outlives_its_turn(self, pipeline, tmp_path, monkeypatch, stage):
+        cfg, out, manifest_path = pipeline
+        model, manifest, settings = load_model(out / "model.nsm"), load_manifest(manifest_path), FrontendSettings()
+
+        def run():
+            if stage in ("segment", "explain"):
+                assert run_command([stage, "--config", str(cfg), "--model", str(out / "model.nsm"),
+                                    "--manifest", str(manifest_path), "--split", "test",
+                                    "--out", str(tmp_path / stage)]) == 0
+            else:
+                getattr(training, stage)(model, manifest, "test", settings)
+
+        loaded, alive = [], []
+        original = training.load_clip
+
+        def load_clip_tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in loaded))
+            clip = original(*args, **kwargs)
+            loaded.append(weakref.ref(clip.features))
+            return clip
+
+        monkeypatch.setattr(training, "load_clip", load_clip_tracked)
+        run()
+        assert len(alive) == len(manifest.for_split("test")) >= 2
+        assert alive == [0] * len(alive)

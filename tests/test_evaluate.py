@@ -6,20 +6,25 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_model
-from nmfseg.evaluate import (ClassF1, F1Report, FrameDecisions, f1_with_ci,
-                             frames_to_segments, predict_frames,
-                             rasterize_segments, report_to_rows)
+from nmfseg.evaluate import (ClassF1, F1Report, FrameDecisions, decide_frames, f1_with_ci,
+                             frames_to_segments, rasterize_segments, report_to_rows)
 from nmfseg.frontend import FeatureSequence
 from nmfseg.network import LabelMatrix, forward, sigmoid
 
 
 class TestPredictFrames:
+    """Frame decisions on the encoder's logits, as ``segment`` takes them."""
+
+    @staticmethod
+    def predict(model, seq, threshold=0.5):
+        return decide_frames(forward(model, seq)[1], threshold, seq.hop)
+
     def test_threshold_boundary_is_strict(self):
         model = make_tiny_model()
         zeros = {name: np.zeros_like(arr) for name, arr in model.parameters()}
         model.load_parameters(zeros)
         seq = FeatureSequence(values=np.random.default_rng(0).normal(size=(8, 6)), hop=0.02)
-        dec = predict_frames(model, seq, threshold=0.5)
+        dec = self.predict(model, seq, threshold=0.5)
         assert np.all(dec.probs == 0.5)
         assert np.all(dec.binary == 0)  # probability exactly at threshold maps to 0
 
@@ -29,7 +34,7 @@ class TestPredictFrames:
         rng = np.random.default_rng(1)
         seq = FeatureSequence(values=rng.normal(size=(8, 6)), hop=0.02)
         h, logits = forward(model, seq)
-        dec = predict_frames(model, seq)
+        dec = self.predict(model, seq)
         assert np.all(dec.binary[logits > 10] == 1)
 
     def test_matches_elementwise_oracle(self):
@@ -37,7 +42,7 @@ class TestPredictFrames:
         rng = np.random.default_rng(2)
         seq = FeatureSequence(values=rng.normal(size=(8, 25)), hop=0.02)
         _, logits = forward(model, seq)
-        dec = predict_frames(model, seq, threshold=0.3)
+        dec = self.predict(model, seq, threshold=0.3)
         probs = 1.0 / (1.0 + np.exp(-np.asarray(logits, dtype=np.float64)))
         np.testing.assert_allclose(dec.probs, probs, rtol=1e-6)
         np.testing.assert_array_equal(dec.binary, (probs > 0.3).astype(np.int8))
@@ -46,7 +51,7 @@ class TestPredictFrames:
         model = make_tiny_model()
         seq = FeatureSequence(values=np.zeros((8, 4)), hop=0.02)
         with pytest.raises(ValueError):
-            predict_frames(model, seq, threshold=1.0)
+            self.predict(model, seq, threshold=1.0)
 
 
 def _decisions(binary, hop=0.02):

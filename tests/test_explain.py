@@ -76,14 +76,6 @@ class TestBinarize:
             _, b2 = binarize(a * r + c)
             np.testing.assert_array_equal(b1, b2)
 
-    def test_prefilter_variant(self):
-        r = np.array([0.2, 0.6, 0.9])
-        _, b_plain = binarize(r, tau=0.5)
-        _, b_pre = binarize(r, tau=0.5, prefilter=True)
-        # prefilter zeroes entries not exceeding tau before normalization
-        np.testing.assert_array_equal(b_pre, binarize(np.array([0.0, 0.6, 0.9]), tau=0.5)[1])
-        assert b_plain.shape == b_pre.shape
-
 
 def _brute_force_report(b_matrix, samples_per_class, band, compact_limit):
     n_samples, k = b_matrix.shape

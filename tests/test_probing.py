@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_model
-from nmfseg.frontend import FeatureSequence, log_mel, stft_magnitude
-from nmfseg.network import forward, init_model
+from nmfseg.errors import FormatError
+from nmfseg.frontend import FeatureSequence, log_mel, stft_magnitude, write_features
+from nmfseg.network import encode, forward, init_model
 from nmfseg.probing import (ProbeResult, ProbeTask, build_synthetic_task, eval_probe,
-                            extract_frozen_h, synth_probe_clip, train_probe)
+                            load_probe_manifest, synth_probe_clip, train_probe)
 
 
 def _separable_task(n_per_class=30, k=16, seed=0, classes=2, offset=0):
@@ -40,21 +41,26 @@ def _label_shuffled_split(n_per_class=60, k=16, seed=0, shuffle_seed=1):
     return train, held
 
 
+def _frozen_h(model, seq):
+    """One sequence's H from ``encode``, as the probe tasks extract it."""
+    return encode(model, np.asarray(seq.values)[None])[0][0]
+
+
 class TestExtractFrozenH:
     def test_equals_forward(self):
         model = make_tiny_model()
         rng = np.random.default_rng(0)
         seq = FeatureSequence(values=rng.normal(size=(8, 12)), hop=0.02)
-        h1 = extract_frozen_h(model, seq)
+        h1 = _frozen_h(model, seq)
         h2, _ = forward(model, seq)
-        np.testing.assert_array_equal(h1.values, h2.values)
+        np.testing.assert_array_equal(h1, h2.values)
 
     def test_repeated_calls_identical(self):
         model = make_tiny_model()
         seq = FeatureSequence(values=np.random.default_rng(1).normal(size=(8, 9)), hop=0.02)
-        a = extract_frozen_h(model, seq)
-        b = extract_frozen_h(model, seq)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = _frozen_h(model, seq)
+        b = _frozen_h(model, seq)
+        np.testing.assert_array_equal(a, b)
 
     def test_never_mutates_model(self):
         model = make_tiny_model()
@@ -66,8 +72,41 @@ class TestExtractFrozenH:
         before = checksum()
         task = _separable_task(n_per_class=5)
         train_probe(task, epochs=20, seed=0)
-        extract_frozen_h(model, FeatureSequence(values=np.zeros((8, 6)), hop=0.02))
+        _frozen_h(model, FeatureSequence(values=np.zeros((8, 6)), hop=0.02))
         assert checksum() == before
+
+
+class TestProbeManifest:
+    def _write(self, tmp_path, rows):
+        for i, t in enumerate((7, 9, 5)):
+            values = np.random.default_rng(i).normal(size=(8, t))
+            write_features(FeatureSequence(values=values, hop=0.02), tmp_path / f"f{i}.nsf")
+        path = tmp_path / "probe.csv"
+        path.write_text("".join(line + "\n" for line in rows))
+        return path
+
+    def test_items_are_each_rows_frozen_h(self, tmp_path):
+        model = make_tiny_model()
+        path = self._write(tmp_path, ["# path,label", "f0.nsf,1", "", "f1.nsf,0", "f2.nsf,2"])
+        task = load_probe_manifest(model, path)
+        assert [label for _, label in task.items] == [1, 0, 2]
+        assert task.class_count == 3 and task.pad_to == 9
+        for (h, _), i in zip(task.items, range(3)):
+            seq = FeatureSequence(values=np.random.default_rng(i).normal(size=(8, h.shape[1])), hop=0.02)
+            np.testing.assert_array_equal(h, _frozen_h(model, seq))
+
+    @pytest.mark.parametrize("rows,match", [
+        ([], "no probe rows"),
+        (["# only a comment", ""], "no probe rows"),
+        (["f0.nsf,1", "f1.nsf,one"], "line 2: label 'one' is not an integer"),
+        (["f0.nsf,1", "f1.nsf,0,extra"], "line 2: expected 2 columns"),
+        (["f0.nsf,-1"], "line 1: label -1 is negative"),
+    ])
+    def test_malformed_manifest_raises_format_error(self, tmp_path, rows, match):
+        path = self._write(tmp_path, rows)
+        with pytest.raises(FormatError, match=match) as info:
+            load_probe_manifest(make_tiny_model(), path)
+        assert str(path) in str(info.value)
 
 
 class TestTrainProbe:
@@ -166,8 +205,8 @@ class TestSyntheticProbeClips:
         assert [label for _, label in task.items] == [0, 0, 1, 1, 2, 2]
         for (h, label), i in zip(task.items, [0, 1] * 3):
             clip = synth_probe_clip("noise-color", label, 4 * 100003 + i, seconds=0.5)
-            ref = extract_frozen_h(model, log_mel(stft_magnitude(clip)))
-            assert np.array_equal(h, ref.values)
-        assert task.pad_to == ref.values.shape[1]
+            ref = _frozen_h(model, log_mel(stft_magnitude(clip)))
+            assert np.array_equal(h, ref)
+        assert task.pad_to == ref.shape[1]
         with pytest.raises(ValueError, match="no items"):
             build_synthetic_task(model, "noise-color", 3, 0, seed=4)
