@@ -8,10 +8,12 @@ its hash, and the input paths; logs carry no timestamps, so identical runs
 produce identical bytes.  On failure, files created by the failed run are
 removed.
 
-Corpus synthesis (``gen-data``) runs one worker process per usable CPU by
-default, and ``train`` runs two threads; NMFSEG_THREADS, a positive integer,
-caps both counts (``parallel.workers``).  Every output is byte-identical at
-any worker count.
+Corpus synthesis (``gen-data``) and the synthetic probe clips of ``probe``
+run one worker process per usable CPU by default; ``train`` runs two
+threads, and ``eval``, ``segment``, ``explain`` and ``ablate-beta`` keep two
+clips in flight on two threads.  NMFSEG_THREADS, a positive integer, caps
+every count (``parallel.workers``); at 1 everything runs inline.  Every
+output is byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .labels import read_label_file
 from .network import init_model, load_model, save_model
 from .nmf import save_dictionary, load_dictionary
 from .parallel import workers
-from .probing import build_synthetic_task, eval_probe, load_probe_manifest, train_probe, write_result_json
+from .probing import build_synthetic_tasks, eval_probe, load_probe_manifest, train_probe, write_result_json
 from .training import (encode_rows, evaluate_split, load_clip, pretrain_dictionary,
                        reconstruction_error, split_rows, train)
 
@@ -139,14 +141,15 @@ def _cmd_segment(args, cfg, run: _Run):
     settings = cfgmod.frontend_settings(cfg)
     manifest = load_manifest(args.manifest)
 
-    def write(clip, h, logits):
+    def segment(clip, h, logits):
         decisions = decide_frames(logits, cfg["threshold"], clip.hop)
-        segments = frames_to_segments(decisions, min_dur=cfg["min_dur"], class_names=CLASS_NAMES)
-        out = run.path("segments", f"{clip.clip_id}.seg")
-        write_segments(out, clip.clip_id, segments)
-        return out
+        return clip.clip_id, frames_to_segments(decisions, min_dur=cfg["min_dur"], class_names=CLASS_NAMES)
 
-    artifacts = encode_rows(model, manifest, split_rows(manifest, args.split), settings, write)
+    artifacts = []
+    for clip_id, segments in encode_rows(model, manifest, split_rows(manifest, args.split), settings, segment):
+        out = run.path("segments", f"{clip_id}.seg")
+        write_segments(out, clip_id, segments)
+        artifacts.append(out)
     return {"files": len(artifacts)}, artifacts
 
 
@@ -223,20 +226,19 @@ def _cmd_probe(args, cfg, run: _Run):
     if args.task_manifest:
         task = load_probe_manifest(model, args.task_manifest, name="manifest", settings=settings)
         eval_task = load_probe_manifest(model, args.eval_manifest or args.task_manifest,
-                                        name="manifest-eval", settings=settings)
+                                        name="manifest-eval", settings=settings,
+                                        class_count=task.class_count)
         weights = train_probe(task, epochs=cfg["probe_epochs"], lr=cfg["probe_lr"], seed=cfg["seed"])
         results["manifest"] = eval_probe(weights, eval_task)
     else:
-        for task_name, n_classes in (("tone-class", 3), ("noise-color", 3), ("am-rate", 3)):
-            train_task = build_synthetic_task(model, task_name, n_classes, cfg["probe_per_class"],
-                                              seed=cfg["seed"], settings=settings,
-                                              seconds=cfg["probe_seconds"])
-            eval_task = build_synthetic_task(model, task_name, n_classes, cfg["probe_per_class"],
-                                             seed=cfg["seed"] + 7919, settings=settings,
-                                             seconds=cfg["probe_seconds"])
+        names = ("tone-class", "noise-color", "am-rate")
+        specs = [(name, 3, cfg["probe_per_class"], seed)
+                 for name in names for seed in (cfg["seed"], cfg["seed"] + 7919)]
+        tasks = build_synthetic_tasks(model, specs, settings=settings, seconds=cfg["probe_seconds"])
+        for name, train_task, eval_task in zip(names, tasks[::2], tasks[1::2]):
             weights = train_probe(train_task, epochs=cfg["probe_epochs"], lr=cfg["probe_lr"],
                                   seed=cfg["seed"])
-            results[task_name] = eval_probe(weights, eval_task)
+            results[name] = eval_probe(weights, eval_task)
     out = run.path("probe_results.json")
     write_result_json(results, out)
     metrics = {name: {"accuracy": r.accuracy, "uar": r.uar} for name, r in results.items()}
@@ -349,7 +351,8 @@ def run_command(argv) -> int:
             cfg["seed"] = args.seed
         run.out.mkdir(parents=True, exist_ok=True)
         metrics, artifacts = handler(args, cfg, run)
-        inputs = {key: str(getattr(args, key)) for key in (*required, "split") if hasattr(args, key)}
+        inputs = {key: str(value) for key in (*required, "split", "task_manifest", "eval_manifest")
+                  if (value := getattr(args, key, None)) is not None}
         _write_run_log(run, args.command, cfg, inputs, metrics, artifacts)
         return 0
     except (NmfsegError, OSError, ValueError) as exc:

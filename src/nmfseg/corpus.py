@@ -19,12 +19,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, FormatError
 from .frontend import SAMPLE_RATE, AudioClip, save_audio
 from .labels import write_label_file
@@ -355,13 +355,6 @@ def generate_corpus(spec: CorpusSpec, out_dir, workers: int = 1) -> Manifest:
         for clip_index in range(n_clips):
             jobs.append((spec, split, split_index, clip_index, str(out_dir)))
 
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_write_clip, jobs))
-    else:
-        rows = [_write_clip(job) for job in jobs]
-
-    manifest = Manifest(rows=rows, root=out_dir)
+    manifest = Manifest(rows=parallel.process_map(_write_clip, jobs, workers), root=out_dir)
     save_manifest(manifest, out_dir / "manifest.csv")
     return manifest

@@ -14,11 +14,20 @@ PCM, an 18-byte one (``cbSize`` = 0) and a ``fact`` chunk for float, then
 The STFT uses a periodic Hann window of ``win_len`` samples, zero-padded to
 ``n_fft``, with no boundary padding, so the frame count is
 ``1 + (n_samples - win_len) // hop``.  Defaults (n_fft=512, win_len=400,
-hop=320 at 16 kHz) give 257 frequency bins on a 20 ms frame grid.  Frames
-are windowed and transformed ``STFT_BLOCK_FRAMES`` at a time into one
-preallocated output, so the windowed frames and the complex spectrum of a
-long clip never exist whole; each frame's FFT is independent, so the result
-is bit-identical to transforming every frame at once.
+hop=320 at 16 kHz) give 257 frequency bins on a 20 ms frame grid.
+
+``featurize`` is the frontend every stage runs: one pass over a clip's
+samples as the WAV stores them (``read_wav``), ``STFT_BLOCK_FRAMES`` frames at
+a time.  Each block's samples are widened to float64, windowed and
+transformed, and the block's magnitudes are written straight into the
+preallocated float32 log-mel features and, when asked for, the float32
+reconstruction target.  So neither a whole float64 waveform (15.4 MB for a
+120-s clip) nor a whole spectrogram (12.3 MB) exists: besides the WAV's own
+bytes, the pass holds the clip's 1.9 MB of features and about 3 MB of
+float64 block temporaries (samples, windowed frames, complex spectrum and
+magnitudes of 256 frames).  ``load_audio``, ``stft_magnitude`` and
+``log_mel`` are the same steps over whole arrays; tests compare ``featurize``
+against them.
 
 Feature matrices round-trip through the "NSF1" binary format: magic, D and T
 as little-endian u32, the hop in seconds as little-endian f64, then D*T
@@ -40,7 +49,7 @@ LOG_FLOOR = 1e-10
 
 FEATURE_MAGIC = b"NSF1"
 
-# frames windowed and transformed per block in stft_magnitude
+# frames windowed and transformed per block in featurize and stft_magnitude
 STFT_BLOCK_FRAMES = 256
 
 _WAVE_FORMAT_PCM = 0x0001
@@ -143,14 +152,22 @@ def load_audio(path) -> AudioClip:
     Anything else (sample rate, channel layout, codec) is rejected rather
     than converted, and so is a file whose chunks run past its end.
     """
+    return AudioClip(samples=_widen(read_wav(path)), sample_rate=SAMPLE_RATE, channel_count=1)
+
+
+def read_wav(path) -> np.ndarray:
+    """A 16 kHz mono WAV file's samples as stored: int16 or float32, unscaled
+    and read-only.  The file is checked as ``load_audio`` checks it."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    rate, data = _parse_wav(blob, str(path))
+    return _parse_wav(blob, str(path))[1]
+
+
+def _widen(data: np.ndarray) -> np.ndarray:
+    """Samples as float64: int16 scaled by 1/32768, float taken as is."""
     if data.dtype.kind == "i":
-        samples = np.divide(data, 32768.0, dtype=np.float64)
-    else:
-        samples = data.astype(np.float64)
-    return AudioClip(samples=samples, sample_rate=rate, channel_count=1)
+        return np.divide(data, 32768.0, dtype=np.float64)
+    return np.asarray(data, dtype=np.float64)
 
 
 def _parse_wav(blob: bytes, name: str) -> tuple[int, np.ndarray]:
@@ -237,13 +254,8 @@ def stft_magnitude(clip: AudioClip, n_fft: int = 512, win_len: int = 400, hop: i
     Frames start at multiples of ``hop``; each is Hann-windowed over
     ``win_len`` samples and zero-padded to ``n_fft`` before the real FFT.
     """
-    if win_len > n_fft:
-        raise ConfigError(f"win_len {win_len} exceeds n_fft {n_fft}")
-    if hop <= 0:
-        raise ConfigError(f"hop must be positive, got {hop}")
     samples = clip.samples
-    if len(samples) < win_len:
-        raise IngestionError(f"clip too short: {len(samples)} samples < window of {win_len}")
+    frame_count(len(samples), FrontendSettings(n_fft=n_fft, win_len=win_len, hop=hop))
     # every hop-th window, so 1 + (n_samples - win_len) // hop frames
     windows = np.lib.stride_tricks.sliding_window_view(samples, win_len)[::hop]
     window = hann_window(win_len)
@@ -253,6 +265,81 @@ def stft_magnitude(clip: AudioClip, n_fft: int = 512, win_len: int = 400, hop: i
         block = windows[start:start + STFT_BLOCK_FRAMES]
         np.abs(np.fft.rfft(block * window, n=n_fft, axis=1), out=mags[start:start + len(block)])
     return Spectrogram(values=mags.T, hop=hop / clip.sample_rate, sample_rate=clip.sample_rate)
+
+
+def frame_count(n_samples: int, settings: FrontendSettings) -> int:
+    """STFT frames of an ``n_samples`` clip: ``1 + (n_samples - win_len) // hop``.
+
+    A clip shorter than one window raises IngestionError, and a window longer
+    than ``n_fft`` or a hop below 1 raises ConfigError.
+    """
+    win_len, hop = settings.win_len, settings.hop
+    if win_len > settings.n_fft:
+        raise ConfigError(f"win_len {win_len} exceeds n_fft {settings.n_fft}")
+    if hop <= 0:
+        raise ConfigError(f"hop must be positive, got {hop}")
+    if n_samples < win_len:
+        raise IngestionError(f"clip too short: {n_samples} samples < window of {win_len}")
+    return 1 + (n_samples - win_len) // hop
+
+
+def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | None = None,
+              mel: bool = True, target: bool = False) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``(features, target)`` of a clip, in one blocked pass over its samples.
+
+    ``samples`` are int16 or float32 as ``read_wav`` returns them, or float64
+    in [-1, 1].  The first ``frames`` STFT frames are computed (all
+    ``frame_count`` of them when None).  ``features`` is the float32
+    (n_mels, frames) ``log(fb @ |X| + LOG_FLOOR)``, when ``mel`` is set;
+    ``target`` is the float32 (F, frames) reconstruction target |X|, or
+    ``log1p |X|`` under ``recon_log``, when ``target`` is set; it is the
+    transpose of a frame-major array, as ``stft_magnitude``'s values are.
+    Either is None when not asked for.
+
+    Per block of ``STFT_BLOCK_FRAMES`` frames, the block's samples are
+    widened to float64 as ``load_audio`` widens them, and windowed and
+    transformed as ``stft_magnitude`` does it.  A non-finite float sample
+    raises IngestionError; the blocks' checks cover every sample, the ones
+    after the last frame included.  Every FFT, ``log`` and ``log1p`` is
+    elementwise, so the target equals the whole-clip one bit for bit.  The
+    float64 mel product of a block can differ in its last bit from the
+    whole-clip product, because OpenBLAS picks its kernels by the frame
+    count; after the float32 rounding, the features were bit-equal to
+    ``log_mel(stft_magnitude(load_audio(...)))`` at every size tested.
+    """
+    n = len(samples)
+    total = frame_count(n, settings)
+    frames = total if frames is None else frames
+    if not 1 <= frames <= total:
+        raise DimensionError(f"cannot take {frames} frames of a {n}-sample clip")
+    win_len, hop = settings.win_len, settings.hop
+    n_bins = settings.n_fft // 2 + 1
+    window = hann_window(win_len)
+    features = np.empty((settings.n_mels, frames), dtype=np.float32) if mel else None
+    # frame-major, so the (F, frames) view returned is laid out as a whole-clip
+    # spectrogram is: summing over its frequency axis then rounds alike
+    spect = np.empty((frames, n_bins), dtype=np.float32) if target else None
+    if mel:
+        f_max = SAMPLE_RATE / 2 if settings.f_max is None else settings.f_max
+        # the n_fft that Spectrogram.n_fft reads back from the bin count, as log_mel uses it
+        fb = mel_filterbank(settings.n_mels, 2 * (n_bins - 1), SAMPLE_RATE, settings.f_min, f_max)
+    check = samples.dtype.kind == "f"
+    for start in range(0, frames, STFT_BLOCK_FRAMES):
+        stop = min(start + STFT_BLOCK_FRAMES, frames)
+        lo, hi = start * hop, (stop - 1) * hop + win_len
+        # up to the next block's first sample, and to the clip's end after the last block
+        if check and not np.isfinite(samples[lo:max(hi, stop * hop) if stop < frames else n]).all():
+            raise IngestionError("non-finite samples")
+        block = _widen(samples[lo:hi])
+        windows = np.lib.stride_tricks.sliding_window_view(block, win_len)[::hop]
+        mags = np.abs(np.fft.rfft(windows * window, n=settings.n_fft, axis=1))  # (frames, F)
+        if mel:
+            banded = fb @ mags.T
+            banded += LOG_FLOOR
+            features[:, start:stop] = np.log(banded, out=banded)
+        if target:
+            spect[start:stop] = np.log1p(mags, out=mags) if settings.recon_log else mags
+    return features, None if spect is None else spect.T
 
 
 def hz_to_mel(f):

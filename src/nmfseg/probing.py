@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .corpus import one_pole
 from .errors import DimensionError, FormatError
-from .frontend import (AudioClip, FrontendSettings, load_audio, log_mel, read_features,
-                       stft_magnitude)
+from .frontend import AudioClip, FrontendSettings, featurize, read_features, read_wav
 from .network import SegModel, encode
 from .optim import adam_step, init_adam
 
@@ -166,33 +166,58 @@ def synth_probe_clip(task: str, label: int, seed: int, seconds: float = 1.0,
     return AudioClip(samples=sig, sample_rate=sr)
 
 
-def build_synthetic_task(model: SegModel, task: str, n_classes: int, per_class: int,
-                         seed: int, settings=None, seconds: float = 1.0) -> ProbeTask:
-    """Generate clips, extract frozen activations, and assemble a ProbeTask.
+def _label_features(job) -> list[np.ndarray]:
+    """Features of one label's synthetic probe clips; a ``process_map`` job."""
+    task, label, seed, per_class, seconds, settings = job
+    return [featurize(synth_probe_clip(task, label, seed * 100003 + i, seconds=seconds).samples, settings)[0]
+            for i in range(per_class)]
 
-    Every clip has the same length, so all of them go through one batched
-    ``encode``; the guarded layout keeps the clips from reading each other.
+
+def build_synthetic_tasks(model: SegModel, specs: list, settings=None,
+                          seconds: float = 1.0) -> list[ProbeTask]:
+    """One ProbeTask per ``(task, n_classes, per_class, seed)`` in ``specs``.
+
+    Every clip of every task is synthesised and featurized up front, on
+    ``parallel.process_map``'s worker processes, one job per task and
+    label: with one job per clip, a desk ``probe``'s 360 clips took 0.54 s
+    on two workers (median of 7, 2 vCPUs), against 0.41 s.  Then each
+    task's clips, all of one length, go through one batched ``encode``; the
+    guarded layout keeps the clips from reading each other.
     """
     settings = settings or FrontendSettings()
-    labels, feats = [], []
-    for label in range(n_classes):
-        for i in range(per_class):
-            clip = synth_probe_clip(task, label, seed * 100003 + i, seconds=seconds)
-            spec = stft_magnitude(clip, n_fft=settings.n_fft, win_len=settings.win_len, hop=settings.hop)
-            feats.append(log_mel(spec, n_mels=settings.n_mels, f_min=settings.f_min, f_max=settings.f_max).values)
-            labels.append(label)
-    if not feats:
-        raise ValueError(f"{task}: no items")
-    h, _ = encode(model, np.stack(feats))
-    return ProbeTask(name=task, class_count=n_classes, items=list(zip(h, labels)), pad_to=h.shape[2])
+    for task, n_classes, per_class, _ in specs:
+        if min(n_classes, per_class) < 1:
+            raise ValueError(f"{task}: no items")
+    jobs = [(task, label, seed, per_class, seconds, settings)
+            for task, n_classes, per_class, seed in specs for label in range(n_classes)]
+    feats = iter(parallel.process_map(_label_features, jobs))
+    tasks = []
+    for task, n_classes, per_class, _ in specs:
+        by_label = [next(feats) for _ in range(n_classes)]
+        h, _ = encode(model, np.stack([f for clips in by_label for f in clips]))
+        labels = [label for label in range(n_classes) for _ in range(per_class)]
+        tasks.append(ProbeTask(name=task, class_count=n_classes, items=list(zip(h, labels)),
+                               pad_to=h.shape[2]))
+    return tasks
 
 
-def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=None) -> ProbeTask:
+def build_synthetic_task(model: SegModel, task: str, n_classes: int, per_class: int,
+                         seed: int, settings=None, seconds: float = 1.0) -> ProbeTask:
+    """Generate clips, extract frozen activations, and assemble one ProbeTask."""
+    return build_synthetic_tasks(model, [(task, n_classes, per_class, seed)], settings, seconds)[0]
+
+
+def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=None,
+                        class_count: int | None = None) -> ProbeTask:
     """Build a task from CSV rows of (audio-or-feature path, integer label >= 0).
 
-    Blank rows and rows starting with ``#`` are skipped.  A row without two
-    columns, a label that is not a non-negative integer, and a file with no
-    rows raise FormatError naming the file and the line.
+    The task has ``class_count`` classes, or one more than its largest label
+    when None; an evaluation task takes the count of the task its probe was
+    trained on.  Blank rows and rows starting with ``#`` are skipped.  A row
+    without two columns, a label that is not a non-negative integer or not
+    below ``class_count``, a file with no rows, and, without
+    ``class_count``, labels that cover fewer than two classes raise
+    FormatError naming the file (and the line, for a row).
     """
     settings = settings or FrontendSettings()
     root = Path(path).parent
@@ -211,16 +236,22 @@ def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=
                 raise FormatError(f"{where}: label {row[1]!r} is not an integer") from None
             if label < 0:
                 raise FormatError(f"{where}: label {label} is negative")
+            if class_count is not None and label >= class_count:
+                raise FormatError(f"{where}: label {label} is not below the {class_count} classes "
+                                  "the probe was trained on")
             src = root / row[0]
             if str(src).endswith(".nsf"):
-                feats = read_features(src)
+                feats = read_features(src).values
             else:
-                clip = load_audio(src)
-                spec = stft_magnitude(clip, n_fft=settings.n_fft, win_len=settings.win_len, hop=settings.hop)
-                feats = log_mel(spec, n_mels=settings.n_mels, f_min=settings.f_min, f_max=settings.f_max)
-            h, _ = encode(model, feats.values[None])
+                feats, _ = featurize(read_wav(src), settings)
+            h, _ = encode(model, feats[None])
             items.append((h[0], label))
     if not items:
         raise FormatError(f"{path}: no probe rows")
-    return ProbeTask(name=name, class_count=max(label for _, label in items) + 1, items=items,
+    if class_count is None:
+        present = {label for _, label in items}
+        if len(present) < 2:
+            raise FormatError(f"{path}: every label is {present.pop()}; a probe needs at least 2 classes")
+        class_count = max(present) + 1
+    return ProbeTask(name=name, class_count=class_count, items=items,
                      pad_to=max(h.shape[1] for h, _ in items))

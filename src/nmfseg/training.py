@@ -19,11 +19,18 @@ first allocate only the shard gradient vectors and small arrays; a call
 without a workspace gets a fresh one and computes the same bytes.
 
 Every inference stage walks its manifest rows through ``encode_rows``,
-which loads, encodes and hands on one clip at a time.
+which loads, encodes and hands on each clip on the ``parallel`` pool, so two
+clips are in flight and each is dropped once its caller's value is made.
 
-``train`` runs with OpenBLAS at one thread (``parallel.serial_blas``): its
-two threads are the shards, the clip loads of ``load_split`` and the dev
-encodes of ``dev_metrics``.
+``train`` and ``encode_rows`` run with OpenBLAS at one thread
+(``parallel.serial_blas``): their two threads are the shards, the clip loads
+of ``load_split``, the dev encodes of ``dev_metrics`` and the rows of an
+inference stage.
+
+Each clip is read once and featurized in one blocked pass
+(``frontend.featurize``), which writes the float32 features and, when asked,
+the float32 reconstruction target; no whole float64 waveform or
+spectrogram is held.
 
 Feature, spectrogram, and label frame counts may disagree by at most one
 frame (the STFT drops a partial frame at the clip edge); the surplus frame
@@ -40,8 +47,8 @@ from . import parallel
 from .corpus import CLASS_NAMES, Manifest
 from .errors import NONNEG, POSITIVE, SEED, SIZE, UNIT, ConfigError, DimensionError, NumericError
 from .evaluate import F1Report, accumulate_counts, decide_frames
-from .frontend import (FeatureSequence, FrontendSettings, Spectrogram, load_audio, log_mel,
-                       read_features, stft_magnitude)
+from .frontend import (SAMPLE_RATE, FeatureSequence, FrontendSettings, featurize, frame_count,
+                       read_features, read_wav)
 from .labels import label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, _bce_cells,
                       _forward_cache, bce_masked, encode, sigmoid)
@@ -93,54 +100,45 @@ class TrainSegment:
     labels: LabelMatrix
 
 
-def _aligned_spectrogram(manifest: Manifest, row, settings: FrontendSettings
-                         ) -> tuple[Spectrogram, FeatureSequence | None, np.ndarray, int]:
-    """Decode one row's audio, take its STFT and align it with the row's files.
+def _aligned_samples(manifest: Manifest, row, settings: FrontendSettings
+                     ) -> tuple[np.ndarray, FeatureSequence | None, np.ndarray, int]:
+    """Read one row's audio and align its frame count with the row's files.
 
-    Returns ``(spec, feats, labels, t)``: the full spectrogram, the row's
-    feature file (None when the row has none), the label frames, and the
-    common frame count ``t``.  Without a feature file the features are the
-    log-mel of ``spec``, which has ``spec``'s frame count, so they need not be
-    computed to align.  Counts may differ by one frame; more is an error.
+    Returns ``(samples, feats, labels, t)``: the WAV's samples as stored, the
+    row's feature file (None when the row has none), the label frames, and
+    the common frame count ``t``.  The STFT frame count follows from the
+    sample count alone, and without a feature file the features have that
+    count too.  Counts may differ by one frame; more is an error.
     """
-    clip = load_audio(manifest.resolve(row.audio))
-    spec = stft_magnitude(clip, n_fft=settings.n_fft, win_len=settings.win_len, hop=settings.hop)
+    samples = read_wav(manifest.resolve(row.audio))
+    frames = frame_count(len(samples), settings)
     feats = read_features(manifest.resolve(row.features)) if row.features else None
     labels, _ = read_label_file(manifest.resolve(row.labels))
 
-    lengths = {"features": spec.frames if feats is None else feats.frames,
-               "spectrogram": spec.frames, "labels": labels.shape[1]}
+    lengths = {"features": frames if feats is None else feats.frames,
+               "spectrogram": frames, "labels": labels.shape[1]}
     t = min(lengths.values())
     if max(lengths.values()) - t > 1:
         raise DimensionError(f"{row.clip_id}: frame counts differ by more than one: {lengths}")
-    return spec, feats, labels, t
-
-
-def _reconstruction_target(spec: Spectrogram, t: int, settings: FrontendSettings) -> np.ndarray:
-    """The aligned F x t float32 magnitudes (log1p-compressed if ``recon_log``)."""
-    xv = spec.values[:, :t]
-    if settings.recon_log:
-        xv = np.log1p(xv)
-    return np.asarray(xv, dtype=np.float32)
+    return samples, feats, labels, t
 
 
 def load_clip(manifest: Manifest, row, settings: FrontendSettings,
               with_spect: bool = True) -> ClipData:
     """Load one manifest row, aligning features, spectrogram, and labels.
 
-    The spectrogram is always computed, since it sets the frame count (and
-    the features when the row has no feature file), but it is kept as
-    ``ClipData.spect`` only when ``with_spect`` is true: inference reads
-    features alone.
+    The features are the row's feature file, or else the log-mel of its
+    audio; the float32 reconstruction target is computed only when
+    ``with_spect`` is true (inference reads features alone).  Every row's
+    audio goes through ``featurize``, so its samples are checked either way.
     """
-    spec, feats, labels, t = _aligned_spectrogram(manifest, row, settings)
-    if feats is None:
-        feats = log_mel(spec, n_mels=settings.n_mels, f_min=settings.f_min, f_max=settings.f_max)
+    samples, feats, labels, t = _aligned_samples(manifest, row, settings)
+    computed, spect = featurize(samples, settings, frames=t, mel=feats is None, target=with_spect)
     return ClipData(clip_id=row.clip_id,
-                    features=np.asarray(feats.values[:, :t], dtype=np.float32),
-                    spect=_reconstruction_target(spec, t, settings) if with_spect else None,
+                    features=computed if feats is None else np.asarray(feats.values[:, :t], dtype=np.float32),
+                    spect=spect,
                     labels=labels[:, :t],
-                    hop=spec.hop)
+                    hop=settings.hop / SAMPLE_RATE)
 
 
 def split_rows(manifest: Manifest, split: str) -> list:
@@ -270,13 +268,10 @@ def _stack_into(ws: Workspace, role: str, arrays: list) -> np.ndarray:
     return np.stack(arrays, out=ws.take(role, (len(arrays), *arrays[0].shape), arrays[0].dtype))
 
 
-def _score_clip(report: F1Report, clip: ClipData, logits: np.ndarray,
-                threshold: float) -> LabelMatrix:
-    """Decide one clip's frames and add its counts to ``report``; returns its labels."""
+def _decide_clip(clip: ClipData, logits: np.ndarray, threshold: float) -> tuple[np.ndarray, LabelMatrix]:
+    """One clip's binary frame decisions and its whole-clip label matrix."""
     binary = decide_frames(logits, threshold, clip.hop).binary
-    lab = label_matrix_from_range(clip.labels, 0, clip.labels.shape[1])
-    accumulate_counts(report, binary, lab, CLASS_NAMES[: lab.classes])
-    return lab
+    return binary, label_matrix_from_range(clip.labels, 0, clip.labels.shape[1])
 
 
 def dev_metrics(model: SegModel, clips: list[ClipData], threshold: float) -> dict:
@@ -288,7 +283,9 @@ def dev_metrics(model: SegModel, clips: list[ClipData], threshold: float) -> dic
     bce_sum = 0.0
     all_logits = parallel.map(lambda clip: encode(model, clip.features[None])[1][0], clips)
     for clip, logits in zip(clips, all_logits):
-        bce_sum += bce_masked(logits, _score_clip(report, clip, logits, threshold))
+        binary, lab = _decide_clip(clip, logits, threshold)
+        accumulate_counts(report, binary, lab, CLASS_NAMES[: lab.classes])
+        bce_sum += bce_masked(logits, lab)
     f1s = {name: entry.f1 for name, entry in report.per_class.items() if entry.defined}
     return {"bce": bce_sum / len(clips), "f1": f1s, "macro_f1": report.macro_f1()}
 
@@ -373,19 +370,16 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, k: int,
 
     Each train clip is read once, and only its float32 reconstruction target
     is held (about 3.1 MB per minute of audio at the default frontend); no
-    log-mel is computed.  Only the selected frames are widened to float64,
-    so the matrix SNMF factorizes is the one the whole split, concatenated,
+    log-mel is computed, and no float64 spectrogram is held.  Only the
+    selected frames are widened to float64, so the matrix SNMF factorizes is the one the whole split, concatenated,
     normalized and strided, would give, bit for bit.  The SNMF settings are
     checked before any clip is read.
     """
     cfg = SnmfConfig(k=k, mu=mu, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
     targets, norms = [], []
     for row in split_rows(manifest, "train"):
-        spec, _, _, t = _aligned_spectrogram(manifest, row, settings)
-        target = _reconstruction_target(spec, t, settings)
-        # freed before the next clip's STFT: held across it, max RSS on a
-        # build-shaped split rose from 77 to 86 MB
-        del spec
+        samples, _, _, t = _aligned_samples(manifest, row, settings)
+        _, target = featurize(samples, settings, frames=t, mel=False, target=True)
         targets.append(target)
         norms.append(np.linalg.norm(target.astype(np.float64), axis=0))
     norms = np.concatenate(norms)
@@ -412,16 +406,19 @@ def encode_rows(model: SegModel, manifest: Manifest, rows: list, settings: Front
     Each row is loaded by ``load_clip`` and encoded alone; ``fn`` gets the
     clip, its H (K, T) and its logits (C, T), and should return only what
     the caller keeps.  Load, encode and ``fn`` run inside one call per row,
-    so nothing of a clip is alive when the next one loads.  A generator
-    would hold clip i's arrays while clip i+1 loads: on 120-s clips that
-    raised max RSS by up to 11 MB.
+    on the ``parallel`` pool with OpenBLAS at one thread, so at most
+    ``parallel.SHARDS`` clips are alive at once and each is dropped when its
+    ``fn`` returns.  ``fn`` runs on a pool thread: it must not change state
+    that another row's call reads or writes, so a caller that accumulates
+    does so over the returned list.
     """
     def one(row):
         clip = load_clip(manifest, row, settings, with_spect)
         h, logits = encode(model, clip.features[None])
         return fn(clip, h[0], logits[0])
 
-    return [one(row) for row in rows]
+    with parallel.serial_blas():
+        return parallel.map(one, rows)
 
 
 def evaluate_split(model: SegModel, manifest: Manifest, split: str,
@@ -429,14 +426,15 @@ def evaluate_split(model: SegModel, manifest: Manifest, split: str,
                    threshold: float = 0.5) -> F1Report:
     """Aggregate frame counts over a whole split and score per class.
 
-    Clips are loaded one at a time, so memory holds one clip's features.
+    Clips are loaded, encoded and decided through ``encode_rows``, so memory
+    holds at most two clips' features; their counts are added here, in row
+    order.
     """
+    decided = encode_rows(model, manifest, split_rows(manifest, split), settings or FrontendSettings(),
+                          lambda clip, h, logits: _decide_clip(clip, logits, threshold))
     report = F1Report()
-
-    def score(clip, h, logits):
-        _score_clip(report, clip, logits, threshold)
-
-    encode_rows(model, manifest, split_rows(manifest, split), settings or FrontendSettings(), score)
+    for binary, lab in decided:
+        accumulate_counts(report, binary, lab, CLASS_NAMES[: lab.classes])
     return report
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nmfseg
-from nmfseg import cli, training
+from nmfseg import cli, parallel, training
 from nmfseg.cli import run_command
 from nmfseg.config import (SCHEMA, config_hash, default_config, parse_config,
                            serialize_config)
@@ -427,7 +427,8 @@ class TestRunLogReproducibility:
 
 
 class TestRunLogInputs:
-    """Each ``*.run.json`` names the input paths it was given, plus ``--split``."""
+    """Each ``*.run.json`` names the input paths it was given, plus ``--split``
+    and the probe manifests."""
 
     def test_pipeline_stages(self, pipeline):
         _, out, manifest = pipeline
@@ -448,22 +449,39 @@ class TestRunLogInputs:
         for key, value in flags.items():
             argv += [f"--{key}", value]
         if command == "probe":
-            # the task manifest is an input too, but the log leaves it out
-            corpus = load_manifest(manifest)
-            task = tmp_path / "task.csv"
-            task.write_text("".join(f"{corpus.resolve(row.audio)},{i % 2}\n"
-                                    for i, row in enumerate(corpus.for_split("test")[:4])))
+            task = self._probe_manifest(manifest, tmp_path / "task.csv")
             argv += ["--task-manifest", str(task)]
+            flags = {**flags, "task_manifest": str(task)}
         assert run_command(argv) == 0
         assert json.loads((tmp_path / "run" / f"{command}.run.json").read_text())["inputs"] == flags
 
+    @staticmethod
+    def _probe_manifest(manifest, path):
+        corpus = load_manifest(manifest)
+        path.write_text("".join(f"{corpus.resolve(row.audio)},{i % 2}\n"
+                                for i, row in enumerate(corpus.for_split("test")[:4])))
+        return path
+
+    def test_probe_eval_manifest(self, pipeline, tmp_path):
+        cfg, out, manifest = pipeline
+        task = self._probe_manifest(manifest, tmp_path / "task.csv")
+        evaluation = self._probe_manifest(manifest, tmp_path / "eval.csv")
+        assert run_command(["probe", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                            "--model", str(out / "model.nsm"), "--task-manifest", str(task),
+                            "--eval-manifest", str(evaluation)]) == 0
+        assert json.loads((tmp_path / "run" / "probe.run.json").read_text())["inputs"] == {
+            "model": str(out / "model.nsm"), "task_manifest": str(task), "eval_manifest": str(evaluation)}
+
 
 class TestOneClipAtATime:
-    """No clip's arrays are alive when an inference stage loads the next one."""
+    """With one worker, no clip's arrays are alive when an inference stage
+    loads the next one; with two, at most one other clip is."""
 
-    @pytest.mark.parametrize("stage", ["evaluate_split", "mean_activation_l1", "reconstruction_error",
-                                       "segment", "explain"])
-    def test_no_clip_outlives_its_turn(self, pipeline, tmp_path, monkeypatch, stage):
+    STAGES = ["evaluate_split", "mean_activation_l1", "reconstruction_error", "segment", "explain"]
+
+    @staticmethod
+    def _alive_at_each_load(pipeline, tmp_path, monkeypatch, stage) -> list:
+        """How many earlier clips' features are alive as each test clip loads."""
         cfg, out, manifest_path = pipeline
         model, manifest, settings = load_model(out / "model.nsm"), load_manifest(manifest_path), FrontendSettings()
 
@@ -487,4 +505,16 @@ class TestOneClipAtATime:
         monkeypatch.setattr(training, "load_clip", load_clip_tracked)
         run()
         assert len(alive) == len(manifest.for_split("test")) >= 2
+        return alive
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_no_clip_outlives_its_turn(self, pipeline, tmp_path, monkeypatch, stage):
+        monkeypatch.setenv("NMFSEG_THREADS", "1")
+        alive = self._alive_at_each_load(pipeline, tmp_path, monkeypatch, stage)
         assert alive == [0] * len(alive)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_two_workers_hold_one_other_clip_at_most(self, pipeline, tmp_path, monkeypatch, stage):
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        alive = self._alive_at_each_load(pipeline, tmp_path, monkeypatch, stage)
+        assert max(alive) <= parallel.SHARDS - 1, alive

@@ -1,5 +1,7 @@
 """Label files, corpus generation, and manifest handling."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -231,14 +233,15 @@ class TestGenerateCorpus:
             (tmp_path / "parallel" / "manifest.csv").read_bytes()
 
     def test_pool_capped_at_clip_count(self, tmp_path, monkeypatch):
+        """The pool lives in ``parallel.process_map``, which imports it on use."""
         sizes = []
 
-        class RecordingPool(corpus.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(corpus, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         spec = CorpusSpec(seed=4, train_minutes=0.05, dev_minutes=0.05, test_minutes=0.05,
                           clip_seconds=3.0)
         manifest = generate_corpus(spec, tmp_path / "capped", workers=64)

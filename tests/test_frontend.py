@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from nmfseg.errors import ConfigError, FormatError, IngestionError
-from nmfseg.frontend import (STFT_BLOCK_FRAMES, AudioClip, FeatureSequence, hann_window,
-                             load_audio, log_mel, mel_filterbank, read_features, save_audio,
-                             stft_magnitude, write_features)
+from nmfseg.corpus import CorpusSpec, synthesize_clip
+from nmfseg.errors import ConfigError, DimensionError, FormatError, IngestionError
+from nmfseg.frontend import (STFT_BLOCK_FRAMES, AudioClip, FeatureSequence, FrontendSettings,
+                             featurize, frame_count, hann_window, load_audio, log_mel,
+                             mel_filterbank, read_features, read_wav, save_audio, stft_magnitude,
+                             write_features)
 
 
 def _write_wav(path, samples, rate=16000, dtype=np.int16):
@@ -292,6 +294,106 @@ class TestLogMel:
             log_mel(spec, n_mels=10, f_min=5000, f_max=4000)
         with pytest.raises(ConfigError):
             log_mel(spec, n_mels=10, f_min=0, f_max=9000)
+
+
+def _whole_clip_reference(path, settings):
+    """Features and float32 target the whole-array steps give for a WAV file."""
+    spec = stft_magnitude(load_audio(path))
+    target = np.log1p(spec.values) if settings.recon_log else spec.values
+    return log_mel(spec).values, np.asarray(target, dtype=np.float32)
+
+
+def _speech_like(n, seed):
+    """Noise under a slow envelope, so frames span a wide range of levels."""
+    rng = np.random.default_rng(seed)
+    envelope = np.abs(np.sin(np.arange(n) / 3000.0)) ** 3
+    return np.clip(0.3 * envelope * rng.standard_normal(n), -0.99, 0.99)
+
+
+@pytest.fixture(scope="module")
+def corpus_clip_120s():
+    """A 120-s corpus clip, as the benchmark's inference stages read them."""
+    samples, _ = synthesize_clip(CorpusSpec(seed=5, clip_seconds=120.0), 2, 0)
+    return samples
+
+
+class TestFeaturize:
+    """The blocked pass writes what the whole-array steps compute, bit for bit."""
+
+    # win_len samples (one frame), then one block less one, one block and one
+    # block plus one frame of STFT_BLOCK_FRAMES, the last with samples left over
+    @pytest.mark.parametrize("n", [400] + [400 + 320 * (frames - 1) for frames in
+                                           (STFT_BLOCK_FRAMES - 1, STFT_BLOCK_FRAMES)]
+                             + [400 + 320 * STFT_BLOCK_FRAMES + 200])
+    @pytest.mark.parametrize("fmt", ["int16", "float32"])
+    @pytest.mark.parametrize("recon_log", [False, True])
+    def test_matches_whole_clip_steps(self, tmp_path, n, fmt, recon_log):
+        path = tmp_path / "clip.wav"
+        save_audio(AudioClip(samples=_speech_like(n, n)), path, fmt=fmt)
+        settings = FrontendSettings(recon_log=recon_log)
+        features, target = featurize(read_wav(path), settings, target=True)
+        ref_features, ref_target = _whole_clip_reference(path, settings)
+        assert features.shape[1] == frame_count(n, settings) == 1 + (n - 400) // 320
+        assert features.dtype == target.dtype == np.float32
+        assert features.tobytes() == ref_features.tobytes()
+        assert target.tobytes() == ref_target.tobytes()
+
+    @pytest.mark.parametrize("fmt", ["int16", "float32"])
+    @pytest.mark.parametrize("recon_log", [False, True])
+    def test_matches_whole_clip_steps_on_120s_clip(self, tmp_path, corpus_clip_120s, fmt, recon_log):
+        path = tmp_path / "long.wav"
+        save_audio(AudioClip(samples=corpus_clip_120s), path, fmt=fmt)
+        settings = FrontendSettings(recon_log=recon_log)
+        features, target = featurize(read_wav(path), settings, target=True)
+        ref_features, ref_target = _whole_clip_reference(path, settings)
+        assert features.shape == (80, 5999)
+        assert features.tobytes() == ref_features.tobytes()
+        assert target.tobytes() == ref_target.tobytes()
+        # laid out alike, so a reduction over frequency (the SNMF frame norms) rounds alike
+        assert target.strides == ref_target.strides
+
+    def test_float64_samples_and_frame_prefix(self):
+        samples = _speech_like(400 + 320 * 600, 1)
+        settings = FrontendSettings()
+        features, target = featurize(samples, settings, target=True)
+        assert features.tobytes() == log_mel(stft_magnitude(AudioClip(samples))).values.tobytes()
+        for frames in (1, 300, 600):
+            head, head_target = featurize(samples, settings, frames=frames, target=True)
+            assert head.tobytes() == np.ascontiguousarray(features[:, :frames]).tobytes()
+            assert head_target.tobytes() == np.ascontiguousarray(target[:, :frames]).tobytes()
+        assert featurize(samples, settings, mel=False) == (None, None)
+        for frames in (0, 602):
+            with pytest.raises(DimensionError):
+                featurize(samples, settings, frames=frames)
+
+    # the first sample, one inside the second block, and the last sample, which no frame covers
+    @pytest.mark.parametrize("at", [0, 320 * STFT_BLOCK_FRAMES + 7, -1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_sample_raises(self, tmp_path, at, bad):
+        n = 400 + 320 * (STFT_BLOCK_FRAMES + 40) + 100
+        samples = _speech_like(n, 2).astype(np.float32)
+        samples[at] = bad
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, 16000, samples)
+        with pytest.raises(IngestionError, match="non-finite"):
+            featurize(read_wav(path), FrontendSettings())
+        with pytest.raises(IngestionError, match="non-finite"):
+            featurize(read_wav(path), FrontendSettings(), frames=3, mel=False)
+        with pytest.raises(IngestionError, match="non-finite"):
+            load_audio(path)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_shorter_than_window_raises(self, tmp_path, dtype):
+        path = tmp_path / "short.wav"
+        _write_wav(path, np.zeros(399), dtype=dtype)
+        with pytest.raises(IngestionError, match="too short"):
+            featurize(read_wav(path), FrontendSettings())
+
+    def test_bad_window_config(self):
+        with pytest.raises(ConfigError):
+            featurize(np.zeros(1000), FrontendSettings(n_fft=256, win_len=400))
+        with pytest.raises(ConfigError):
+            featurize(np.zeros(1000), FrontendSettings(hop=0))
 
 
 class TestFeatureFiles:

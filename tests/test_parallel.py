@@ -1,6 +1,8 @@
-"""The two-thread training run: sharded engine, pooled clip loads and dev
-encodes, and the OpenBLAS thread setting they run under."""
+"""Both cores: the sharded training engine, pooled clip loads, dev encodes
+and inference rows, the probe-clip processes, and the OpenBLAS thread
+setting they run under."""
 
+import os
 import sys
 import threading
 
@@ -9,11 +11,12 @@ import pytest
 
 from conftest import make_tiny_model
 from nmfseg import parallel
+from nmfseg.cli import run_command
 from nmfseg.corpus import CLASS_NAMES
 from nmfseg.evaluate import F1Report, accumulate_counts, decide_frames
 from nmfseg.labels import label_matrix_from_range
 from nmfseg.network import (LabelMatrix, Workspace, _backward_from_cache, bce_masked, encode,
-                            init_model)
+                            init_model, save_model)
 from nmfseg.nmf import Dictionary, normalize_columns
 from nmfseg.training import (FrontendSettings, TrainConfig, _batch_loss, _batch_loss_and_grads,
                              dev_metrics, load_clip, load_split, split_rows)
@@ -97,7 +100,42 @@ class TestShardedEngine:
         assert grad.tobytes() == _backward_from_cache(model, cache, g_logits, g_h).tobytes()
 
 
+@pytest.fixture(scope="module")
+def stage_inputs(small_corpus, tmp_path_factory):
+    """A checkpoint with an attached dictionary, a config with small probe
+    tasks, and the small corpus's manifest, for the CLI inference stages."""
+    root = tmp_path_factory.mktemp("stages")
+    model = init_model(d=80, k=16, c=4, seed=6)
+    w, _ = normalize_columns(1.0 - np.random.default_rng(6).random((257, 16)), np.ones((16, 1)))
+    model.attach_dictionary(Dictionary(values=w))
+    save_model(model, root / "model.nsm")
+    (root / "stage.cfg").write_text("probe_per_class = 4\nprobe_epochs = 20\nseed = 3\n")
+    return root, small_corpus[1].root / "manifest.csv"
+
+
+def _tree_bytes(out) -> dict:
+    """Every file under ``out`` by relative path, with ``out`` masked in its bytes."""
+    return {p.relative_to(out).as_posix(): p.read_bytes().replace(str(out).encode(), b"<out>")
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 class TestPooledStages:
+    @pytest.mark.parametrize("command", ["eval", "segment", "explain", "probe"])
+    def test_stage_bytes_do_not_depend_on_threads(self, stage_inputs, tmp_path, monkeypatch, command):
+        """Two clips in flight, and probe clips made in two processes, write
+        what one worker writes."""
+        root, manifest = stage_inputs
+        argv = [command, "--config", str(root / "stage.cfg"), "--model", str(root / "model.nsm")]
+        if command != "probe":
+            argv += ["--manifest", str(manifest), "--split", "test"]
+        trees = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NMFSEG_THREADS", threads)
+            out = tmp_path / f"threads-{threads}"
+            assert run_command(argv + ["--out", str(out)]) == 0
+            trees.append(_tree_bytes(out))
+        assert len(trees[0]) >= 2 and trees[0] == trees[1]
+
     def test_load_split_equals_sequential_loads(self, small_corpus, monkeypatch, serial_blas):
         _, manifest = small_corpus
         settings = FrontendSettings()
@@ -164,6 +202,33 @@ class TestPool:
 
         with pytest.raises(KeyError):
             parallel.map(fail_on_one, [0, 1])
+
+
+def _blas_threads_and_pid(_):
+    """A ``process_map`` job: the worker's OpenBLAS thread count and its pid."""
+    return parallel._blas_threads()[1](), os.getpid()
+
+
+class TestProcessMap:
+    @needs_blas_setter
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        _with_workers(monkeypatch, 2)
+        before = parallel._blas_threads()[1]()
+        results = parallel.process_map(_blas_threads_and_pid, range(4))
+        assert [threads for threads, _ in results] == [1] * 4
+        assert os.getpid() not in {pid for _, pid in results}
+        assert parallel._blas_threads()[1]() == before
+
+    @needs_blas_setter
+    def test_one_worker_runs_inline(self, monkeypatch):
+        _with_workers(monkeypatch, 1)
+        assert {pid for _, pid in parallel.process_map(_blas_threads_and_pid, range(3))} == {os.getpid()}
+
+    def test_order_and_first_error(self, monkeypatch):
+        _with_workers(monkeypatch, 2)
+        assert parallel.process_map(abs, [-3, 2, -1, 0]) == [3, 2, 1, 0]
+        with pytest.raises(TypeError):
+            parallel.process_map(abs, [-1, "x"])
 
 
 class TestSerialBlas:

@@ -1,14 +1,16 @@
 """Linear probes over frozen activations."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from conftest import make_tiny_model
+from nmfseg.cli import run_command
 from nmfseg.errors import FormatError
 from nmfseg.frontend import FeatureSequence, log_mel, stft_magnitude, write_features
-from nmfseg.network import encode, forward, init_model
+from nmfseg.network import encode, forward, init_model, save_model
 from nmfseg.probing import (ProbeResult, ProbeTask, build_synthetic_task, eval_probe,
                             load_probe_manifest, synth_probe_clip, train_probe)
 
@@ -101,12 +103,44 @@ class TestProbeManifest:
         (["f0.nsf,1", "f1.nsf,one"], "line 2: label 'one' is not an integer"),
         (["f0.nsf,1", "f1.nsf,0,extra"], "line 2: expected 2 columns"),
         (["f0.nsf,-1"], "line 1: label -1 is negative"),
+        (["f0.nsf,0", "f1.nsf,0"], "every label is 0"),
+        (["f0.nsf,2", "f1.nsf,2"], "every label is 2"),
     ])
     def test_malformed_manifest_raises_format_error(self, tmp_path, rows, match):
         path = self._write(tmp_path, rows)
         with pytest.raises(FormatError, match=match) as info:
             load_probe_manifest(make_tiny_model(), path)
         assert str(path) in str(info.value)
+
+    def test_eval_task_takes_the_training_class_count(self, tmp_path):
+        path = self._write(tmp_path, ["f0.nsf,0", "f1.nsf,1", "f2.nsf,0"])
+        assert load_probe_manifest(make_tiny_model(), path, class_count=3).class_count == 3
+        single = self._write(tmp_path, ["f0.nsf,0"])
+        assert load_probe_manifest(make_tiny_model(), single, class_count=2).class_count == 2
+
+    def test_eval_label_at_or_above_the_class_count_raises(self, tmp_path):
+        path = self._write(tmp_path, ["f0.nsf,0", "f1.nsf,3", "f2.nsf,1"])
+        with pytest.raises(FormatError, match="line 2: label 3 is not below the 3 classes") as info:
+            load_probe_manifest(make_tiny_model(), path, class_count=3)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("eval_labels,status", [((0, 1, 0), 0), ((0, 3, 1), 1)])
+    def test_cli_eval_manifest_with_fewer_or_unknown_classes(self, tmp_path, capsys, eval_labels, status):
+        """An eval manifest whose labels stop below the task's is scored on the
+        task's classes; one with a label beyond them fails with an error line."""
+        task = self._write(tmp_path, ["f0.nsf,0", "f1.nsf,1", "f2.nsf,2"])
+        evaluation = tmp_path / "eval.csv"
+        evaluation.write_text("".join(f"f{i}.nsf,{label}\n" for i, label in enumerate(eval_labels)))
+        save_model(make_tiny_model(), tmp_path / "model.nsm")
+        out = tmp_path / "run"
+        assert run_command(["probe", "--model", str(tmp_path / "model.nsm"), "--out", str(out),
+                            "--task-manifest", str(task), "--eval-manifest", str(evaluation)]) == status
+        if status == 0:
+            confusion = json.loads((out / "probe_results.json").read_text())["manifest"]["confusion"]
+            assert np.array(confusion).shape == (3, 3)
+        else:
+            assert f"{evaluation}: line 2: label 3" in capsys.readouterr().err
+            assert not (out / "probe_results.json").exists()
 
 
 class TestTrainProbe:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_views_of_flat
-from nmfseg import training
+from nmfseg import frontend, parallel, training
 from nmfseg.corpus import HOP_SECONDS, Manifest, ManifestRow
 from nmfseg.errors import ConfigError, DimensionError, NumericError
 from nmfseg.frontend import AudioClip, FeatureSequence, save_audio, write_features
@@ -108,9 +108,8 @@ def _peak_traced_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def test_evaluate_split_streams_clips(small_corpus):
-    """Four equal-length clips peak within 10 % of one clip, so clips are not held."""
-    _, manifest = small_corpus
+def _evaluate_split_peaks(manifest) -> dict:
+    """Traced peak bytes of ``evaluate_split`` over 1 and over 4 equal-length clips."""
     rows = [replace(row, split="eval") for row in manifest.for_split("train")[:4]]
     model = init_model(d=80, k=16, c=4, seed=0)
     peaks = {}
@@ -118,7 +117,22 @@ def test_evaluate_split_streams_clips(small_corpus):
         sub = Manifest(rows=rows[:n], root=manifest.root)
         evaluate_split(model, sub, "eval")  # warm caches (mel filterbank) outside the trace
         peaks[n] = _peak_traced_bytes(lambda: evaluate_split(model, sub, "eval"))
+    return peaks
+
+
+def test_evaluate_split_streams_clips(small_corpus, monkeypatch):
+    """With one worker, four equal-length clips peak within 10 % of one clip,
+    so clips are not held."""
+    monkeypatch.setenv("NMFSEG_THREADS", "1")
+    peaks = _evaluate_split_peaks(small_corpus[1])
     assert peaks[4] <= 1.10 * peaks[1], peaks
+
+
+def test_evaluate_split_streams_clips_on_two_workers(small_corpus, monkeypatch):
+    """With two workers, four clips peak within 10 % of ``SHARDS`` clips in flight."""
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    peaks = _evaluate_split_peaks(small_corpus[1])
+    assert peaks[4] <= 1.10 * parallel.SHARDS * peaks[1], peaks
 
 
 # 40 train clips of 3 s (149 frames each); clip i is exactly zero over a
@@ -202,7 +216,7 @@ class TestPretrainDictionary:
         def forbidden(*args, **kwargs):
             raise AssertionError("pretrain_dictionary computed log-mel features")
 
-        monkeypatch.setattr(training, "log_mel", forbidden)
+        monkeypatch.setattr(frontend, "mel_filterbank", forbidden)
         dictionary = _pretrain(quiet_corpus, FrontendSettings(), max_frames=300)
         assert dictionary.values.shape == (257, 8)
 
