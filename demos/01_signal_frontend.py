@@ -10,18 +10,18 @@ import numpy as np
 
 from nmfseg import (AudioClip, load_audio, log_mel, read_features, save_audio,
                     stft_magnitude, write_features)
+from nmfseg.frontend import SAMPLE_RATE
 
 work = Path(tempfile.mkdtemp(prefix="nmfseg-demo-"))
 print(f"working under {work}\n")
 
 # --- build a one-second test tone and round-trip it through WAV ingestion ---
-sr = 16000
-t = np.arange(sr) / sr
+t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
 tone = 0.25 * np.sin(2 * np.pi * 250.0 * t)  # 250 Hz sits exactly on STFT bin 8
 clip = AudioClip(samples=tone)
-save_audio(clip, work / "tone.wav", fmt="float32")
+save_audio(clip, work / "tone.wav")
 clip = load_audio(work / "tone.wav")
-print(f"loaded {len(clip.samples)} samples at {clip.sample_rate} Hz, "
+print(f"loaded {len(clip.samples)} samples at {SAMPLE_RATE} Hz, "
       f"peak {np.abs(clip.samples).max():.3f}")
 
 # --- magnitude STFT on the 20 ms grid -----------------------------------

@@ -9,7 +9,7 @@ Run from the repository root:  python demos/03_train_segmenter.py
 import tempfile
 from pathlib import Path
 
-from nmfseg import (CorpusSpec, FrontendSettings, TrainConfig, generate_corpus,
+from nmfseg import (CorpusSpec, FrontendSettings, SnmfConfig, TrainConfig, generate_corpus,
                     init_model, save_model)
 from nmfseg.training import evaluate_split, pretrain_dictionary, train
 
@@ -20,7 +20,7 @@ manifest = generate_corpus(spec, work / "corpus")
 print(f"corpus: {len(manifest.rows)} clips under {work / 'corpus'}")
 
 settings = FrontendSettings()  # 512-point STFT, 80 mel bands, 20 ms hop
-dictionary = pretrain_dictionary(manifest, settings, k=32, mu=0.1, max_iters=200, seed=0)
+dictionary = pretrain_dictionary(manifest, settings, SnmfConfig(k=32, mu=0.1, max_iters=200, seed=0))
 print(f"dictionary: {dictionary.freq_bins} bins x {dictionary.components} components, "
       f"{len(dictionary.objective_trace) - 1} training iterations")
 

@@ -9,7 +9,7 @@ Run from the repository root:  python demos/06_probing.py
 import tempfile
 from pathlib import Path
 
-from nmfseg import CorpusSpec, FrontendSettings, TrainConfig, generate_corpus, init_model
+from nmfseg import CorpusSpec, FrontendSettings, SnmfConfig, TrainConfig, generate_corpus, init_model
 from nmfseg.probing import build_synthetic_task, eval_probe, train_probe
 from nmfseg.training import pretrain_dictionary, train
 
@@ -17,7 +17,7 @@ work = Path(tempfile.mkdtemp(prefix="nmfseg-demo-"))
 spec = CorpusSpec(seed=1, train_minutes=2, dev_minutes=0.5, test_minutes=0.5)
 manifest = generate_corpus(spec, work)
 settings = FrontendSettings()
-dictionary = pretrain_dictionary(manifest, settings, k=32, mu=0.1, max_iters=150, seed=0)
+dictionary = pretrain_dictionary(manifest, settings, SnmfConfig(k=32, mu=0.1, max_iters=150, seed=0))
 model = init_model(d=80, k=32, c=4, seed=0)
 model.attach_dictionary(dictionary)
 model, _ = train(model, manifest, TrainConfig(batch_size=16, epochs=20, seed=0), settings)

@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from .corpus import CLASS_NAMES, generate_corpus, load_manifest
-from .errors import NmfsegError
+from .errors import SIZE, UNIT, NmfsegError
 from .evaluate import (decide_frames, frames_to_segments, report_to_dict,
                        write_f1_csv, write_f1_json, write_segments)
 from .explain import (component_report, make_record, report_summary,
@@ -36,7 +37,6 @@ from .explain import (component_report, make_record, report_summary,
 from .labels import read_label_file
 from .network import init_model, load_model, save_model
 from .nmf import save_dictionary, load_dictionary
-from .parallel import workers
 from .probing import build_synthetic_tasks, eval_probe, load_probe_manifest, train_probe, write_result_json
 from .training import (encode_rows, evaluate_split, load_clip, pretrain_dictionary,
                        reconstruction_error, split_rows, train)
@@ -87,7 +87,7 @@ def _cmd_gen_data(args, cfg, run: _Run):
     spec = cfgmod.corpus_spec(cfg)
     corpus_dir = run.out / "corpus"
     run.track_tree(corpus_dir)
-    manifest = generate_corpus(spec, corpus_dir, workers=workers())
+    manifest = generate_corpus(spec, corpus_dir)
     counts = {split: len(manifest.for_split(split)) for split in ("train", "dev", "test")}
     return {"clips": counts}, [corpus_dir / "manifest.csv"]
 
@@ -95,10 +95,8 @@ def _cmd_gen_data(args, cfg, run: _Run):
 def _cmd_pretrain_dict(args, cfg, run: _Run):
     manifest = load_manifest(args.manifest)
     settings = cfgmod.frontend_settings(cfg)
-    snmf = cfgmod.snmf_config(cfg)
-    dictionary = pretrain_dictionary(manifest, settings, k=snmf.k, mu=snmf.mu,
-                                     max_iters=snmf.max_iters, rel_tol=snmf.rel_tol,
-                                     seed=snmf.seed, max_frames=cfg["dict_frames"])
+    dictionary = pretrain_dictionary(manifest, settings, cfgmod.snmf_config(cfg),
+                                     max_frames=cfg["dict_frames"])
     out = run.path("dictionary.nsd")
     save_dictionary(dictionary, out)
     metrics = {"iterations": len(dictionary.objective_trace) - 1,
@@ -183,6 +181,8 @@ def _row_class(manifest, row, settings) -> int:
 
 
 def _cmd_explain(args, cfg, run: _Run):
+    UNIT.check("--tau", args.tau)
+    SIZE.check("--samples-per-class", args.samples_per_class)
     model = load_model(args.model)
     settings = cfgmod.frontend_settings(cfg)
     manifest = load_manifest(args.manifest)
@@ -213,8 +213,7 @@ def _cmd_explain(args, cfg, run: _Run):
     if model.w_ref is not None:
         for k in report.modular_ids[:8]:
             spectrum = run.path("spectra", f"component_{k:03d}.csv")
-            write_spectrum_csv(model.w_ref, k, spectrum,
-                               sample_rate=16000, n_fft=settings.n_fft)
+            write_spectrum_csv(model.w_ref, k, spectrum, n_fft=settings.n_fft)
             artifacts.append(spectrum)
     return report_summary(report), artifacts
 
@@ -250,16 +249,14 @@ def _cmd_ablate_beta(args, cfg, run: _Run):
     settings = cfgmod.frontend_settings(cfg)
     dictionary = load_dictionary(args.dict)
     d, c = _train_dims(manifest, settings)
+    tc = cfgmod.train_config(cfg)
 
     rows = []
     for beta in (0.0, 1.0, 5.0):
-        sub = dict(cfg)
-        sub["beta"] = beta
-        tc = cfgmod.train_config(sub)
         model = init_model(d=d, k=dictionary.components, c=c, seed=cfg["seed"],
                            channels=cfg["channels"])
         model.attach_dictionary(dictionary)
-        model, _ = train(model, manifest, tc, settings)
+        model, _ = train(model, manifest, replace(tc, beta=beta), settings)
         recon = reconstruction_error(model, manifest, "test", settings)
         report = evaluate_split(model, manifest, "test", settings, threshold=cfg["threshold"])
         model_path = run.path(f"model_beta{beta:g}.nsm")

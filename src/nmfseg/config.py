@@ -4,7 +4,7 @@ A config file holds one ``key = value`` pair per line ('#' starts a comment).
 Every key has a typed default and an allowed range; unknown keys and values
 outside their range are rejected.  So are frontend settings that no STFT or
 mel filterbank accepts: ``win_len`` above ``n_fft``, or band limits outside
-``0 <= f_min < f_max <= 8000`` (the Nyquist frequency at 16 kHz).  The
+``0 <= f_min < f_max <= 8000`` (the Nyquist frequency).  The
 resolved configuration (defaults plus overrides) is what runs, what lands in
 run logs, and what the config hash covers.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 
 from .corpus import CorpusSpec
-from .errors import BOOL, NONNEG, POSITIVE, SIZE, ConfigError
+from .errors import BOOL, NONNEG, POSITIVE, SIZE, ConfigError, open_text
 from .frontend import SAMPLE_RATE, FrontendSettings
 from .nmf import SNMF_RANGES, SnmfConfig
 from .training import TRAIN_RANGES, TrainConfig
@@ -58,7 +58,7 @@ SCHEMA = {
     "hop": (int, 320, SIZE),
     "n_mels": (int, 80, SIZE),
     "f_min": (float, 0.0, NONNEG),
-    "f_max": (float, 8000.0, NONNEG),
+    "f_max": (float, SAMPLE_RATE / 2, NONNEG),
     "recon_log": (_parse_bool, False, BOOL),
     # corpus generation
     "train_minutes": (float, 20.0, POSITIVE),
@@ -86,21 +86,20 @@ def default_config() -> dict:
 def parse_config(path) -> dict:
     """Read a config file and return the fully resolved configuration."""
     cfg = default_config()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            ctor = SCHEMA[key][0]
-            try:
-                cfg[key] = ctor(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    for lineno, raw in enumerate(open_text(path, ConfigError), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        ctor = SCHEMA[key][0]
+        try:
+            cfg[key] = ctor(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     for key, (_, _, allowed) in SCHEMA.items():
         allowed.check(key, cfg[key], where=f"{path}: ")
     if cfg["win_len"] > cfg["n_fft"]:

@@ -17,7 +17,6 @@ reproducible; clips can be synthesized in parallel without changing a byte.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,13 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, open_text
 from .frontend import SAMPLE_RATE, AudioClip, save_audio
 from .labels import write_label_file
 
 CLASS_NAMES = ("speech", "overlap", "music", "noise")
 
 HOP_SECONDS = 0.02
+RAMP_MS = 10.0  # fade-in and fade-out of every event
+# (shortest, longest) event duration in seconds, per class
+DURATIONS = {"speech": (1.0, 3.0), "overlap": (1.0, 2.5), "music": (1.5, 4.0), "noise": (1.0, 3.0)}
 
 
 @dataclass
@@ -43,17 +45,12 @@ class CorpusSpec:
     dev_minutes: float = 5.0
     test_minutes: float = 5.0
     clip_seconds: float = 10.0
-    sample_rate: int = SAMPLE_RATE
     # defaults give an integral event count per 10 s clip, so realized class
     # durations track their expectations with duration variance only
     rate_speech: float = 6.0
     rate_overlap: float = 6.0
     rate_music: float = 6.0
     rate_noise: float = 6.0
-    dur_speech: tuple = (1.0, 3.0)
-    dur_overlap: tuple = (1.0, 2.5)
-    dur_music: tuple = (1.5, 4.0)
-    dur_noise: tuple = (1.0, 3.0)
     level_speech: tuple = (-24.0, -18.0)
     level_music: tuple = (-24.0, -18.0)
     level_noise: tuple = (-24.0, -18.0)
@@ -68,7 +65,7 @@ class CorpusSpec:
         return getattr(self, f"rate_{cls}")
 
     def duration_range(self, cls: str) -> tuple:
-        return getattr(self, f"dur_{cls}")
+        return DURATIONS[cls]
 
     def expected_class_seconds(self, cls: str, minutes: float) -> float:
         """Expected labeled seconds for one class over a split."""
@@ -112,15 +109,14 @@ def save_manifest(manifest: Manifest, path) -> None:
 def load_manifest(path) -> Manifest:
     path = Path(path)
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "audio", "features", "labels", "split"]:
-            raise FormatError(f"{path}: unexpected manifest header {header}")
-        for line in reader:
-            if len(line) != 5:
-                raise FormatError(f"{path}: malformed row {line}")
-            rows.append(ManifestRow(*line))
+    reader = csv.reader(open_text(path, newline=""))
+    header = next(reader, None)
+    if header != ["id", "audio", "features", "labels", "split"]:
+        raise FormatError(f"{path}: unexpected manifest header {header}")
+    for line in reader:
+        if len(line) != 5:
+            raise FormatError(f"{path}: malformed row {line}")
+        rows.append(ManifestRow(*line))
     manifest = Manifest(rows=rows, root=path.parent)
     seen = {}
     for r in manifest.rows:
@@ -133,8 +129,8 @@ def load_manifest(path) -> Manifest:
     return manifest
 
 
-def _ramp(signal: np.ndarray, sr: int, ms: float = 10.0) -> np.ndarray:
-    n = min(int(sr * ms / 1000), len(signal) // 2)
+def _ramp(signal: np.ndarray) -> np.ndarray:
+    n = min(int(SAMPLE_RATE * RAMP_MS / 1000), len(signal) // 2)
     if n > 0:
         env = np.ones(len(signal))
         env[:n] = np.linspace(0.0, 1.0, n)
@@ -161,15 +157,15 @@ def _rms_normalize(signal: np.ndarray) -> np.ndarray:
     return signal / rms if rms > 0 else signal
 
 
-def _harmonic_stack(rng, n: int, sr: int, f0: float, amps: np.ndarray, vibrato: float) -> np.ndarray:
-    t = np.arange(n) / sr
+def _harmonic_stack(rng, n: int, f0: float, amps: np.ndarray, vibrato: float) -> np.ndarray:
+    t = np.arange(n) / SAMPLE_RATE
     drift_rate = rng.uniform(0.5, 2.0)
     drift = 1.0 + vibrato * np.sin(2 * np.pi * drift_rate * t + rng.uniform(0, 2 * np.pi))
-    phase = 2 * np.pi * np.cumsum(f0 * drift) / sr
+    phase = 2 * np.pi * np.cumsum(f0 * drift) / SAMPLE_RATE
     sig = np.zeros(n)
     harmonic = np.empty(n)  # one buffer for every harmonic, same operations in the same order
     for k, a in enumerate(amps, start=1):
-        if k * f0 >= sr / 2:
+        if k * f0 >= SAMPLE_RATE / 2:
             break
         np.multiply(k, phase, out=harmonic)
         harmonic += rng.uniform(0, 2 * np.pi)
@@ -195,7 +191,7 @@ SECOND_BAND_TOP = 3400.0
 SECOND_FORMANTS = ((300, 900), (900, 2200), (2900, 3300))
 
 
-def _voiced_stream(rng, n: int, sr: int, f0: float, band_top: float, formant_bands) -> np.ndarray:
+def _voiced_stream(rng, n: int, f0: float, band_top: float, formant_bands) -> np.ndarray:
     """Harmonic comb with random formant bumps under a syllabic envelope."""
     n_harm = min(int(band_top / f0), 40)
     harm_freqs = f0 * np.arange(1, n_harm + 1)
@@ -205,46 +201,46 @@ def _voiced_stream(rng, n: int, sr: int, f0: float, band_top: float, formant_ban
         width = rng.uniform(150.0, 400.0)
         envelope += np.exp(-0.5 * ((harm_freqs - center) / width) ** 2)
     amps = envelope / np.arange(1, n_harm + 1) ** 0.8
-    sig = _harmonic_stack(rng, n, sr, f0, amps, vibrato=0.03)
-    t = np.arange(n) / sr
+    sig = _harmonic_stack(rng, n, f0, amps, vibrato=0.03)
+    t = np.arange(n) / SAMPLE_RATE
     am_rate = rng.uniform(2.5, 7.0)
     # depth capped so syllable troughs keep the comb visible at frame level
     depth = rng.uniform(0.4, 0.7)
     syllables = (0.5 + 0.5 * np.sin(2 * np.pi * am_rate * t + rng.uniform(0, 2 * np.pi))) ** 2
     sig *= (1.0 - depth) + depth * syllables
-    return _ramp(_rms_normalize(sig), sr)
+    return _ramp(_rms_normalize(sig))
 
 
-def synth_speech_stream(rng, n: int, sr: int, f0: float | None = None) -> np.ndarray:
+def synth_speech_stream(rng, n: int, f0: float | None = None) -> np.ndarray:
     """One primary-talker stream."""
     if f0 is None:
         f0 = float(rng.choice(SPEECH_F0))
-    return _voiced_stream(rng, n, sr, f0, PRIMARY_BAND_TOP, PRIMARY_FORMANTS)
+    return _voiced_stream(rng, n, f0, PRIMARY_BAND_TOP, PRIMARY_FORMANTS)
 
 
-def synth_music(rng, n: int, sr: int) -> np.ndarray:
+def synth_music(rng, n: int) -> np.ndarray:
     """Sustained triad in the high band, above all speech content."""
     root = float(rng.choice(MUSIC_ROOT))
     sig = np.zeros(n)
     for ratio in (1.0, 1.25, 1.5):
-        sig += _harmonic_stack(rng, n, sr, root * ratio, np.array([1.0]), vibrato=0.005)
-    return _ramp(_rms_normalize(sig), sr)
+        sig += _harmonic_stack(rng, n, root * ratio, np.array([1.0]), vibrato=0.005)
+    return _ramp(_rms_normalize(sig))
 
 
-def synth_noise(rng, n: int, sr: int) -> np.ndarray:
+def synth_noise(rng, n: int) -> np.ndarray:
     """Broadband noise with a random first-order spectral tilt."""
     white = rng.normal(size=n)
     rho = rng.uniform(-0.3, 0.6)
     shaped = one_pole(white, rho)
-    return _ramp(_rms_normalize(shaped), sr)
+    return _ramp(_rms_normalize(shaped))
 
 
-def synth_overlap(rng, n: int, sr: int) -> np.ndarray:
+def synth_overlap(rng, n: int) -> np.ndarray:
     """Two concurrent speech-like streams; the second talker interjects from a
     higher pitch register with its own formant band, so overlapping speech has
     a spectral signature of its own."""
-    a = synth_speech_stream(rng, n, sr, f0=float(rng.choice(SPEECH_F0)))
-    b = _voiced_stream(rng, n, sr, float(rng.choice(SECOND_VOICE_F0)),
+    a = synth_speech_stream(rng, n, f0=float(rng.choice(SPEECH_F0)))
+    b = _voiced_stream(rng, n, float(rng.choice(SECOND_VOICE_F0)),
                        SECOND_BAND_TOP, SECOND_FORMANTS)
     gain = 10 ** (rng.uniform(-2.0, 2.0) / 20.0)
     return _rms_normalize(a + gain * b)
@@ -278,8 +274,7 @@ def _bernoulli_count(rng, expected: float) -> int:
 def synthesize_clip(spec: CorpusSpec, split_index: int, clip_index: int):
     """Build one clip: returns (samples, label_frames) with labels on the hop grid."""
     rng = np.random.default_rng([spec.seed, split_index, clip_index])
-    sr = spec.sample_rate
-    n = int(round(spec.clip_seconds * sr))
+    n = int(round(spec.clip_seconds * SAMPLE_RATE))
     total_frames = int(round(spec.clip_seconds / HOP_SECONDS))
 
     speech_track: list = []  # shared by speech and overlap events
@@ -299,9 +294,9 @@ def synthesize_clip(spec: CorpusSpec, split_index: int, clip_index: int):
     music = np.zeros(total_frames, dtype=bool)
     noise = np.zeros(total_frames, dtype=bool)
     for cls, synth, stream_count, start, end in events:
-        s0 = int(round(start * HOP_SECONDS * sr))
-        s1 = min(int(round(end * HOP_SECONDS * sr)), n)
-        sig = synth(rng, s1 - s0, sr)
+        s0 = int(round(start * HOP_SECONDS * SAMPLE_RATE))
+        s1 = min(int(round(end * HOP_SECONDS * SAMPLE_RATE)), n)
+        sig = synth(rng, s1 - s0)
         if cls in ("speech", "overlap"):
             level = rng.uniform(*spec.level_speech)
             streams[start:end] += stream_count
@@ -331,17 +326,17 @@ def _write_clip(args):
     samples, label_frames = synthesize_clip(spec, split_index, clip_index)
     audio_rel = os.path.join("audio", f"{clip_id}.wav")
     label_rel = os.path.join("labels", f"{clip_id}.lab")
-    save_audio(AudioClip(samples=samples, sample_rate=spec.sample_rate),
-               os.path.join(out_dir, audio_rel), fmt="float32")
+    save_audio(AudioClip(samples=samples), os.path.join(out_dir, audio_rel))
     write_label_file(os.path.join(out_dir, label_rel), label_frames, HOP_SECONDS)
     return ManifestRow(clip_id=clip_id, audio=audio_rel, features="", labels=label_rel, split=split)
 
 
-def generate_corpus(spec: CorpusSpec, out_dir, workers: int = 1) -> Manifest:
+def generate_corpus(spec: CorpusSpec, out_dir) -> Manifest:
     """Synthesize all splits under ``out_dir`` and write manifest.csv.
 
-    Clips are synthesized in up to ``workers`` processes, never more than one
-    per clip; the files written do not depend on the worker count.
+    Clips are synthesized on ``parallel.process_map``'s worker processes,
+    never more than one per clip; the files written do not depend on the
+    worker count.
     """
     out_dir = Path(out_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
@@ -355,6 +350,6 @@ def generate_corpus(spec: CorpusSpec, out_dir, workers: int = 1) -> Manifest:
         for clip_index in range(n_clips):
             jobs.append((spec, split, split_index, clip_index, str(out_dir)))
 
-    manifest = Manifest(rows=parallel.process_map(_write_clip, jobs, workers), root=out_dir)
+    manifest = Manifest(rows=parallel.process_map(_write_clip, jobs), root=out_dir)
     save_manifest(manifest, out_dir / "manifest.csv")
     return manifest

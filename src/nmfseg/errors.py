@@ -1,8 +1,9 @@
-"""Exception types shared across the toolkit, and the allowed ranges of
-configuration values, whose violation raises ConfigError."""
+"""Exception types shared across the toolkit, the allowed ranges of configuration
+values, whose violation raises ConfigError, and ``open_text``, every text input's reader."""
 
 from __future__ import annotations
 
+import io
 import math
 from typing import Callable, NamedTuple
 
@@ -48,3 +49,14 @@ NONNEG = Range("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 POSITIVE = Range("finite and > 0", lambda v: math.isfinite(v) and v > 0)
 UNIT = Range("in (0, 1)", lambda v: 0.0 < v < 1.0)
 BOOL = Range("a boolean", lambda v: True)
+
+
+def open_text(path, error: type[NmfsegError] = FormatError, newline: str | None = None) -> io.StringIO:
+    """The UTF-8 file ``path`` read whole, as ``open(path, newline=newline)`` reads
+    text; a byte sequence that is not UTF-8 raises ``error`` naming the file."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return io.StringIO(blob.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {blob[exc.start]:#04x} at offset {exc.start}") from None

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
+from .frontend import SAMPLE_RATE
 from .nmf import Dictionary
 
 
@@ -125,12 +126,11 @@ def component_report(records: list[RelevanceRecord], samples_per_class: int,
     )
 
 
-def component_spectrum(dictionary: Dictionary, k: int, sample_rate: int = 16000,
-                       n_fft: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def component_spectrum(dictionary: Dictionary, k: int, n_fft: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """Column k of the codebook with its frequency axis in Hz."""
     if not (0 <= k < dictionary.components):
         raise IndexError(f"component {k} out of range [0, {dictionary.components})")
-    freqs = np.arange(dictionary.freq_bins) * (sample_rate / n_fft)
+    freqs = np.arange(dictionary.freq_bins) * (SAMPLE_RATE / n_fft)
     return freqs, dictionary.values[:, k].copy()
 
 
@@ -175,9 +175,8 @@ def write_summary_json(report: ComponentReport, path) -> None:
         fh.write("\n")
 
 
-def write_spectrum_csv(dictionary: Dictionary, k: int, path, sample_rate: int = 16000,
-                       n_fft: int = 512) -> None:
-    freqs, weights = component_spectrum(dictionary, k, sample_rate, n_fft)
+def write_spectrum_csv(dictionary: Dictionary, k: int, path, n_fft: int = 512) -> None:
+    freqs, weights = component_spectrum(dictionary, k, n_fft)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["hz", "weight"])

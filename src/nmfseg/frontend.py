@@ -1,15 +1,16 @@
 """Signal frontend: WAV ingestion, magnitude STFT, log-mel features, feature files.
 
-WAV files are read and written by a small RIFF/WAVE codec that accepts one
-subset: little-endian ``RIFF``, 16 kHz, mono, and either 16-bit PCM (format
-tag 1) or 32-bit IEEE float (tag 3), also when carried in a
-``WAVE_FORMAT_EXTENSIBLE`` (tag 0xFFFE) ``fmt `` chunk.  Unknown chunks such
-as ``LIST`` are skipped, with the pad byte after an odd-sized chunk.  Every
-other file (RIFX, RF64, other codecs, bit depths, rates or channel counts,
-truncated or chunk-less files) raises ``IngestionError``.  The writer emits
-the same bytes as ``scipy.io.wavfile.write``: a 16-byte ``fmt `` chunk for
-PCM, an 18-byte one (``cbSize`` = 0) and a ``fact`` chunk for float, then
-``data``.
+All audio is mono at ``SAMPLE_RATE`` (16 kHz): this is the one place that
+rate is stated, and nothing converts or resamples.  WAV files are read by a
+small RIFF/WAVE codec that accepts one subset: little-endian ``RIFF``,
+16 kHz, mono, and either 16-bit PCM (format tag 1) or 32-bit IEEE float
+(tag 3), also when carried in a ``WAVE_FORMAT_EXTENSIBLE`` (tag 0xFFFE)
+``fmt `` chunk.  Unknown chunks such as ``LIST`` are skipped, with the pad
+byte after an odd-sized chunk.  Every other file (RIFX, RF64, other codecs,
+bit depths, rates or channel counts, truncated or chunk-less files) raises
+``IngestionError``.  The writer emits 32-bit float only, in the same bytes
+as ``scipy.io.wavfile.write``: an 18-byte ``fmt `` chunk (``cbSize`` = 0), a
+``fact`` chunk, then ``data``.
 
 The STFT uses a periodic Hann window of ``win_len`` samples, zero-padded to
 ``n_fft``, with no boundary padding, so the frame count is
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,8 +80,6 @@ class AudioClip:
     """Mono audio at 16 kHz with samples normalized to [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
-    channel_count: int = 1
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -89,10 +88,6 @@ class AudioClip:
         if not np.all(np.isfinite(self.samples)):
             raise IngestionError("non-finite samples")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass
 class Spectrogram:
@@ -100,7 +95,6 @@ class Spectrogram:
 
     values: np.ndarray
     hop: float
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -152,7 +146,7 @@ def load_audio(path) -> AudioClip:
     Anything else (sample rate, channel layout, codec) is rejected rather
     than converted, and so is a file whose chunks run past its end.
     """
-    return AudioClip(samples=_widen(read_wav(path)), sample_rate=SAMPLE_RATE, channel_count=1)
+    return AudioClip(samples=_widen(read_wav(path)))
 
 
 def read_wav(path) -> np.ndarray:
@@ -160,7 +154,7 @@ def read_wav(path) -> np.ndarray:
     and read-only.  The file is checked as ``load_audio`` checks it."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    return _parse_wav(blob, str(path))[1]
+    return _parse_wav(blob, str(path))
 
 
 def _widen(data: np.ndarray) -> np.ndarray:
@@ -170,8 +164,8 @@ def _widen(data: np.ndarray) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
-def _parse_wav(blob: bytes, name: str) -> tuple[int, np.ndarray]:
-    """Sample rate and samples (int16 or float32) of a RIFF/WAVE byte string."""
+def _parse_wav(blob: bytes, name: str) -> np.ndarray:
+    """The samples (int16 or float32) of a 16 kHz mono RIFF/WAVE byte string."""
     if len(blob) < 12:
         raise IngestionError(f"unsupported codec in {name}: truncated header ({len(blob)} bytes)")
     if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
@@ -214,25 +208,17 @@ def _parse_wav(blob: bytes, name: str) -> tuple[int, np.ndarray]:
     if data_size % block_align:
         raise IngestionError(f"truncated WAV {name}: {data_size}-byte 'data' chunk "
                              f"is not a whole number of {block_align}-byte samples")
-    return rate, np.frombuffer(blob, dtype=dtype, count=data_size // block_align, offset=data_at)
+    return np.frombuffer(blob, dtype=dtype, count=data_size // block_align, offset=data_at)
 
 
-def save_audio(clip: AudioClip, path, fmt: str = "int16") -> None:
-    """Write a clip as WAV, either 16-bit PCM or 32-bit float."""
-    if fmt == "int16":
-        data = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-        tag, fmt_extra = _WAVE_FORMAT_PCM, b""
-    elif fmt == "float32":
-        data = clip.samples.astype("<f4")
-        tag, fmt_extra = _WAVE_FORMAT_IEEE_FLOAT, b"\x00\x00"  # cbSize = 0
-    else:
-        raise ConfigError(f"unsupported wav format {fmt!r}")
+def save_audio(clip: AudioClip, path) -> None:
+    """Write a clip as a 32-bit float WAV."""
+    data = clip.samples.astype("<f4")
     width = data.itemsize
-    fmt_body = struct.pack("<HHIIHH", tag, 1, clip.sample_rate, clip.sample_rate * width,
-                           width, 8 * width) + fmt_extra
+    fmt_body = struct.pack("<HHIIHH", _WAVE_FORMAT_IEEE_FLOAT, 1, SAMPLE_RATE, SAMPLE_RATE * width,
+                           width, 8 * width) + b"\x00\x00"  # cbSize = 0
     header = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
-    if tag != _WAVE_FORMAT_PCM:
-        header += b"fact" + struct.pack("<II", 4, len(data))
+    header += b"fact" + struct.pack("<II", 4, len(data))
     header += b"data" + struct.pack("<I", data.nbytes)
     riff_size = len(header) + data.nbytes
     if riff_size > 0xFFFFFFFF:
@@ -264,7 +250,7 @@ def stft_magnitude(clip: AudioClip, n_fft: int = 512, win_len: int = 400, hop: i
     for start in range(0, windows.shape[0], STFT_BLOCK_FRAMES):
         block = windows[start:start + STFT_BLOCK_FRAMES]
         np.abs(np.fft.rfft(block * window, n=n_fft, axis=1), out=mags[start:start + len(block)])
-    return Spectrogram(values=mags.T, hop=hop / clip.sample_rate, sample_rate=clip.sample_rate)
+    return Spectrogram(values=mags.T, hop=hop / SAMPLE_RATE)
 
 
 def frame_count(n_samples: int, settings: FrontendSettings) -> int:
@@ -322,7 +308,7 @@ def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | Non
     if mel:
         f_max = SAMPLE_RATE / 2 if settings.f_max is None else settings.f_max
         # the n_fft that Spectrogram.n_fft reads back from the bin count, as log_mel uses it
-        fb = mel_filterbank(settings.n_mels, 2 * (n_bins - 1), SAMPLE_RATE, settings.f_min, f_max)
+        fb = mel_filterbank(settings.n_mels, 2 * (n_bins - 1), settings.f_min, f_max)
     check = samples.dtype.kind == "f"
     for start in range(0, frames, STFT_BLOCK_FRAMES):
         stop = min(start + STFT_BLOCK_FRAMES, frames)
@@ -351,17 +337,17 @@ def mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, f_min: float, f_max: float) -> np.ndarray:
+def mel_filterbank(n_mels: int, n_fft: int, f_min: float, f_max: float) -> np.ndarray:
     """Triangular mel filterbank, shape (n_mels, n_fft//2 + 1), peak weight 1.
 
     Built once per argument tuple and shared, so the array is read-only.
     """
     if n_mels < 1:
         raise ConfigError(f"n_mels must be >= 1, got {n_mels}")
-    if not (0 <= f_min < f_max <= sample_rate / 2):
-        raise ConfigError(f"invalid band limits: f_min={f_min}, f_max={f_max}, nyquist={sample_rate / 2}")
+    if not (0 <= f_min < f_max <= SAMPLE_RATE / 2):
+        raise ConfigError(f"invalid band limits: f_min={f_min}, f_max={f_max}, nyquist={SAMPLE_RATE / 2}")
     n_freqs = n_fft // 2 + 1
-    freqs = np.arange(n_freqs) * (sample_rate / n_fft)
+    freqs = np.arange(n_freqs) * (SAMPLE_RATE / n_fft)
     mel_pts = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     fb = np.zeros((n_mels, n_freqs))
@@ -377,8 +363,8 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, f_min: float, f_ma
 def log_mel(spec: Spectrogram, n_mels: int = 80, f_min: float = 0.0, f_max: float | None = None) -> FeatureSequence:
     """Mel-filtered log magnitudes: log(fb @ |X| + 1e-10)."""
     if f_max is None:
-        f_max = spec.sample_rate / 2
-    fb = mel_filterbank(n_mels, spec.n_fft, spec.sample_rate, f_min, f_max)
+        f_max = SAMPLE_RATE / 2
+    fb = mel_filterbank(n_mels, spec.n_fft, f_min, f_max)
     return FeatureSequence(values=np.log(fb @ spec.values + LOG_FLOOR), hop=spec.hop)
 
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, open_text
 from .network import LabelMatrix
 
 UNANNOTATED = -1
+# a hop written to 6 decimals reads back within half a unit there, plus binary rounding
+HOP_TOLERANCE = 0.5e-6 + 1e-12
 
 
 # symbol code + 1 -> byte: -1 (unannotated) -> "-", 0 -> "0", 1 -> "1"
@@ -54,8 +56,7 @@ def read_label_file(path) -> tuple[np.ndarray, float]:
 
 def _read_lines(path) -> tuple[np.ndarray, float]:
     """The general parser: one text line at a time, every malformation named."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for ln in open_text(path)]
     if not lines or not lines[0].startswith("FRAMES "):
         raise FormatError(f"{path}: missing FRAMES header")
     parts = lines[0].split()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CHUNK = 8192  # elements; 64 KiB temporaries stay below the allocator's mmap threshold
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's moment decay rates and denominator guard
 
 
 @dataclass
@@ -28,8 +29,7 @@ def init_adam(params: np.ndarray) -> AdamState:
     return AdamState(m=np.zeros(params.shape), v=np.zeros(params.shape))
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected ADAM update of the C-contiguous float64 ``params``, in place.
 
     ``grads`` has the shape of ``params``; a float32 gradient is widened to
@@ -44,10 +44,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
         part = slice(lo, lo + CHUNK)
         g = np.asarray(g_all[part], dtype=np.float64)
         m, v = m_all[part], v_all[part]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** state.t)
-        v_hat = v / (1.0 - beta2 ** state.t)
-        p_all[part] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** state.t)
+        v_hat = v / (1.0 - BETA2 ** state.t)
+        p_all[part] -= lr * m_hat / (np.sqrt(v_hat) + EPS)

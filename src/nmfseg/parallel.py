@@ -111,9 +111,9 @@ def _one_blas_thread() -> None:
         found[0](1)
 
 
-def process_map(fn, items, processes: int | None = None) -> list:
-    """``[fn(x) for x in items]``, on up to ``processes`` worker processes
-    (``workers()`` when None), never more than one per item.
+def process_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers()`` worker processes,
+    never more than one per item.
 
     Runs inline with one worker.  ``fn`` and the items are pickled, so ``fn``
     must be a module-level function, and each call is a round trip of
@@ -127,7 +127,7 @@ def process_map(fn, items, processes: int | None = None) -> list:
     first exception raised by a call is raised here.
     """
     items = list(items)
-    processes = min(workers() if processes is None else processes, len(items))
+    processes = min(workers(), len(items))
     if processes < 2:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor  # its import costs every stage ~24 ms

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import parallel
 from .corpus import one_pole
-from .errors import DimensionError, FormatError
-from .frontend import AudioClip, FrontendSettings, featurize, read_features, read_wav
+from .errors import DimensionError, FormatError, open_text
+from .frontend import SAMPLE_RATE, AudioClip, FrontendSettings, featurize, read_features, read_wav
 from .network import SegModel, encode
 from .optim import adam_step, init_adam
 
@@ -133,13 +133,12 @@ def write_result_json(results: dict, path) -> None:
 
 # --- synthetic probe material -----------------------------------------------
 
-def _tone(rng, n: int, sr: int, freq: float) -> np.ndarray:
-    t = np.arange(n) / sr
+def _tone(rng, n: int, freq: float) -> np.ndarray:
+    t = np.arange(n) / SAMPLE_RATE
     return np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
 
 
-def synth_probe_clip(task: str, label: int, seed: int, seconds: float = 1.0,
-                     sr: int = 16000) -> AudioClip:
+def synth_probe_clip(task: str, label: int, seed: int, seconds: float = 1.0) -> AudioClip:
     """One labeled probe clip; classes are separated by construction.
 
     tone-class: pure tones in disjoint frequency bands per label.
@@ -147,23 +146,23 @@ def synth_probe_clip(task: str, label: int, seed: int, seconds: float = 1.0,
     am-rate: amplitude-modulated tone, modulation rate band per label.
     """
     rng = np.random.default_rng([seed, label])
-    n = int(seconds * sr)
-    t = np.arange(n) / sr
+    n = int(seconds * SAMPLE_RATE)
+    t = np.arange(n) / SAMPLE_RATE
     if task == "tone-class":
         base = 250.0 * (2.0 ** label)  # octave-spaced bands
-        sig = _tone(rng, n, sr, rng.uniform(base, base * 1.4))
+        sig = _tone(rng, n, rng.uniform(base, base * 1.4))
     elif task == "noise-color":
         rho = (-0.8, 0.0, 0.8)[label % 3]
         sig = one_pole(rng.normal(size=n), rho)
     elif task == "am-rate":
         rate = (2.0, 8.0, 24.0)[label % 3] * rng.uniform(0.85, 1.15)
-        carrier = _tone(rng, n, sr, rng.uniform(400, 1200))
+        carrier = _tone(rng, n, rng.uniform(400, 1200))
         sig = carrier * (0.5 + 0.5 * np.sin(2 * np.pi * rate * t))
     else:
         raise ValueError(f"unknown probe task {task!r}")
     rms = np.sqrt(np.mean(sig * sig))
     sig = sig / rms * 10 ** (rng.uniform(-44.0, -40.0) / 20.0)
-    return AudioClip(samples=sig, sample_rate=sr)
+    return AudioClip(samples=sig)
 
 
 def _label_features(job) -> list[np.ndarray]:
@@ -222,30 +221,29 @@ def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=
     settings = settings or FrontendSettings()
     root = Path(path).parent
     items = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != 2:
-                raise FormatError(f"{where}: expected 2 columns (path, label), got {len(row)}")
-            try:
-                label = int(row[1])
-            except ValueError:
-                raise FormatError(f"{where}: label {row[1]!r} is not an integer") from None
-            if label < 0:
-                raise FormatError(f"{where}: label {label} is negative")
-            if class_count is not None and label >= class_count:
-                raise FormatError(f"{where}: label {label} is not below the {class_count} classes "
-                                  "the probe was trained on")
-            src = root / row[0]
-            if str(src).endswith(".nsf"):
-                feats = read_features(src).values
-            else:
-                feats, _ = featurize(read_wav(src), settings)
-            h, _ = encode(model, feats[None])
-            items.append((h[0], label))
+    reader = csv.reader(open_text(path, newline=""))
+    for row in reader:
+        if not row or row[0].startswith("#"):
+            continue
+        where = f"{path}: line {reader.line_num}"
+        if len(row) != 2:
+            raise FormatError(f"{where}: expected 2 columns (path, label), got {len(row)}")
+        try:
+            label = int(row[1])
+        except ValueError:
+            raise FormatError(f"{where}: label {row[1]!r} is not an integer") from None
+        if label < 0:
+            raise FormatError(f"{where}: label {label} is negative")
+        if class_count is not None and label >= class_count:
+            raise FormatError(f"{where}: label {label} is not below the {class_count} classes "
+                              "the probe was trained on")
+        src = root / row[0]
+        if str(src).endswith(".nsf"):
+            feats = read_features(src).values
+        else:
+            feats, _ = featurize(read_wav(src), settings)
+        h, _ = encode(model, feats[None])
+        items.append((h[0], label))
     if not items:
         raise FormatError(f"{path}: no probe rows")
     if class_count is None:

@@ -45,11 +45,12 @@ import numpy as np
 
 from . import parallel
 from .corpus import CLASS_NAMES, Manifest
-from .errors import NONNEG, POSITIVE, SEED, SIZE, UNIT, ConfigError, DimensionError, NumericError
+from .errors import (NONNEG, POSITIVE, SEED, SIZE, UNIT, ConfigError, DimensionError, FormatError,
+                     NumericError)
 from .evaluate import F1Report, accumulate_counts, decide_frames
 from .frontend import (SAMPLE_RATE, FeatureSequence, FrontendSettings, featurize, frame_count,
                        read_features, read_wav)
-from .labels import label_matrix_from_range, read_label_file
+from .labels import HOP_TOLERANCE, label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, _bce_cells,
                       _forward_cache, bce_masked, encode, sigmoid)
 from .nmf import Dictionary, SnmfConfig, train_snmf
@@ -100,6 +101,13 @@ class TrainSegment:
     labels: LabelMatrix
 
 
+def _check_hop(path, hop: float, settings: FrontendSettings) -> None:
+    """A file's frame grid is the frontend's, up to the rounding of a label file."""
+    if not abs(hop - settings.hop / SAMPLE_RATE) <= HOP_TOLERANCE:
+        raise FormatError(f"{path}: frames are {hop!r} s apart, but the frontend's hop of "
+                          f"{settings.hop} samples puts them {settings.hop / SAMPLE_RATE!r} s apart")
+
+
 def _aligned_samples(manifest: Manifest, row, settings: FrontendSettings
                      ) -> tuple[np.ndarray, FeatureSequence | None, np.ndarray, int]:
     """Read one row's audio and align its frame count with the row's files.
@@ -108,12 +116,16 @@ def _aligned_samples(manifest: Manifest, row, settings: FrontendSettings
     row's feature file (None when the row has none), the label frames, and
     the common frame count ``t``.  The STFT frame count follows from the
     sample count alone, and without a feature file the features have that
-    count too.  Counts may differ by one frame; more is an error.
+    count too.  Both files must declare the frontend's hop (``_check_hop``).
+    Counts may differ by one frame; more is an error.
     """
     samples = read_wav(manifest.resolve(row.audio))
     frames = frame_count(len(samples), settings)
     feats = read_features(manifest.resolve(row.features)) if row.features else None
-    labels, _ = read_label_file(manifest.resolve(row.labels))
+    labels, label_hop = read_label_file(manifest.resolve(row.labels))
+    _check_hop(manifest.resolve(row.labels), label_hop, settings)
+    if feats is not None:
+        _check_hop(manifest.resolve(row.features), feats.hop, settings)
 
     lengths = {"features": frames if feats is None else feats.frames,
                "spectrogram": frames, "labels": labels.shape[1]}
@@ -142,10 +154,10 @@ def load_clip(manifest: Manifest, row, settings: FrontendSettings,
 
 
 def split_rows(manifest: Manifest, split: str) -> list:
-    """The manifest rows of one split; an empty split is an error."""
+    """The manifest rows of one split; an empty split raises FormatError."""
     rows = manifest.for_split(split)
     if not rows:
-        raise ValueError(f"manifest has no '{split}' rows")
+        raise FormatError(f"manifest has no '{split}' rows")
     return rows
 
 
@@ -307,7 +319,8 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
     dev_clips = load_split(manifest, "dev", settings, with_spect=False)
     segments = build_segments(train_clips, cfg.segment_seconds)
     if not segments:
-        raise ValueError("train split yields no segments; clips shorter than segment_seconds?")
+        raise ConfigError(f"train split yields no segments: every clip is shorter than "
+                          f"segment_seconds = {cfg.segment_seconds:g}")
 
     rng = np.random.default_rng(cfg.seed)
     # ADAM steps float64 master weights; the worker computes on their float32 copy
@@ -356,9 +369,8 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
     return model, trace
 
 
-def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, k: int,
-                        mu: float = 0.1, max_iters: int = 300, rel_tol: float = 1e-5,
-                        seed: int = 0, max_frames: int = 3000) -> Dictionary:
+def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, cfg: SnmfConfig,
+                        max_frames: int = 3000) -> Dictionary:
     """Fit the frequency codebook on subsampled train-split spectrogram frames.
 
     Frames are normalized to unit L2 before factorization so codebook
@@ -372,10 +384,8 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, k: int,
     is held (about 3.1 MB per minute of audio at the default frontend); no
     log-mel is computed, and no float64 spectrogram is held.  Only the
     selected frames are widened to float64, so the matrix SNMF factorizes is the one the whole split, concatenated,
-    normalized and strided, would give, bit for bit.  The SNMF settings are
-    checked before any clip is read.
+    normalized and strided, would give, bit for bit.
     """
-    cfg = SnmfConfig(k=k, mu=mu, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
     targets, norms = [], []
     for row in split_rows(manifest, "train"):
         samples, _, _, t = _aligned_samples(manifest, row, settings)

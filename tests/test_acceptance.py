@@ -139,8 +139,8 @@ def desk_pipeline(tmp_path_factory):
     spec = CorpusSpec(seed=0)  # default 20 / 5 / 5 minutes
     manifest = generate_corpus(spec, out)
     settings = FrontendSettings()
-    dictionary = pretrain_dictionary(manifest, settings, k=64, mu=0.1,
-                                     max_iters=300, seed=0, max_frames=3000)
+    dictionary = pretrain_dictionary(manifest, settings, SnmfConfig(k=64, mu=0.1, max_iters=300, seed=0),
+                                     max_frames=3000)
     model = init_model(d=80, k=64, c=4, seed=0)
     model.attach_dictionary(dictionary)
     cfg = TrainConfig(alpha=10, beta=1, gamma=0.1, lr=1e-3, batch_size=16,
@@ -180,8 +180,8 @@ class TestCriterion6SparsityTrend:
         # sparsity weight's effect is visible above optimization noise
         quiet_manifest, _ = trend_corpora
         settings = FrontendSettings()
-        dictionary = pretrain_dictionary(quiet_manifest, settings, k=32, mu=0.1,
-                                         max_iters=200, seed=0, max_frames=2000)
+        dictionary = pretrain_dictionary(quiet_manifest, settings,
+                                         SnmfConfig(k=32, mu=0.1, max_iters=200, seed=0), max_frames=2000)
         wins = 0
         details = []
         for seed in (0, 1, 2):

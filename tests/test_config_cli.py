@@ -86,6 +86,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config(p)
 
+    def test_undecodable_byte_names_the_file(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"epochs = 7  # caf\xe9\n")
+        with pytest.raises(ConfigError, match="not UTF-8") as info:
+            parse_config(p)
+        assert str(p) in str(info.value)
+
     @pytest.mark.parametrize("value", ["nan", "1.5", "0", "1", "-0.2"])
     def test_threshold_outside_unit_interval(self, tmp_path, value):
         p = tmp_path / "c.cfg"
@@ -264,17 +271,16 @@ class TestPretrainDictRunLog:
 
 def test_cli_never_loads_scipy(tmp_path):
     """The runtime needs NumPy alone: importing the CLI, both noise
-    synthesizers and a WAV round trip in each format load no scipy module."""
+    synthesizers and a WAV round trip load no scipy module."""
     wav = str(tmp_path / "x.wav")
     code = ("import sys, numpy as np, nmfseg.cli\n"
             "from nmfseg.corpus import synth_noise\n"
             "from nmfseg.frontend import AudioClip, load_audio, save_audio\n"
             "from nmfseg.probing import synth_probe_clip\n"
-            "synth_noise(np.random.default_rng(0), 800, 16000)\n"
+            "synth_noise(np.random.default_rng(0), 800)\n"
             "synth_probe_clip('noise-color', 2, seed=0, seconds=0.05)\n"
-            "for fmt in ('int16', 'float32'):\n"
-            f"    save_audio(AudioClip(np.zeros(800)), {wav!r}, fmt=fmt)\n"
-            f"    load_audio({wav!r})\n"
+            f"save_audio(AudioClip(np.zeros(800)), {wav!r})\n"
+            f"load_audio({wav!r})\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(nmfseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
@@ -384,6 +390,26 @@ class TestCliErrors:
 
     def test_unknown_flag(self):
         assert run_command(["eval", "--nonsense"]) != 0
+
+    @pytest.mark.parametrize("flag, value", [("--tau", "0"), ("--tau", "1.5"), ("--tau", "nan"),
+                                             ("--samples-per-class", "0"),
+                                             ("--samples-per-class", "-1")])
+    def test_bad_explain_option_fails_before_any_clip_is_read(self, pipeline, tmp_path, capsys,
+                                                              monkeypatch, flag, value):
+        cfg, out, manifest = pipeline
+        argv = ["explain", "--config", str(cfg), "--model", str(out / "model.nsm"),
+                "--manifest", str(manifest), flag, value, "--out", str(tmp_path / "out")]
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("explain read a clip before checking its options")
+
+        monkeypatch.setattr(training, "read_wav", no_read)
+        assert run_command(argv) == 1
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not list((tmp_path / "out").rglob("*"))
+        args = cli._build_parser().parse_args(argv)
+        with pytest.raises(ConfigError, match=f"{flag} must be"):
+            cli._cmd_explain(args, parse_config(cfg), cli._Run(tmp_path / "out"))
 
     def test_failed_run_cleans_partial_outputs(self, pipeline, tmp_path):
         cfg, out, manifest = pipeline

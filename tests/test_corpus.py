@@ -4,11 +4,14 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nmfseg import corpus
-from nmfseg.corpus import (CLASS_NAMES, CorpusSpec, Manifest, generate_corpus,
+from nmfseg import corpus, parallel
+from nmfseg.corpus import (CLASS_NAMES, CorpusSpec, Manifest, ManifestRow, generate_corpus,
                            load_manifest, one_pole, save_manifest, synthesize_clip)
-from nmfseg.errors import FormatError
+from nmfseg.errors import FormatError, NmfsegError
+from nmfseg.frontend import SAMPLE_RATE
 from nmfseg.labels import (UNANNOTATED, _read_fixed_width, _read_lines,
                            label_matrix_from_range, read_label_file, write_label_file)
 
@@ -143,9 +146,10 @@ class TestSynthesizeClip:
 
 class TestHarmonicStack:
     @staticmethod
-    def _fresh_arrays(rng, n, sr, f0, amps, vibrato):
+    def _fresh_arrays(rng, n, f0, amps, vibrato):
         """The stack with fresh temporaries per harmonic, the reference for
         the reused-buffer version."""
+        sr = SAMPLE_RATE
         t = np.arange(n) / sr
         drift_rate = rng.uniform(0.5, 2.0)
         drift = 1.0 + vibrato * np.sin(2 * np.pi * drift_rate * t + rng.uniform(0, 2 * np.pi))
@@ -160,8 +164,8 @@ class TestHarmonicStack:
     @pytest.mark.parametrize("f0, n_harm", [(98.0, 28), (4978.0, 1), (3000.0, 5)])
     def test_bit_equal_to_fresh_temporaries(self, f0, n_harm):
         amps = np.random.default_rng(1).random(n_harm)
-        got = corpus._harmonic_stack(np.random.default_rng(2), 4001, 16000, f0, amps, 0.03)
-        ref = self._fresh_arrays(np.random.default_rng(2), 4001, 16000, f0, amps, 0.03)
+        got = corpus._harmonic_stack(np.random.default_rng(2), 4001, f0, amps, 0.03)
+        ref = self._fresh_arrays(np.random.default_rng(2), 4001, f0, amps, 0.03)
         assert got.tobytes() == ref.tobytes()
 
 
@@ -220,11 +224,13 @@ class TestGenerateCorpus:
             expected = spec.expected_class_seconds(name, 10.0)
             assert abs(totals[name] - expected) / expected < 0.10, (name, totals[name], expected)
 
-    def test_parallel_generation_identical(self, tmp_path):
+    def test_parallel_generation_identical(self, tmp_path, monkeypatch):
         spec = CorpusSpec(seed=4, train_minutes=0.5, dev_minutes=0.5, test_minutes=0.5,
                           clip_seconds=5.0)
-        m1 = generate_corpus(spec, tmp_path / "serial", workers=1)
-        m2 = generate_corpus(spec, tmp_path / "parallel", workers=2)
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
+        m1 = generate_corpus(spec, tmp_path / "serial")
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        m2 = generate_corpus(spec, tmp_path / "parallel")
         assert m1.rows == m2.rows
         for r in m1.rows:
             for rel in (r.audio, r.labels):
@@ -244,6 +250,77 @@ class TestGenerateCorpus:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         spec = CorpusSpec(seed=4, train_minutes=0.05, dev_minutes=0.05, test_minutes=0.05,
                           clip_seconds=3.0)
-        manifest = generate_corpus(spec, tmp_path / "capped", workers=64)
+        monkeypatch.setattr(parallel, "workers", lambda: 64)
+        manifest = generate_corpus(spec, tmp_path / "capped")
         assert len(manifest.rows) == 3
         assert sizes == [3]
+
+
+class TestUndecodableText:
+    """A byte that is not UTF-8 text raises FormatError naming the file."""
+
+    def test_label_file(self, tmp_path):
+        p = tmp_path / "x.lab"
+        write_label_file(p, np.zeros((2, 3), dtype=np.int8), hop=0.02)
+        blob = bytearray(p.read_bytes())
+        blob[-2] = 0xFF
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="not UTF-8") as info:
+            read_label_file(p)
+        assert str(p) in str(info.value)
+
+    def test_manifest(self, tmp_path):
+        p = tmp_path / "manifest.csv"
+        p.write_bytes(b"id,audio,features,labels,split\nclip\xff,a.wav,,a.lab,train\n")
+        with pytest.raises(FormatError, match="not UTF-8") as info:
+            load_manifest(p)
+        assert str(p) in str(info.value)
+
+
+_LABEL_BLOB = (b"FRAMES 0.020000 4\n"
+               + b"".join(f"{a} {b} {c} -\n".encode() for a, b, c in [(0, 1, 0), (1, 1, 1), (0, 0, 1)]))
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """A manifest blob and the files its rows name; only their existence is read."""
+    root = tmp_path_factory.mktemp("flip")
+    rows = []
+    for i, split in enumerate(("train", "dev", "test")):
+        for rel in (f"audio/c{i}.wav", f"labels/c{i}.lab"):
+            (root / rel).parent.mkdir(exist_ok=True)
+            (root / rel).write_bytes(b"")
+        rows.append(ManifestRow(f"c{i}", f"audio/c{i}.wav", "", f"labels/c{i}.lab", split))
+    save_manifest(Manifest(rows=rows, root=root), root / "manifest.csv")
+    return root, (root / "manifest.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pos=st.integers(0, len(_LABEL_BLOB) - 1), mask=st.integers(1, 255))
+def test_label_single_byte_flip_parses_or_raises_nmfseg_error(tmp_path_factory, pos, mask):
+    """A flipped byte may still parse (another symbol, hop or blank line), but
+    nothing outside ``NmfsegError`` escapes: no ``UnicodeDecodeError``."""
+    blob = bytearray(_LABEL_BLOB)
+    blob[pos] ^= mask
+    p = tmp_path_factory.getbasetemp() / "flipped.lab"
+    p.write_bytes(bytes(blob))
+    try:
+        frames, _ = read_label_file(p)
+    except NmfsegError:
+        return
+    assert set(np.unique(frames)) <= {0, 1, UNANNOTATED}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pos=st.integers(0, 200), mask=st.integers(1, 255))
+def test_manifest_single_byte_flip_parses_or_raises_nmfseg_error(manifest_dir, pos, mask):
+    root, original = manifest_dir
+    blob = bytearray(original)
+    blob[pos % len(blob)] ^= mask
+    p = root / "flipped.csv"
+    p.write_bytes(bytes(blob))
+    try:
+        manifest = load_manifest(p)
+    except NmfsegError:
+        return
+    assert all((root / r.audio).exists() and (root / r.labels).exists() for r in manifest.rows)

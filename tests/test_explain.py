@@ -158,7 +158,7 @@ class TestComponentSpectrum:
         d = self._dictionary()
         col = d.values[:, 2].copy()
         peak_bin = int(np.argmax(col))
-        freqs, weights = component_spectrum(d, 2, sample_rate=16000, n_fft=512)
+        freqs, weights = component_spectrum(d, 2, n_fft=512)
         assert freqs[np.argmax(weights)] == pytest.approx(peak_bin * 16000 / 512)
 
 

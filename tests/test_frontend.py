@@ -18,6 +18,15 @@ def _write_wav(path, samples, rate=16000, dtype=np.int16):
     wavfile.write(path, rate, np.asarray(samples, dtype=dtype))
 
 
+def _save(path, samples, fmt):
+    """A WAV of ``samples`` in [-1, 1]: 32-bit float through ``save_audio``, or
+    16-bit PCM rounded to the nearest step of 1/32768 and clipped."""
+    if fmt == "float32":
+        save_audio(AudioClip(samples=samples), path)
+    else:
+        _write_wav(path, np.clip(np.round(samples * 32768.0), -32768, 32767))
+
+
 class TestLoadAudio:
     def test_silence_second(self, tmp_path):
         p = tmp_path / "silence.wav"
@@ -25,8 +34,6 @@ class TestLoadAudio:
         clip = load_audio(p)
         assert len(clip.samples) == 16000
         assert np.all(clip.samples == 0.0)
-        assert clip.sample_rate == 16000
-        assert clip.channel_count == 1
 
     def test_int16_scaling(self, tmp_path):
         p = tmp_path / "max.wav"
@@ -59,7 +66,7 @@ class TestLoadAudio:
         rng = np.random.default_rng(0)
         samples = rng.uniform(-0.5, 0.5, 1600)
         p = tmp_path / "rt.wav"
-        save_audio(AudioClip(samples=samples), p, fmt="float32")
+        save_audio(AudioClip(samples=samples), p)
         back = load_audio(p)
         np.testing.assert_allclose(back.samples, samples, atol=1e-7)
 
@@ -87,17 +94,12 @@ _PCM = np.array([0, 1000, -1000, 32767, -32768], dtype="<i2")
 class TestWavCodec:
     """The built-in RIFF/WAVE codec against scipy.io.wavfile as the oracle."""
 
-    @pytest.mark.parametrize("fmt,n", [("int16", 0), ("int16", 1), ("int16", 16001),
-                                       ("float32", 0), ("float32", 1), ("float32", 16001)])
+    @pytest.mark.parametrize("fmt,n", [("float32", 0), ("float32", 1), ("float32", 16001)])
     def test_save_bytes_match_scipy(self, tmp_path, fmt, n):
         samples = np.random.default_rng(n).uniform(-1.2, 1.2, n)
         ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
-        save_audio(AudioClip(samples=samples), ours, fmt=fmt)
-        if fmt == "int16":
-            data = np.clip(np.round(samples * 32768.0), -32768, 32767).astype(np.int16)
-        else:
-            data = samples.astype(np.float32)
-        wavfile.write(ref, 16000, data)
+        save_audio(AudioClip(samples=samples), ours)
+        wavfile.write(ref, 16000, samples.astype(fmt))
         assert ours.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("dtype,scale", [(np.int16, 32768.0), (np.float32, 1.0)])
@@ -108,7 +110,7 @@ class TestWavCodec:
         _write_wav(p, raw * 32767 if dtype == np.int16 else raw, dtype=dtype)
         rate, data = wavfile.read(p)
         clip = load_audio(p)
-        assert clip.sample_rate == rate
+        assert rate == 16000
         np.testing.assert_array_equal(clip.samples, data.astype(np.float64) / scale)
 
     def test_list_chunk_before_fmt_skipped(self, tmp_path):
@@ -196,7 +198,7 @@ class TestStft:
         assert spec.freq_bins == 257
 
     def test_constant_clip_bin0(self):
-        clip = AudioClip(samples=np.full(2000, 0.5), sample_rate=16000)
+        clip = AudioClip(samples=np.full(2000, 0.5))
         clip.samples = np.minimum(clip.samples * 2, 1.0)  # constant 1.0
         spec = stft_magnitude(clip)
         window_sum = (0.5 - 0.5 * np.cos(2 * np.pi * np.arange(400) / 400)).sum()
@@ -263,7 +265,7 @@ class TestLogMel:
         rng = np.random.default_rng(5)
         spec = stft_magnitude(AudioClip(samples=rng.uniform(-0.3, 0.3, 3000)))
         feats = log_mel(spec, n_mels=24)
-        fb = mel_filterbank(24, 512, 16000, 0.0, 8000.0)
+        fb = mel_filterbank(24, 512, 0.0, 8000.0)
         oracle = np.empty((24, spec.frames))
         for m in range(24):
             for t in range(spec.frames):
@@ -274,16 +276,15 @@ class TestLogMel:
         np.testing.assert_allclose(feats.values, oracle, rtol=1e-5)
 
     def test_filterbank_built_once_and_read_only(self):
-        fb = mel_filterbank(24, 512, 16000, 0.0, 8000.0)
-        assert mel_filterbank(24, 512, 16000, 0.0, 8000.0) is fb
+        fb = mel_filterbank(24, 512, 0.0, 8000.0)
+        assert mel_filterbank(24, 512, 0.0, 8000.0) is fb
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
 
     def test_monotone_in_spectrogram(self):
         rng = np.random.default_rng(6)
         base = stft_magnitude(AudioClip(samples=rng.uniform(-0.3, 0.3, 3000)))
-        bigger = type(base)(values=base.values + rng.uniform(0, 1, base.values.shape),
-                            hop=base.hop, sample_rate=base.sample_rate)
+        bigger = type(base)(values=base.values + rng.uniform(0, 1, base.values.shape), hop=base.hop)
         a = log_mel(base, n_mels=40).values
         b = log_mel(bigger, n_mels=40).values
         assert np.all(b >= a)
@@ -329,7 +330,7 @@ class TestFeaturize:
     @pytest.mark.parametrize("recon_log", [False, True])
     def test_matches_whole_clip_steps(self, tmp_path, n, fmt, recon_log):
         path = tmp_path / "clip.wav"
-        save_audio(AudioClip(samples=_speech_like(n, n)), path, fmt=fmt)
+        _save(path, _speech_like(n, n), fmt)
         settings = FrontendSettings(recon_log=recon_log)
         features, target = featurize(read_wav(path), settings, target=True)
         ref_features, ref_target = _whole_clip_reference(path, settings)
@@ -342,7 +343,7 @@ class TestFeaturize:
     @pytest.mark.parametrize("recon_log", [False, True])
     def test_matches_whole_clip_steps_on_120s_clip(self, tmp_path, corpus_clip_120s, fmt, recon_log):
         path = tmp_path / "long.wav"
-        save_audio(AudioClip(samples=corpus_clip_120s), path, fmt=fmt)
+        _save(path, corpus_clip_120s, fmt)
         settings = FrontendSettings(recon_log=recon_log)
         features, target = featurize(read_wav(path), settings, target=True)
         ref_features, ref_target = _whole_clip_reference(path, settings)

@@ -51,6 +51,39 @@ class TestCompare:
         b = _tree(tmp_path / "change", {"t.json": b"[1, 2]\n"})
         assert identity.compare(a, b)[0][0] == "moved  t.json  (first difference at byte 6)"
 
+    def test_moved_json_names_its_first_differing_key(self, tmp_path):
+        a = _tree(tmp_path / "parent", {
+            "eval/f1.json": b'{"macro": 0.5, "per_class": {"music": [1, 2], "speech": [3, 4]}}',
+            "ablate-beta/ablation.json": b'{"rows": [{"beta": 0.0, "recon": 2}], "z": 1}',
+            "trace.json": b'[{"epoch": 0}]',
+        })
+        b = _tree(tmp_path / "change", {
+            "eval/f1.json": b'{"macro": 0.5, "per_class": {"music": [1, 2], "speech": [3, 5]}}',
+            "ablate-beta/ablation.json": b'{"rows": [{"beta": 0.0, "recon": 2.0}], "z": 2}',
+            "trace.json": b'[{"epoch": 0}, {"epoch": 1}]',
+        })
+        lines, _ = identity.compare(a, b)
+        assert lines[:3] == [
+            "moved  ablate-beta/ablation.json  (first difference at byte 34, key $.rows[0].recon)",
+            "moved  eval/f1.json  (first difference at byte 60, key $.per_class.speech[1])",
+            "moved  trace.json  (first difference at byte 13, key $[1])",
+        ]
+
+    def test_json_key_on_one_side_or_not_json(self, tmp_path):
+        a = _tree(tmp_path / "parent", {"s.json": b'{"a": 1, "c": 3}', "broken.json": b'{"a": 1',
+                                        "model.nsm": b'{"a": 1}'})
+        b = _tree(tmp_path / "change", {"s.json": b'{"a": 1, "b": 2, "c": 3}', "broken.json": b'{"a": 2',
+                                        "model.nsm": b'{"a": 2}'})
+        lines, _ = identity.compare(a, b)
+        assert lines[:3] == ["moved  broken.json  (first difference at byte 6)",
+                             "moved  model.nsm  (first difference at byte 6)",
+                             "moved  s.json  (first difference at byte 10, key $.b)"]
+
+    def test_run_log_key_is_found_after_masking(self, tmp_path):
+        a = _tree(tmp_path / "parent", {"x.run.json": f'{{"out": "{tmp_path}/parent", "seed": 1}}'.encode()})
+        b = _tree(tmp_path / "change", {"x.run.json": f'{{"out": "{tmp_path}/change", "seed": 2}}'.encode()})
+        assert identity.compare(a, b)[0][0].endswith(", key $.seed)")
+
     def test_declared_moves_pass_and_others_fail(self, tmp_path):
         a = _tree(tmp_path / "parent", {"trace.json": b"1", "sub/f1.csv": b"a"})
         b = _tree(tmp_path / "change", {"trace.json": b"2", "sub/f1.csv": b"a", "extra.bin": b""})

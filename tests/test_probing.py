@@ -112,6 +112,13 @@ class TestProbeManifest:
             load_probe_manifest(make_tiny_model(), path)
         assert str(path) in str(info.value)
 
+    def test_undecodable_byte_raises_format_error(self, tmp_path):
+        path = self._write(tmp_path, ["f0.nsf,1", "f1.nsf,0"])
+        path.write_bytes(path.read_bytes().replace(b"f1", b"f\xff"))
+        with pytest.raises(FormatError, match="not UTF-8") as info:
+            load_probe_manifest(make_tiny_model(), path)
+        assert str(path) in str(info.value)
+
     def test_eval_task_takes_the_training_class_count(self, tmp_path):
         path = self._write(tmp_path, ["f0.nsf,0", "f1.nsf,1", "f2.nsf,0"])
         assert load_probe_manifest(make_tiny_model(), path, class_count=3).class_count == 3

@@ -1,5 +1,6 @@
 """Dataset assembly and the training loop."""
 
+import shutil
 import tracemalloc
 from dataclasses import replace
 
@@ -9,9 +10,9 @@ import pytest
 from conftest import assert_views_of_flat
 from nmfseg import frontend, parallel, training
 from nmfseg.corpus import HOP_SECONDS, Manifest, ManifestRow
-from nmfseg.errors import ConfigError, DimensionError, NumericError
+from nmfseg.errors import ConfigError, DimensionError, FormatError, NumericError
 from nmfseg.frontend import AudioClip, FeatureSequence, save_audio, write_features
-from nmfseg.labels import write_label_file
+from nmfseg.labels import read_label_file, write_label_file
 from nmfseg.network import init_model
 from nmfseg.nmf import SnmfConfig, dictionary_to_bytes, train_snmf
 from nmfseg.training import (FrontendSettings, TrainConfig, build_segments,
@@ -23,8 +24,8 @@ from nmfseg.training import (FrontendSettings, TrainConfig, build_segments,
 def trained_setup(small_corpus):
     _, manifest = small_corpus
     settings = FrontendSettings()
-    dictionary = pretrain_dictionary(manifest, settings, k=16, mu=0.1,
-                                     max_iters=100, seed=0, max_frames=1000)
+    dictionary = pretrain_dictionary(manifest, settings, SnmfConfig(k=16, mu=0.1, max_iters=100, seed=0),
+                                     max_frames=1000)
     return manifest, settings, dictionary
 
 
@@ -39,9 +40,9 @@ class TestDataAssembly:
 
     def test_missing_split(self, trained_setup):
         manifest, settings, _ = trained_setup
-        with pytest.raises(ValueError, match="no 'nope' rows"):
+        with pytest.raises(FormatError, match="no 'nope' rows"):
             load_split(manifest, "nope", settings)
-        with pytest.raises(ValueError, match="no 'nope' rows"):
+        with pytest.raises(FormatError, match="no 'nope' rows"):
             evaluate_split(init_model(d=80, k=16, c=4, seed=0), manifest, "nope", settings)
 
     def test_clip_without_spectrogram(self, trained_setup):
@@ -79,6 +80,35 @@ class TestDataAssembly:
                                 root=bad_dir)
         with pytest.raises(DimensionError, match="more than one"):
             load_split(bad_manifest, "train", FrontendSettings())
+
+    def test_frame_grid_checked_to_the_label_files_rounding(self, tmp_path, small_corpus):
+        """A label file stores its hop to 6 decimals: 321 samples (0.0200625 s)
+        reads back as 0.020063 and loads; the corpus's 0.02 s labels do not
+        load at a hop of 319 samples (0.0199375 s), where they would drift by
+        one frame over a 10-s clip, nor at 160."""
+        _, manifest = small_corpus
+        row = manifest.for_split("train")[0]
+        frames, hop = read_label_file(manifest.resolve(row.labels))
+        write_label_file(tmp_path / "clip.lab", frames[:, :498], 321 / 16000)
+        shutil.copy(manifest.resolve(row.audio), tmp_path / "clip.wav")
+        near = Manifest(rows=[ManifestRow("clip", "clip.wav", "", "clip.lab", "train")], root=tmp_path)
+        assert load_clip(near, near.rows[0], FrontendSettings(hop=321)).labels.shape[1] == 498
+        for samples in (319, 160):
+            with pytest.raises(FormatError) as info:
+                load_clip(manifest, row, FrontendSettings(hop=samples))
+            message = str(info.value)
+            assert str(manifest.resolve(row.labels)) in message
+            assert repr(hop) in message and repr(samples / 16000) in message
+
+    def test_feature_file_hop_must_match_the_frontend(self, tmp_path, small_corpus):
+        _, manifest = small_corpus
+        row = manifest.for_split("train")[0]
+        write_features(FeatureSequence(values=np.zeros((12, 499), dtype=np.float32), hop=0.01),
+                       tmp_path / "clip.nsf")
+        ext = Manifest(rows=[replace(row, features=str(tmp_path / "clip.nsf"))], root=manifest.root)
+        with pytest.raises(FormatError, match="0.01 s apart") as info:
+            load_clip(ext, ext.rows[0], FrontendSettings())
+        assert str(tmp_path / "clip.nsf") in str(info.value)
 
     def test_external_feature_files_used(self, tmp_path, small_corpus):
         _, manifest = small_corpus
@@ -120,6 +150,12 @@ def _evaluate_split_peaks(manifest) -> dict:
     return peaks
 
 
+def test_no_segments_raises_config_error_naming_segment_seconds(small_corpus):
+    _, manifest = small_corpus
+    with pytest.raises(ConfigError, match="segment_seconds = 60"):
+        train(init_model(d=80, k=16, c=4, seed=0), manifest, TrainConfig(segment_seconds=60.0, epochs=1))
+
+
 def test_evaluate_split_streams_clips(small_corpus, monkeypatch):
     """With one worker, four equal-length clips peak within 10 % of one clip,
     so clips are not held."""
@@ -151,7 +187,7 @@ def quiet_corpus(tmp_path_factory):
         samples = rng.uniform(0.02, 0.1) * rng.standard_normal(_QUIET_SAMPLES)
         start = (i * 3700) % 36000
         samples[start:start + 9000] = 0.0
-        save_audio(AudioClip(samples=samples), root / f"c{i}.wav", fmt="float32")
+        save_audio(AudioClip(samples=samples), root / f"c{i}.wav")
         labels = rng.integers(0, 2, size=(4, _QUIET_FRAMES))
         write_label_file(root / f"c{i}.lab", labels, HOP_SECONDS)
         rows.append(ManifestRow(f"c{i}", f"c{i}.wav", "", f"c{i}.lab", "train"))
@@ -174,9 +210,7 @@ def _reference_dictionary(manifest, settings, max_frames):
 
 
 def _pretrain(manifest, settings, max_frames):
-    cfg = _snmf_cfg()
-    return pretrain_dictionary(manifest, settings, k=cfg.k, mu=cfg.mu, max_iters=cfg.max_iters,
-                               rel_tol=cfg.rel_tol, seed=cfg.seed, max_frames=max_frames)
+    return pretrain_dictionary(manifest, settings, _snmf_cfg(), max_frames=max_frames)
 
 
 class TestPretrainDictionary:
@@ -312,7 +346,7 @@ class TestTrain:
         model = init_model(d=80, k=16, c=4, seed=0)
         model.attach_dictionary(dictionary)
         empty = Manifest(rows=[])
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="no 'train' rows"):
             train(model, empty, TrainConfig(epochs=1), settings)
 
 

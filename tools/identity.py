@@ -11,7 +11,9 @@ seeded pipeline in each with ``NMFSEG_THREADS=1``:
     -> probe -> ablate-beta -> report
 
 It then prints one line per artifact, ``same`` or ``moved`` with the first
-differing byte offset, and a summary.  Paths in ``*.run.json`` files are
+differing byte offset and, for a ``.json`` artifact, the key path of the
+first differing value in document order (``$.metrics.rows[1].f1``), and a
+summary.  Paths in ``*.run.json`` files are
 masked first, since each side writes under its own directory.  The exit
 status is 1 if an artifact moved (or exists on one side only) that is not
 named with ``--declared`` (paths relative to the run directory, e.g.
@@ -28,6 +30,7 @@ CPU), so compare two commits on one machine.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -95,6 +98,36 @@ def first_difference(a: bytes, b: bytes) -> int:
     return min(len(a), len(b))
 
 
+def first_json_difference(a: bytes, b: bytes) -> str | None:
+    """The key path of the first value that differs between two JSON
+    documents, in document order; None when either is not JSON, when the
+    two are different scalars (no key), or when they parse to the same
+    values (they differ in layout only)."""
+    try:
+        path = _json_difference(json.loads(a), json.loads(b), "$")
+    except ValueError:
+        return None
+    return None if path == "$" else path
+
+
+def _json_difference(x, y, path: str) -> str | None:
+    if isinstance(x, dict) and isinstance(y, dict):
+        for key in [*x, *(key for key in y if key not in x)]:
+            if key not in x or key not in y:
+                return f"{path}.{key}"
+            found = _json_difference(x[key], y[key], f"{path}.{key}")
+            if found is not None:
+                return found
+        return None
+    if isinstance(x, list) and isinstance(y, list):
+        for i, (u, v) in enumerate(zip(x, y)):
+            found = _json_difference(u, v, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None if len(x) == len(y) else f"{path}[{min(len(x), len(y))}]"
+    return None if repr(x) == repr(y) else path  # repr tells 1 from 1.0 and true, and NaN equals itself
+
+
 def compare(parent: Path, change: Path, declared=()) -> tuple[list[str], bool]:
     """One line per artifact under either run directory, and whether every
     moved artifact is declared."""
@@ -110,7 +143,9 @@ def compare(parent: Path, change: Path, declared=()) -> tuple[list[str], bool]:
             if blob_a == blob_b:
                 lines.append(f"same   {name}")
                 continue
-            status = f"moved  {name}  (first difference at byte {first_difference(blob_a, blob_b)})"
+            where = f"first difference at byte {first_difference(blob_a, blob_b)}"
+            key = first_json_difference(blob_a, blob_b) if name.endswith(".json") else None
+            status = f"moved  {name}  ({where}{'' if key is None else f', key {key}'})"
         moved += 1
         if name in declared:
             status += "  [declared]"
