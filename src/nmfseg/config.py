@@ -4,7 +4,8 @@ A config file holds one ``key = value`` pair per line ('#' starts a comment).
 Every key has a typed default and an allowed range; unknown keys and values
 outside their range are rejected.  So are frontend settings that no STFT or
 mel filterbank accepts: ``win_len`` above ``n_fft``, or band limits outside
-``0 <= f_min < f_max <= 8000`` (the Nyquist frequency).  The
+``0 <= f_min < f_max <= 8000`` (the Nyquist frequency); ``gen-data``
+also refuses a ``hop`` off its 0.02-s label grid.  The
 resolved configuration (defaults plus overrides) is what runs, what lands in
 run logs, and what the config hash covers.
 """
@@ -13,9 +14,10 @@ from __future__ import annotations
 
 import hashlib
 
-from .corpus import CorpusSpec
+from .corpus import HOP_SECONDS, CorpusSpec
 from .errors import BOOL, NONNEG, POSITIVE, SIZE, ConfigError, open_text
 from .frontend import SAMPLE_RATE, FrontendSettings
+from .labels import HOP_TOLERANCE
 from .nmf import SNMF_RANGES, SnmfConfig
 from .training import TRAIN_RANGES, TrainConfig
 
@@ -127,6 +129,13 @@ def config_hash(cfg: dict) -> str:
 
 
 def corpus_spec(cfg: dict) -> CorpusSpec:
+    """The ``gen-data`` settings.  The corpus labels frames ``HOP_SECONDS``
+    apart, so a ``hop`` off that grid raises ConfigError: the label files
+    would not fit the frontend's frames."""
+    if not abs(cfg["hop"] / SAMPLE_RATE - HOP_SECONDS) <= HOP_TOLERANCE:
+        raise ConfigError(f"hop = {cfg['hop']} puts frames {cfg['hop'] / SAMPLE_RATE!r} s apart, "
+                          f"but gen-data labels them {HOP_SECONDS} s apart "
+                          f"(hop = {round(HOP_SECONDS * SAMPLE_RATE)})")
     return CorpusSpec(
         seed=cfg["seed"],
         train_minutes=cfg["train_minutes"],

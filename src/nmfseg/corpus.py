@@ -10,8 +10,12 @@ never collide with each other, and music/noise events never collide within
 their own class, which keeps per-class durations equal to the sum of
 scheduled event durations.
 
-Everything derives from integer seed sequences, so a corpus is bitwise
-reproducible; clips can be synthesized in parallel without changing a byte.
+Everything derives from integer seed sequences, so for one version of this
+code a corpus is bitwise reproducible on one machine, and clips can be
+synthesized in parallel without changing a byte.  Harmonic stacks and the
+noise filter round differently from a plain ``np.sin`` per harmonic and a
+per-sample recursion (see ``_harmonic_stack`` and ``one_pole``); labels and
+event schedules do not depend on that rounding.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ CLASS_NAMES = ("speech", "overlap", "music", "noise")
 
 HOP_SECONDS = 0.02
 RAMP_MS = 10.0  # fade-in and fade-out of every event
+POLE_BLOCK = 128  # samples per block of ``one_pole``
 # (shortest, longest) event duration in seconds, per class
 DURATIONS = {"speech": (1.0, 3.0), "overlap": (1.0, 2.5), "music": (1.5, 4.0), "noise": (1.0, 3.0)}
 
@@ -142,14 +147,32 @@ def _ramp(signal: np.ndarray) -> np.ndarray:
 def one_pole(x: np.ndarray, rho: float) -> np.ndarray:
     """First-order recursion ``y[n] = x[n] + rho * y[n-1]`` with ``y[-1] = 0``.
 
-    Bit-identical to ``scipy.signal.lfilter([1.0], [1.0, -rho], x)``.  A plain
-    loop over a few million samples costs less than importing
-    ``scipy.signal`` (over a second), which every CLI process would pay.
+    Evaluated in blocks of ``POLE_BLOCK`` samples as a blocked linear
+    recurrence (Blelloch, "Prefix sums and their applications", 1990): each
+    block's zero-state response is one GEMM with the triangular matrix of
+    ``rho**(i-j)``, and a loop over the blocks carries each block's last
+    output into the next as ``carry * rho**(1..B)``.  It agrees with
+    ``scipy.signal.lfilter([1.0], [1.0, -rho], x)`` to within 1e-14 of the
+    output's peak, not bit for bit: the GEMM sums each block in another
+    order.  A per-sample loop took 0.34-0.44 s of a 102-clip corpus
+    synthesised serially (2 vCPUs), and importing ``scipy.signal`` costs
+    every CLI process over a second.
     """
-    rho = float(rho)
-    prev = 0.0
-    return np.array([prev := v + rho * prev for v in np.asarray(x, dtype=np.float64).tolist()],
-                    dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    n, b = len(x), POLE_BLOCK
+    blocks = np.zeros((-(-n // b), b))
+    blocks.reshape(-1)[:n] = x
+    powers = float(rho) ** np.arange(b + 1, dtype=np.float64)
+    powers[np.abs(powers) < np.finfo(np.float64).tiny] = 0.0  # no subnormal GEMM operands
+    lag = np.arange(b) - np.arange(b)[:, None]  # i - j at [j, i]
+    y = blocks @ np.triu(powers[np.abs(lag)])
+    decay, carry = float(powers[b]), 0.0
+    carries = []
+    for last in y[:, -1].tolist():
+        carries.append(carry)
+        carry = last + decay * carry
+    y += np.outer(carries, powers[1:])
+    return y.reshape(-1)[:n]
 
 
 def _rms_normalize(signal: np.ndarray) -> np.ndarray:
@@ -158,21 +181,47 @@ def _rms_normalize(signal: np.ndarray) -> np.ndarray:
 
 
 def _harmonic_stack(rng, n: int, f0: float, amps: np.ndarray, vibrato: float) -> np.ndarray:
+    """``sum_k amps[k-1] * sin(k * phase + theta_k)`` over the harmonics below
+    Nyquist, with one uniform offset ``theta_k`` drawn per harmonic.
+
+    With three or more harmonics, the sum is ``Im(sum_k c_k z**k)`` with
+    ``z = exp(i * phase)`` and ``c_k = amps[k-1] * exp(i * theta_k)``,
+    evaluated by Horner's rule (Knuth, TAOCP vol. 2, 4.6.4): two trig calls
+    per sample, then one complex multiply-add per harmonic, about 1.3 ns
+    per element against 24 ns for a float64 ``np.sin``.  The ``np.sin``
+    form rounds ``k * phase`` first, so the two differ by up to about
+    ``k * |phase| * 2**-53``: 4e-12 over 1 s of 28 harmonics at 98 Hz, and
+    2e-11 over 4 s, where Horner stays within 1e-14 of the sum computed in
+    extended precision.  With one or two harmonics (every music stream has
+    one), Horner would cost as many trig calls as it saves, so those keep
+    the ``np.sin`` loop.  The offsets are drawn in harmonic order either
+    way, so the generator ends in the same state.
+    """
     t = np.arange(n) / SAMPLE_RATE
     drift_rate = rng.uniform(0.5, 2.0)
     drift = 1.0 + vibrato * np.sin(2 * np.pi * drift_rate * t + rng.uniform(0, 2 * np.pi))
     phase = 2 * np.pi * np.cumsum(f0 * drift) / SAMPLE_RATE
-    sig = np.zeros(n)
-    harmonic = np.empty(n)  # one buffer for every harmonic, same operations in the same order
-    for k, a in enumerate(amps, start=1):
-        if k * f0 >= SAMPLE_RATE / 2:
-            break
-        np.multiply(k, phase, out=harmonic)
-        harmonic += rng.uniform(0, 2 * np.pi)
-        np.sin(harmonic, out=harmonic)
-        harmonic *= a
-        sig += harmonic
-    return sig
+    count = next((k - 1 for k in range(1, len(amps) + 1) if k * f0 >= SAMPLE_RATE / 2), len(amps))
+    if count < 3:
+        sig = np.zeros(n)
+        harmonic = np.empty(n)  # one buffer for every harmonic
+        for k, a in enumerate(amps[:count], start=1):
+            np.multiply(k, phase, out=harmonic)
+            harmonic += rng.uniform(0, 2 * np.pi)
+            np.sin(harmonic, out=harmonic)
+            harmonic *= a
+            sig += harmonic
+        return sig
+    coef = amps[:count] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=count))
+    z = np.empty(n, dtype=np.complex128)
+    np.cos(phase, out=z.real)
+    np.sin(phase, out=z.imag)
+    acc = np.full(n, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= z
+        acc += c
+    acc *= z
+    return np.ascontiguousarray(acc.imag)
 
 
 # Class registers partition the spectrum: primary talkers stay below 2.8 kHz,

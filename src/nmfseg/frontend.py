@@ -197,13 +197,14 @@ def _parse_wav(blob: bytes, name: str) -> np.ndarray:
                                  "malformed WAVE_FORMAT_EXTENSIBLE 'fmt ' chunk")
         (tag,) = struct.unpack_from("<H", guid)
     if rate != SAMPLE_RATE:
-        raise IngestionError(f"unsupported sample rate: {rate} (expected {SAMPLE_RATE})")
+        raise IngestionError(f"unsupported sample rate in {name}: {rate} (expected {SAMPLE_RATE})")
     if channels != 1:
-        raise IngestionError(f"unsupported channel count: {channels} (expected mono)")
+        raise IngestionError(f"unsupported channel count in {name}: {channels} (expected mono)")
     dtype = _WAV_SAMPLE_TYPES.get((tag, bits, block_align))
     if dtype is None:
-        raise IngestionError(f"unsupported sample format: format tag {tag:#06x}, {bits} bits, "
-                             f"{block_align}-byte blocks (expected 16-bit PCM or 32-bit float)")
+        raise IngestionError(f"unsupported sample format in {name}: format tag {tag:#06x}, "
+                             f"{bits} bits, {block_align}-byte blocks "
+                             "(expected 16-bit PCM or 32-bit float)")
     data_at, data_size = chunks[b"data"]
     if data_size % block_align:
         raise IngestionError(f"truncated WAV {name}: {data_size}-byte 'data' chunk "

@@ -381,6 +381,22 @@ class TestCliErrors:
         assert key in capsys.readouterr().err
         assert not target.exists()
 
+    @pytest.mark.parametrize("hop, ok", [(160, False), (320, True)])
+    def test_gen_data_refuses_a_hop_off_the_label_grid(self, tmp_path, capsys, monkeypatch,
+                                                        hop, ok):
+        """The corpus labels frames 0.02 s apart; at hop 160 no file is written."""
+        cfg = tmp_path / "hop.cfg"
+        cfg.write_text(FAST_CFG.replace("0.5", "0.05") + f"hop = {hop}\n")
+        monkeypatch.setenv("NMFSEG_THREADS", "1")
+        target = tmp_path / "out"
+        assert run_command(["gen-data", "--config", str(cfg), "--out", str(target)]) == (0 if ok else 1)
+        if ok:
+            assert (target / "corpus" / "manifest.csv").exists()
+        else:
+            err = capsys.readouterr().err
+            assert "hop = 160" in err and "0.02 s" in err
+            assert not [p for p in target.rglob("*") if p.is_file()]
+
     def test_missing_dictionary_file(self, pipeline, tmp_path, capsys):
         cfg, out, manifest = pipeline
         rc = run_command(["train", "--config", str(cfg), "--manifest", str(manifest),

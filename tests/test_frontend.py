@@ -62,6 +62,20 @@ class TestLoadAudio:
         with pytest.raises(IngestionError, match="channel"):
             load_audio(p)
 
+    def test_wrong_rate_error_names_the_file(self, tmp_path):
+        p = tmp_path / "8k.wav"
+        wavfile.write(p, 8000, np.zeros(800, dtype=np.int16))
+        with pytest.raises(IngestionError, match="sample rate") as info:
+            read_wav(p)
+        assert str(p) in str(info.value) and "8000" in str(info.value)
+
+    def test_stereo_error_names_the_file(self, tmp_path):
+        p = tmp_path / "stereo.wav"
+        wavfile.write(p, 16000, np.zeros((100, 2), dtype=np.int16))
+        with pytest.raises(IngestionError, match="channel count") as info:
+            read_wav(p)
+        assert str(p) in str(info.value) and ": 2 " in str(info.value)
+
     def test_save_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         samples = rng.uniform(-0.5, 0.5, 1600)

@@ -95,6 +95,47 @@ class TestCompare:
         assert ok
 
 
+# a stand-in CLI: each stage writes one file whose name carries NMFSEG_THREADS
+_FAKE_CLI = """import os, sys
+from pathlib import Path
+
+def main():
+    argv = sys.argv[1:]
+    out = Path(argv[argv.index("--out") + 1])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"{argv[0]}-threads-{os.environ['NMFSEG_THREADS']}.txt").write_text(argv[0])
+"""
+
+
+def _fake_worktree(rev, path):
+    _tree(path / "src" / "nmfseg", {"__init__.py": b"", "cli.py": _FAKE_CLI.encode()})
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_both_sides_run_with_the_given_thread_count(self, tmp_path, monkeypatch, capsys,
+                                                        threads):
+        monkeypatch.setattr(identity, "worktree", _fake_worktree)
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setenv("NMFSEG_THREADS", "7")  # overridden on both sides
+        monkeypatch.setattr(identity.tempfile, "tempdir", None)
+        argv = ["parent-rev", "--threads", str(threads)]
+        assert identity.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        stages = [argv[0] for argv in identity.pipeline(tmp_path / "out")]
+        assert lines[-1] == f"{len(stages)} artifacts: {len(stages)} same, 0 moved (0 declared)"
+        names = {line.split()[1].rsplit("/", 1)[-1] for line in lines[:-1]}
+        assert names == {f"{stage}-threads-{threads}.txt" for stage in stages}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "two"])
+    def test_thread_count_must_be_a_positive_integer(self, raw, capsys):
+        with pytest.raises(SystemExit) as info:
+            identity.main(["HEAD", "--threads", raw])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+
 def _has_head_commit() -> bool:
     try:
         done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", "HEAD"],

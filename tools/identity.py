@@ -1,11 +1,12 @@
 """Byte identity of every pipeline artifact between two commits.
 
     python3 tools/identity.py PARENT_REV [--shape small|desk] [--seed N]
-                              [--declared FILE ...]
+                              [--threads N] [--declared FILE ...]
 
 Checks out PARENT_REV and ``HEAD`` (uncommitted edits are not seen) as two
 detached ``git worktree``s in a temporary directory, and runs the same
-seeded pipeline in each with ``NMFSEG_THREADS=1``:
+seeded pipeline in each with ``NMFSEG_THREADS`` set to ``--threads``
+(default 1, everything inline; at 2 the worker pools and threads run):
 
     gen-data -> pretrain-dict -> train -> eval / segment / explain (test)
     -> probe -> ablate-beta -> report
@@ -68,13 +69,14 @@ def pipeline(out: Path) -> list[list[str]]:
     ]
 
 
-def run_pipeline(tree: Path, out: Path, shape: str, seed: int) -> None:
-    """Run every stage with ``tree``'s sources; raise RuntimeError on a failed stage."""
+def run_pipeline(tree: Path, out: Path, shape: str, seed: int, threads: int = 1) -> None:
+    """Run every stage with ``tree``'s sources and ``NMFSEG_THREADS=threads``;
+    raise RuntimeError on a failed stage."""
     out.mkdir(parents=True)
     config = dict(SHAPES[shape], seed=seed)
     (out.parent / f"{out.name}.cfg").write_text(
         "".join(f"{key} = {value}\n" for key, value in config.items()))
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), NMFSEG_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), NMFSEG_THREADS=str(threads))
     for argv in pipeline(out):
         done = subprocess.run([sys.executable, "-c", "from nmfseg.cli import main; main()", *argv],
                               cwd=out, env=env, capture_output=True, text=True)
@@ -169,9 +171,13 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="the commit to compare HEAD against")
     parser.add_argument("--shape", choices=sorted(SHAPES), default="small")
     parser.add_argument("--seed", type=int, default=4242)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="NMFSEG_THREADS for both sides (a positive integer)")
     parser.add_argument("--declared", nargs="*", default=[],
                         help="artifacts (relative paths) that are allowed to move")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be a positive integer, got {args.threads}")
 
     work = Path(tempfile.mkdtemp(prefix="nmfseg-identity-"))
     trees = {"parent": work / "tree-parent", "change": work / "tree-change"}
@@ -179,7 +185,7 @@ def main(argv=None) -> int:
         for side, rev in (("parent", args.parent), ("change", "HEAD")):
             worktree(rev, trees[side])
         for side in ("parent", "change"):
-            run_pipeline(trees[side], work / side, args.shape, args.seed)
+            run_pipeline(trees[side], work / side, args.shape, args.seed, args.threads)
         lines, ok = compare(work / "parent", work / "change", set(args.declared))
     except RuntimeError as exc:
         print(f"identity: {exc}", file=sys.stderr)
