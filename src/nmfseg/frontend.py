@@ -30,6 +30,12 @@ magnitudes of 256 frames).  ``load_audio``, ``stft_magnitude`` and
 ``log_mel`` are the same steps over whole arrays; tests compare ``featurize``
 against them.
 
+``frame_magnitudes`` holds the per-frame steps (widen, Hann window, ``rfft``,
+``abs``) for the frames it is given: ``featurize`` passes each block as a
+slice, and ``training.pretrain_dictionary`` passes the indices of the few
+frames it factorizes.  ``rfft`` transforms each frame on its own, so a
+frame's magnitudes are the same bits either way.
+
 Feature matrices round-trip through the "NSF1" binary format: magic, D and T
 as little-endian u32, the hop in seconds as little-endian f64, then D*T
 little-endian f32 values stored frame by frame (column-major).
@@ -50,7 +56,8 @@ LOG_FLOOR = 1e-10
 
 FEATURE_MAGIC = b"NSF1"
 
-# frames windowed and transformed per block in featurize and stft_magnitude
+# frames windowed and transformed per block in featurize and stft_magnitude, and per
+# frame_magnitudes call in training.pretrain_dictionary
 STFT_BLOCK_FRAMES = 256
 
 _WAVE_FORMAT_PCM = 0x0001
@@ -270,6 +277,24 @@ def frame_count(n_samples: int, settings: FrontendSettings) -> int:
     return 1 + (n_samples - win_len) // hop
 
 
+def frame_magnitudes(samples: np.ndarray, frames, settings: FrontendSettings) -> np.ndarray:
+    """``|rfft|`` of some STFT frames of a clip: float64, (number of frames, F).
+
+    ``frames`` is a ``slice(start, stop)`` of consecutive frames or an
+    integer array of frame indices, each below ``frame_count``.  The
+    frames' samples are widened to float64 as ``load_audio`` widens them,
+    Hann-windowed, and transformed one frame per row, so a frame's
+    magnitudes do not depend on which other frames are asked for with it.
+    """
+    win_len, hop = settings.win_len, settings.hop
+    if isinstance(frames, slice):  # consecutive frames overlap: widen each sample once
+        block = _widen(samples[frames.start * hop:(frames.stop - 1) * hop + win_len])
+        windows = np.lib.stride_tricks.sliding_window_view(block, win_len)[::hop]
+    else:
+        windows = _widen(np.lib.stride_tricks.sliding_window_view(samples, win_len)[np.asarray(frames) * hop])
+    return np.abs(np.fft.rfft(windows * hann_window(win_len), n=settings.n_fft, axis=1))
+
+
 def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | None = None,
               mel: bool = True, target: bool = False) -> tuple[np.ndarray | None, np.ndarray | None]:
     """``(features, target)`` of a clip, in one blocked pass over its samples.
@@ -301,7 +326,6 @@ def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | Non
         raise DimensionError(f"cannot take {frames} frames of a {n}-sample clip")
     win_len, hop = settings.win_len, settings.hop
     n_bins = settings.n_fft // 2 + 1
-    window = hann_window(win_len)
     features = np.empty((settings.n_mels, frames), dtype=np.float32) if mel else None
     # frame-major, so the (F, frames) view returned is laid out as a whole-clip
     # spectrogram is: summing over its frequency axis then rounds alike
@@ -317,9 +341,7 @@ def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | Non
         # up to the next block's first sample, and to the clip's end after the last block
         if check and not np.isfinite(samples[lo:max(hi, stop * hop) if stop < frames else n]).all():
             raise IngestionError("non-finite samples")
-        block = _widen(samples[lo:hi])
-        windows = np.lib.stride_tricks.sliding_window_view(block, win_len)[::hop]
-        mags = np.abs(np.fft.rfft(windows * window, n=settings.n_fft, axis=1))  # (frames, F)
+        mags = frame_magnitudes(samples, slice(start, stop), settings)  # (frames, F)
         if mel:
             banded = fb @ mags.T
             banded += LOG_FLOOR
@@ -388,6 +410,8 @@ def read_features(path) -> FeatureSequence:
 
 
 def features_from_bytes(blob: bytes, name: str = "<bytes>") -> FeatureSequence:
+    """Parse an NSF1 blob; a malformed one, or one holding a non-finite value,
+    raises FormatError naming ``name``."""
     if len(blob) < 20:
         raise FormatError(f"{name}: truncated header ({len(blob)} bytes)")
     if blob[:4] != FEATURE_MAGIC:
@@ -400,4 +424,6 @@ def features_from_bytes(blob: bytes, name: str = "<bytes>") -> FeatureSequence:
     if len(blob) != 20 + 4 * count:
         raise FormatError(f"{name}: expected {20 + 4 * count} bytes, file has {len(blob)}")
     values = np.frombuffer(blob, dtype="<f4", count=count, offset=20).reshape(t, d).T
+    if not np.isfinite(values).all():
+        raise FormatError(f"{name}: non-finite feature values")
     return FeatureSequence(values=values, hop=hop)

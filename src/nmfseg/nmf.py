@@ -18,7 +18,10 @@ non-increasing at every iteration.
 the Frobenius identity scikit-learn's ``_beta_divergence`` uses for sparse
 inputs.  ||X||^2 is taken once; X H^T and H H^T are the products the W update
 needs anyway, and W^T W of the new W is shared with the next H update, so an
-iteration costs six GEMMs and no F x T temporaries.  ``update_h`` and
+iteration costs six GEMMs and no F x T temporaries.  ``update_h`` forms its
+quotient in the buffer of W^T X, and ``nmf_loss`` (the initial objective)
+works in place in one F x T buffer for WH, so SNMF holds X and at most one
+F x T temporary.  ``update_h`` and
 ``update_w`` accept these products as optional arguments; ``snmf_objective``
 remains the definition the Gram form is tested against.  The Gram form loses
 about eps*||X||^2 in absolute terms to cancellation, which only shows when the
@@ -153,8 +156,11 @@ def update_h(x: np.ndarray, w: np.ndarray, h: np.ndarray, mu: float,
     if wtw is None:
         wtw = w.T @ w
     numer = w.T @ x
-    denom = wtw @ h + mu + DENOM_GUARD
-    h = h * numer / denom
+    denom = wtw @ h
+    denom += mu
+    denom += DENOM_GUARD
+    h = np.multiply(h, numer, out=numer)
+    h /= denom
     h *= h >= np.finfo(h.dtype).tiny
     return h
 
@@ -195,8 +201,9 @@ def reconstruct(w: np.ndarray, h: np.ndarray) -> np.ndarray:
 def nmf_loss(x: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
     """Squared reconstruction error ||X - WH||_F^2 (sum over all entries)."""
     _check_shapes(x, w, h)
-    diff = x - w @ h
-    return float(np.sum(diff * diff))
+    diff = w @ h
+    np.subtract(x, diff, out=diff)
+    return float(np.sum(np.square(diff, out=diff)))
 
 
 def snmf_objective(x: np.ndarray, w: np.ndarray, h: np.ndarray, mu: float) -> float:

@@ -30,7 +30,8 @@ inference stage.
 Each clip is read once and featurized in one blocked pass
 (``frontend.featurize``), which writes the float32 features and, when asked,
 the float32 reconstruction target; no whole float64 waveform or
-spectrogram is held.
+spectrogram is held.  ``pretrain_dictionary`` alone reads a clip twice: the
+second time it computes only the frames it factorizes.
 
 Feature, spectrogram, and label frame counts may disagree by at most one
 frame (the STFT drops a partial frame at the clip edge); the surplus frame
@@ -48,8 +49,8 @@ from .corpus import CLASS_NAMES, Manifest
 from .errors import (NONNEG, POSITIVE, SEED, SIZE, UNIT, ConfigError, DimensionError, FormatError,
                      NumericError)
 from .evaluate import F1Report, accumulate_counts, decide_frames
-from .frontend import (SAMPLE_RATE, FeatureSequence, FrontendSettings, featurize, frame_count,
-                       read_features, read_wav)
+from .frontend import (SAMPLE_RATE, STFT_BLOCK_FRAMES, FeatureSequence, FrontendSettings, featurize,
+                       frame_count, frame_magnitudes, read_features, read_wav)
 from .labels import HOP_TOLERANCE, label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, _bce_cells,
                       _forward_cache, bce_masked, encode, sigmoid)
@@ -380,31 +381,55 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, cfg: Snm
     The returned columns are unit-norm either way, so downstream use is
     unaffected.
 
-    Each train clip is read once, and only its float32 reconstruction target
-    is held (about 3.1 MB per minute of audio at the default frontend); no
-    log-mel is computed, and no float64 spectrogram is held.  Only the
-    selected frames are widened to float64, so the matrix SNMF factorizes is the one the whole split, concatenated,
-    normalized and strided, would give, bit for bit.
+    The matrix SNMF factorizes is built in two passes over the train clips,
+    each on the ``parallel`` pool with OpenBLAS at one thread, so at most
+    two clips' spectra are alive at once and no per-clip target is kept:
+
+    1. Each clip is read and checked as ``load_clip`` reads it, and its
+       float32 reconstruction target (no log-mel) is computed in one
+       blocked pass; only its frame norms are kept.  The picked frames
+       follow from the norms alone.
+    2. Each clip with picked frames is read again, and only those frames'
+       magnitudes are computed (``frontend.frame_magnitudes``), rounded to
+       float32 as ``featurize`` rounds its target, and divided by their
+       norms into the clip's columns of the matrix.
+
+    That matrix is the one the whole split, concatenated, normalized and
+    strided, would give, bit for bit.
     """
-    targets, norms = [], []
-    for row in split_rows(manifest, "train"):
+    rows = split_rows(manifest, "train")
+
+    def frame_norms(row):
         samples, _, _, t = _aligned_samples(manifest, row, settings)
         _, target = featurize(samples, settings, frames=t, mel=False, target=True)
-        targets.append(target)
-        norms.append(np.linalg.norm(target.astype(np.float64), axis=0))
-    norms = np.concatenate(norms)
+        return np.linalg.norm(target.astype(np.float64), axis=0)
+
+    with parallel.serial_blas():
+        clip_norms = parallel.map(frame_norms, rows)
+    norms = np.concatenate(clip_norms)
     kept = np.flatnonzero(norms > 1e-8)
     stride = int(np.ceil(len(kept) / max_frames)) if len(kept) > max_frames else 1
     picked = kept[::stride]
 
     # picked is sorted, so each clip's columns are one contiguous run of it
-    starts = np.cumsum([0] + [target.shape[1] for target in targets])
+    starts = np.cumsum([0] + [len(n) for n in clip_norms])
     bounds = np.searchsorted(picked, starts)
-    x = np.empty((targets[0].shape[0], len(picked)))
-    for i, target in enumerate(targets):
+    x = np.empty((settings.n_fft // 2 + 1, len(picked)))
+
+    def fill_columns(i):
         cols = picked[bounds[i]:bounds[i + 1]]
-        np.divide(target[:, cols - starts[i]], norms[cols], out=x[:, bounds[i]:bounds[i + 1]])
-    del targets  # SNMF reads x alone
+        if not len(cols):
+            return
+        samples = read_wav(manifest.resolve(rows[i].audio))
+        for lo in range(0, len(cols), STFT_BLOCK_FRAMES):
+            block = cols[lo:lo + STFT_BLOCK_FRAMES]
+            mags = frame_magnitudes(samples, block - starts[i], settings)
+            target = (np.log1p(mags, out=mags) if settings.recon_log else mags).astype(np.float32)
+            at = bounds[i] + lo
+            np.divide(target.T, norms[block], out=x[:, at:at + len(block)])
+
+    with parallel.serial_blas():
+        parallel.map(fill_columns, range(len(rows)))
     dictionary, _ = train_snmf(x, cfg)
     return dictionary
 

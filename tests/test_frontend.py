@@ -7,11 +7,11 @@ import pytest
 from scipy.io import wavfile
 
 from nmfseg.corpus import CorpusSpec, synthesize_clip
-from nmfseg.errors import ConfigError, DimensionError, FormatError, IngestionError
+from nmfseg.errors import ConfigError, DimensionError, FormatError, IngestionError, NmfsegError
 from nmfseg.frontend import (STFT_BLOCK_FRAMES, AudioClip, FeatureSequence, FrontendSettings,
-                             featurize, frame_count, hann_window, load_audio, log_mel,
-                             mel_filterbank, read_features, read_wav, save_audio, stft_magnitude,
-                             write_features)
+                             featurize, features_from_bytes, frame_count, frame_magnitudes,
+                             hann_window, load_audio, log_mel, mel_filterbank, read_features,
+                             read_wav, save_audio, stft_magnitude, write_features)
 
 
 def _write_wav(path, samples, rate=16000, dtype=np.int16):
@@ -411,6 +411,29 @@ class TestFeaturize:
             featurize(np.zeros(1000), FrontendSettings(hop=0))
 
 
+class TestFrameMagnitudes:
+    """Picked frames' magnitudes, rounded as ``featurize`` rounds its target,
+    are that target's columns bit for bit."""
+
+    # the first frame, both sides of the first and second block ends, and the last frame
+    _FRAMES = np.array([0, 1, 254, 255, 256, 257, 300, 511, 512, 600])
+
+    @pytest.mark.parametrize("fmt", ["int16", "float32"])
+    @pytest.mark.parametrize("recon_log", [False, True])
+    def test_picked_frames_match_featurize_target(self, tmp_path, fmt, recon_log):
+        n = 400 + 320 * 600 + 150  # 601 frames, samples left over after the last
+        path = tmp_path / "clip.wav"
+        _save(path, _speech_like(n, 3), fmt)
+        samples = read_wav(path)
+        settings = FrontendSettings(recon_log=recon_log)
+        _, target = featurize(samples, settings, mel=False, target=True)
+        assert target.shape[1] - 1 == self._FRAMES[-1]
+        for frames in (self._FRAMES, self._FRAMES[::-1][:3], self._FRAMES[3:4]):
+            mags = frame_magnitudes(samples, frames, settings)
+            picked = (np.log1p(mags) if recon_log else mags).astype(np.float32)
+            assert picked.T.tobytes() == np.ascontiguousarray(target[:, frames]).tobytes()
+
+
 class TestFeatureFiles:
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -448,3 +471,41 @@ class TestFeatureFiles:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FormatError):
             read_features(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_naming_the_file(self, tmp_path, bad):
+        values = np.zeros((3, 4), dtype=np.float32)
+        values[1, 2] = bad
+        p = tmp_path / "bad.nsf"
+        write_features(FeatureSequence(values=values, hop=0.02), p)
+        with pytest.raises(FormatError, match="non-finite") as info:
+            read_features(p)
+        assert str(p) in str(info.value)
+
+
+_NSF1 = b"".join([b"NSF1", struct.pack("<IId", 3, 4, 0.02),
+                  np.random.default_rng(21).normal(size=12).astype("<f4").tobytes()])
+
+
+def test_nsf1_every_single_byte_flip_parses_finite_or_raises_nmfseg_error():
+    """All 68 * 255 one-byte flips of a 3 x 4 blob: a flip may still parse
+    (another finite value, or hop), but never to a non-finite value, and
+    nothing other than an NmfsegError escapes."""
+    parsed = 0
+    for pos in range(len(_NSF1)):
+        for mask in range(1, 256):
+            blob = bytearray(_NSF1)
+            blob[pos] ^= mask
+            try:
+                seq = features_from_bytes(bytes(blob))
+            except NmfsegError:
+                continue
+            assert np.isfinite(seq.values).all() and seq.values.shape == (3, 4), (pos, mask)
+            parsed += 1
+    assert parsed > 0
+
+
+def test_nsf1_every_truncation_raises_format_error():
+    for length in range(len(_NSF1)):
+        with pytest.raises(FormatError):
+            features_from_bytes(_NSF1[:length])

@@ -111,6 +111,15 @@ def _fake_worktree(rev, path):
     _tree(path / "src" / "nmfseg", {"__init__.py": b"", "cli.py": _FAKE_CLI.encode()})
 
 
+def _report(out: str) -> tuple[list, list]:
+    """The artifact lines with their summary, and the ``max-rss`` lines after them."""
+    lines = out.splitlines()
+    first = next((i for i, line in enumerate(lines) if line.startswith("max-rss ")), len(lines))
+    assert not any(line.startswith("max-rss ") for line in lines[:first]) and all(
+        line.startswith("max-rss ") for line in lines[first:]), lines
+    return lines[:first], lines[first:]
+
+
 class TestThreads:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_both_sides_run_with_the_given_thread_count(self, tmp_path, monkeypatch, capsys,
@@ -121,7 +130,7 @@ class TestThreads:
         monkeypatch.setattr(identity.tempfile, "tempdir", None)
         argv = ["parent-rev", "--threads", str(threads)]
         assert identity.main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
+        lines, _ = _report(capsys.readouterr().out)
         stages = [argv[0] for argv in identity.pipeline(tmp_path / "out")]
         assert lines[-1] == f"{len(stages)} artifacts: {len(stages)} same, 0 moved (0 declared)"
         names = {line.split()[1].rsplit("/", 1)[-1] for line in lines[:-1]}
@@ -134,6 +143,84 @@ class TestThreads:
             identity.main(["HEAD", "--threads", raw])
         assert info.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+# a stand-in CLI whose pretrain-dict touches 64 MB on the parent side, and
+# whose train writes a different byte on each side
+_RSS_CLI = """import sys
+from pathlib import Path
+
+def main():
+    argv = sys.argv[1:]
+    out = Path(argv[argv.index("--out") + 1])
+    out.mkdir(parents=True, exist_ok=True)
+    if argv[0] == "pretrain-dict" and SIDE == "parent":
+        held = bytearray(64 << 20)
+        held[::4096] = b"x" * len(held[::4096])
+    (out / f"{argv[0]}.txt").write_text(SIDE if argv[0] == "train" else argv[0])
+"""
+
+# Runs the tool in a small process of its own, on trees holding _RSS_CLI: a
+# child's max RSS counts the image it was started from, and this process's
+# image is the whole test session.
+_RSS_DRIVER = """import importlib.util, sys
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location("identity", sys.argv[1])
+identity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(identity)
+
+def worktree(rev, path):
+    side = "parent" if rev == "parent-rev" else "change"
+    package = path / "src" / "nmfseg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(f"SIDE = {side!r}\\n" + Path(sys.argv[2]).read_text())
+
+identity.worktree = worktree
+sys.exit(identity.main(sys.argv[3:]))
+"""
+
+
+class TestMaxRss:
+    def _run(self, tmp_path, *args):
+        (tmp_path / "cli.py").write_text(_RSS_CLI)
+        (tmp_path / "driver.py").write_text(_RSS_DRIVER)
+        (tmp_path / "work").mkdir(exist_ok=True)
+        done = subprocess.run([sys.executable, str(tmp_path / "driver.py"), str(TOOL),
+                               str(tmp_path / "cli.py"), "parent-rev", *args],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, TMPDIR=str(tmp_path / "work")))
+        assert list((tmp_path / "work").iterdir()) == []
+        return done
+
+    def test_each_stage_reports_both_sides_after_the_artifacts(self, tmp_path):
+        done = self._run(tmp_path)
+        assert done.returncode == 1, done.stdout + done.stderr  # train.txt moved, undeclared
+        lines, rss = _report(done.stdout)
+        assert "moved  train.txt  (first difference at byte 0)" in lines
+        stages = [argv[0] for argv in identity.pipeline(tmp_path)]
+        assert lines[-1] == f"{len(stages)} artifacts: {len(stages) - 1} same, 1 moved (0 declared)"
+        assert [line.split()[1] for line in rss] == stages
+        mb = {line.split()[1]: (float(line.split()[3]), float(line.split()[6])) for line in rss}
+        parent, change = mb.pop("pretrain-dict")
+        assert parent >= 64 and parent - change >= 48, rss
+        assert all(0 < a < 48 and 0 < b < 48 for a, b in mb.values()), rss
+        assert self._run(tmp_path, "--declared", "train.txt").returncode == 0
+
+    def test_failed_stage_exits_2_with_its_output(self, tmp_path, monkeypatch, capsys):
+        def broken(rev, path):
+            _tree(path / "src" / "nmfseg", {"__init__.py": b"",
+                                            "cli.py": b"import sys\ndef main():\n"
+                                                      b"    print('no corpus here')\n    sys.exit(3)\n"})
+
+        monkeypatch.setattr(identity, "worktree", broken)
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(identity.tempfile, "tempdir", None)
+        assert identity.main(["parent-rev"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stage gen-data exited 3" in captured.err and "no corpus here" in captured.err
 
 
 def _has_head_commit() -> bool:
@@ -153,7 +240,8 @@ def test_head_against_itself_reports_every_artifact_same(tmp_path):
                           capture_output=True, text=True, timeout=600,
                           env=dict(os.environ, TMPDIR=str(tmp_path)))
     assert done.returncode == 0, done.stdout + done.stderr
-    lines = done.stdout.splitlines()
+    lines, rss = _report(done.stdout)
+    assert [line.split()[1] for line in rss] == [argv[0] for argv in identity.pipeline(tmp_path)]
     artifacts = {line.split()[1] for line in lines[:-1]}
     assert all(line.startswith("same   ") for line in lines[:-1])
     for name in ("corpus/manifest.csv", "dictionary.nsd", "model.nsm", "trace.json",

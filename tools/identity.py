@@ -15,7 +15,10 @@ It then prints one line per artifact, ``same`` or ``moved`` with the first
 differing byte offset and, for a ``.json`` artifact, the key path of the
 first differing value in document order (``$.metrics.rows[1].f1``), and a
 summary.  Paths in ``*.run.json`` files are
-masked first, since each side writes under its own directory.  The exit
+masked first, since each side writes under its own directory.  Then one
+``max-rss`` line per stage gives the maximum resident set size of that
+stage's process on each side (``getrusage`` of the child, Linux), so a
+memory claim is checked by the same run that checks the bytes.  The exit
 status is 1 if an artifact moved (or exists on one side only) that is not
 named with ``--declared`` (paths relative to the run directory, e.g.
 ``trace.json``), 2 if a commit cannot be checked out or a stage failed, and
@@ -69,19 +72,46 @@ def pipeline(out: Path) -> list[list[str]]:
     ]
 
 
-def run_pipeline(tree: Path, out: Path, shape: str, seed: int, threads: int = 1) -> None:
-    """Run every stage with ``tree``'s sources and ``NMFSEG_THREADS=threads``;
-    raise RuntimeError on a failed stage."""
+def run_stage(argv: list[str], cwd: Path, env: dict, log: Path) -> tuple[int, float]:
+    """``(exit status, max RSS in MB)`` of one CLI stage.  Its output goes to
+    ``log``, a file, so the child never blocks on a full pipe while it is
+    waited for."""
+    with open(log, "wb") as fh:
+        proc = subprocess.Popen([sys.executable, "-c", "from nmfseg.cli import main; main()", *argv],
+                                cwd=cwd, env=env, stdout=fh, stderr=subprocess.STDOUT)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+def run_pipeline(tree: Path, out: Path, shape: str, seed: int, threads: int = 1) -> dict[str, float]:
+    """Run every stage with ``tree``'s sources and ``NMFSEG_THREADS=threads``,
+    and return each stage's max RSS in MB; raise RuntimeError on a failed
+    stage."""
     out.mkdir(parents=True)
     config = dict(SHAPES[shape], seed=seed)
     (out.parent / f"{out.name}.cfg").write_text(
         "".join(f"{key} = {value}\n" for key, value in config.items()))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), NMFSEG_THREADS=str(threads))
+    log = out.parent / f"{out.name}.log"
+    rss = {}
     for argv in pipeline(out):
-        done = subprocess.run([sys.executable, "-c", "from nmfseg.cli import main; main()", *argv],
-                              cwd=out, env=env, capture_output=True, text=True)
-        if done.returncode != 0:
-            raise RuntimeError(f"{tree.name}: stage {argv[0]} exited {done.returncode}\n{done.stderr}")
+        code, rss[argv[0]] = run_stage(argv, out, env, log)
+        if code != 0:
+            raise RuntimeError(f"{tree.name}: stage {argv[0]} exited {code}\n"
+                               f"{log.read_text(errors='replace')}")
+    return rss
+
+
+def rss_lines(parent: dict[str, float], change: dict[str, float]) -> list[str]:
+    """One line per stage: its max RSS on each side and the change's difference."""
+    return [f"max-rss  {stage:<13} parent {parent[stage]:7.1f} MB  change {change[stage]:7.1f} MB"
+            f"  ({change[stage] - parent[stage]:+.1f} MB)" for stage in parent]
 
 
 def artifact_bytes(path: Path, out: Path) -> bytes:
@@ -184,9 +214,10 @@ def main(argv=None) -> int:
     try:
         for side, rev in (("parent", args.parent), ("change", "HEAD")):
             worktree(rev, trees[side])
-        for side in ("parent", "change"):
-            run_pipeline(trees[side], work / side, args.shape, args.seed, args.threads)
+        rss = {side: run_pipeline(trees[side], work / side, args.shape, args.seed, args.threads)
+               for side in ("parent", "change")}
         lines, ok = compare(work / "parent", work / "change", set(args.declared))
+        lines += rss_lines(rss["parent"], rss["change"])
     except RuntimeError as exc:
         print(f"identity: {exc}", file=sys.stderr)
         return 2
