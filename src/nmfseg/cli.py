@@ -8,12 +8,13 @@ its hash, and the input paths; logs carry no timestamps, so identical runs
 produce identical bytes.  On failure, files created by the failed run are
 removed.
 
-Corpus synthesis (``gen-data``) and the synthetic probe clips of ``probe``
-run one worker process per usable CPU by default; ``train`` runs two
-threads, and ``eval``, ``segment``, ``explain`` and ``ablate-beta`` keep two
-clips in flight on two threads.  NMFSEG_THREADS, a positive integer, caps
-every count (``parallel.workers``); at 1 everything runs inline.  Every
-output is byte-identical at any worker count.
+Every stage that runs two things at once runs them on the two threads of
+``parallel.map``: ``gen-data`` synthesises two clips at a time, ``probe``
+two labels' probe clips, ``train`` two batch shards, and ``eval``,
+``segment``, ``explain`` and ``ablate-beta`` keep two clips in flight.  No
+stage starts a process.  NMFSEG_THREADS, a positive integer, caps the count
+(``parallel.workers``); at 1 everything runs inline.  Every output is
+byte-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .corpus import CLASS_NAMES, generate_corpus, load_manifest
-from .errors import SIZE, UNIT, NmfsegError
+from .errors import SIZE, UNIT, ConfigError, NmfsegError
 from .evaluate import (decide_frames, frames_to_segments, report_to_dict,
                        write_f1_csv, write_f1_json, write_segments)
 from .explain import (component_report, make_record, report_summary,
@@ -219,6 +220,9 @@ def _cmd_explain(args, cfg, run: _Run):
 
 
 def _cmd_probe(args, cfg, run: _Run):
+    if args.eval_manifest and not args.task_manifest:
+        raise ConfigError("--eval-manifest needs --task-manifest: the synthetic probe tasks "
+                          "make their own evaluation clips")
     model = load_model(args.model)
     settings = cfgmod.frontend_settings(cfg)
     results = {}

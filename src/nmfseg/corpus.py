@@ -369,36 +369,33 @@ def synthesize_clip(spec: CorpusSpec, split_index: int, clip_index: int):
     return mix, label_frames
 
 
-def _write_clip(args):
-    spec, split, split_index, clip_index, out_dir = args
-    clip_id = f"{split}-{clip_index:04d}"
-    samples, label_frames = synthesize_clip(spec, split_index, clip_index)
-    audio_rel = os.path.join("audio", f"{clip_id}.wav")
-    label_rel = os.path.join("labels", f"{clip_id}.lab")
-    save_audio(AudioClip(samples=samples), os.path.join(out_dir, audio_rel))
-    write_label_file(os.path.join(out_dir, label_rel), label_frames, HOP_SECONDS)
-    return ManifestRow(clip_id=clip_id, audio=audio_rel, features="", labels=label_rel, split=split)
-
-
 def generate_corpus(spec: CorpusSpec, out_dir) -> Manifest:
     """Synthesize all splits under ``out_dir`` and write manifest.csv.
 
-    Clips are synthesized on ``parallel.process_map``'s worker processes,
-    never more than one per clip; the files written do not depend on the
-    worker count.
+    Clips are synthesized and written one per call on the ``parallel`` pool;
+    the files written do not depend on the thread count.
     """
     out_dir = Path(out_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
     (out_dir / "labels").mkdir(parents=True, exist_ok=True)
+
+    def write_clip(job):
+        split, split_index, clip_index = job
+        clip_id = f"{split}-{clip_index:04d}"
+        samples, label_frames = synthesize_clip(spec, split_index, clip_index)
+        audio_rel = os.path.join("audio", f"{clip_id}.wav")
+        label_rel = os.path.join("labels", f"{clip_id}.lab")
+        save_audio(AudioClip(samples=samples), out_dir / audio_rel)
+        write_label_file(out_dir / label_rel, label_frames, HOP_SECONDS)
+        return ManifestRow(clip_id=clip_id, audio=audio_rel, features="", labels=label_rel, split=split)
 
     jobs = []
     for split_index, (split, minutes) in enumerate(
         (("train", spec.train_minutes), ("dev", spec.dev_minutes), ("test", spec.test_minutes))
     ):
         n_clips = max(1, int(round(minutes * 60.0 / spec.clip_seconds)))
-        for clip_index in range(n_clips):
-            jobs.append((spec, split, split_index, clip_index, str(out_dir)))
+        jobs.extend((split, split_index, clip_index) for clip_index in range(n_clips))
 
-    manifest = Manifest(rows=parallel.process_map(_write_clip, jobs), root=out_dir)
+    manifest = Manifest(rows=parallel.map(write_clip, jobs), root=out_dir)
     save_manifest(manifest, out_dir / "manifest.csv")
     return manifest

@@ -1,27 +1,22 @@
-"""Both cores for every stage: threads over single-threaded BLAS, and worker
-processes for synthesis.
+"""Both cores for every stage: two threads over single-threaded BLAS.
 
-Most of a training step, and of an inference stage's clip, is NumPy work
-that runs on one core, so ``training`` splits each batch into ``SHARDS``
-fixed shards, and its clip loads, dev encodes and inference rows into
-per-clip tasks, and runs them through ``map`` on a pool of threads (NumPy
-releases the interpreter lock inside its loops and GEMMs).  Corpus and
-probe-clip synthesis spends much of its time in Python loops, which hold
-that lock, so it runs through ``process_map`` on worker processes instead.
-Each worker computes exactly what a sequential loop computes, so no output
-depends on the worker count.
+Most of a training step, of an inference stage's clip and of a synthesised
+clip is NumPy work that runs on one core, so ``training`` splits each batch
+into ``SHARDS`` fixed shards, and its clip loads, dev passes and inference
+rows into per-clip tasks, and ``corpus`` and ``probing`` split synthesis by
+clip and by probe label; each runs them through ``map`` on a pool of
+``SHARDS`` threads (NumPy releases the interpreter lock inside its loops
+and GEMMs).  Each call computes exactly what a sequential loop computes, so
+no output depends on the thread count.
 
 Two threads over a two-thread OpenBLAS run much slower than one: on 2
 vCPUs, a sharded float32 desk-shape step (B = 16, T = 200) took 190 ms,
 against 92 ms unsharded and 74 ms sharded over one-thread OpenBLAS.  So
-``map`` uses the pool only while OpenBLAS runs one thread, as it does inside
-``serial_blas``; ``training.train`` holds that setting for its whole run,
-and ``training.encode_rows`` for its rows.  The same holds across
-processes: each ``process_map`` worker sets OpenBLAS to one thread when it
-starts.
+``map`` holds OpenBLAS at one thread (``serial_blas``) while its calls run,
+inline or pooled, and runs them inline when it cannot set that count.
 
-Importing this module starts no thread or process and loads no library:
-the pools and the OpenBLAS lookup are built on first use.
+Importing this module starts no thread and loads no library: the pool and
+the OpenBLAS lookup are built on first use.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -104,46 +99,24 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=SHARDS, thread_name_prefix="nmfseg")
 
 
-def _one_blas_thread() -> None:
-    """Worker initializer: OpenBLAS at one thread for the worker's lifetime."""
-    found = _blas_threads()
-    if found is not None:
-        found[0](1)
-
-
-def process_map(fn, items) -> list:
-    """``[fn(x) for x in items]``, on up to ``workers()`` worker processes,
-    never more than one per item.
-
-    Runs inline with one worker.  ``fn`` and the items are pickled, so ``fn``
-    must be a module-level function, and each call is a round trip of
-    messages, so a job should be more than one small clip.  Each worker
-    runs OpenBLAS at one thread: on 2 vCPUs, two workers synthesising the
-    360 clips of a desk ``probe``, one per job, took 1.41-1.86 s with the
-    default two threads each, against 0.48-0.83 s inline and 0.44-0.67 s
-    with one thread each.  The pool uses the platform's default start
-    method (fork on Linux): spawned workers import NumPy again, and the
-    same run took 0.75-1.06 s.  Results keep the order of ``items``; the
-    first exception raised by a call is raised here.
-    """
-    items = list(items)
-    processes = min(workers(), len(items))
-    if processes < 2:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor  # its import costs every stage ~24 ms
-    with ProcessPoolExecutor(max_workers=processes, initializer=_one_blas_thread) as pool:
-        return list(pool.map(fn, items))
-
-
 def map(fn, items) -> list:
-    """``[fn(x) for x in items]``, on ``min(SHARDS, workers())`` threads.
+    """``[fn(x) for x in items]``, on ``min(SHARDS, workers())`` threads, with
+    OpenBLAS at one thread while the calls run (``serial_blas``).
 
-    Runs inline with one worker, and unless the loaded OpenBLAS is known to
-    run one thread (as inside ``serial_blas``).  Results keep the order of
-    ``items``; the first exception raised by a call is raised here.
+    Runs inline with one worker or one item, and without an OpenBLAS
+    thread-count setter.  Results keep the order of ``items``.  When calls
+    raise, the calls that have not started are cancelled, the running ones
+    are waited for, and the first exception in item order is raised, so
+    nothing ``fn`` does outlives the call to ``map``.
     """
     items = list(items)
-    found = _blas_threads()
-    if min(SHARDS, workers(), len(items)) < 2 or found is None or found[1]() != 1:
-        return [fn(x) for x in items]
-    return list(_pool().map(fn, items))
+    with serial_blas():
+        if min(SHARDS, workers(), len(items)) < 2 or _blas_threads() is None:
+            return [fn(x) for x in items]
+        futures = [_pool().submit(fn, x) for x in items]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)

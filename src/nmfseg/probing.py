@@ -165,31 +165,29 @@ def synth_probe_clip(task: str, label: int, seed: int, seconds: float = 1.0) -> 
     return AudioClip(samples=sig)
 
 
-def _label_features(job) -> list[np.ndarray]:
-    """Features of one label's synthetic probe clips; a ``process_map`` job."""
-    task, label, seed, per_class, seconds, settings = job
-    return [featurize(synth_probe_clip(task, label, seed * 100003 + i, seconds=seconds).samples, settings)[0]
-            for i in range(per_class)]
-
-
 def build_synthetic_tasks(model: SegModel, specs: list, settings=None,
                           seconds: float = 1.0) -> list[ProbeTask]:
     """One ProbeTask per ``(task, n_classes, per_class, seed)`` in ``specs``.
 
-    Every clip of every task is synthesised and featurized up front, on
-    ``parallel.process_map``'s worker processes, one job per task and
-    label: with one job per clip, a desk ``probe``'s 360 clips took 0.54 s
-    on two workers (median of 7, 2 vCPUs), against 0.41 s.  Then each
-    task's clips, all of one length, go through one batched ``encode``; the
-    guarded layout keeps the clips from reading each other.
+    Every clip of every task is synthesised and featurized up front on the
+    ``parallel`` pool, one call per task and label.  Then each task's clips,
+    all of one length, go through one batched ``encode``; the guarded
+    layout keeps the clips from reading each other.
     """
     settings = settings or FrontendSettings()
     for task, n_classes, per_class, _ in specs:
         if min(n_classes, per_class) < 1:
             raise ValueError(f"{task}: no items")
-    jobs = [(task, label, seed, per_class, seconds, settings)
+
+    def label_features(job):
+        task, label, seed, per_class = job
+        return [featurize(synth_probe_clip(task, label, seed * 100003 + i, seconds=seconds).samples,
+                          settings)[0]
+                for i in range(per_class)]
+
+    jobs = [(task, label, seed, per_class)
             for task, n_classes, per_class, seed in specs for label in range(n_classes)]
-    feats = iter(parallel.process_map(_label_features, jobs))
+    feats = iter(parallel.map(label_features, jobs))
     tasks = []
     for task, n_classes, per_class, _ in specs:
         by_label = [next(feats) for _ in range(n_classes)]

@@ -22,10 +22,10 @@ Every inference stage walks its manifest rows through ``encode_rows``,
 which loads, encodes and hands on each clip on the ``parallel`` pool, so two
 clips are in flight and each is dropped once its caller's value is made.
 
-``train`` and ``encode_rows`` run with OpenBLAS at one thread
-(``parallel.serial_blas``): their two threads are the shards, the clip loads
-of ``load_split``, the dev encodes of ``dev_metrics`` and the rows of an
-inference stage.
+The two ``parallel`` threads are the shards, the clip loads of
+``load_split``, the dev clips of ``dev_metrics``, the two passes of
+``pretrain_dictionary`` and the rows of an inference stage; ``parallel.map``
+holds OpenBLAS at one thread while they run.
 
 Each clip is read once and featurized in one blocked pass
 (``frontend.featurize``), which writes the float32 features and, when asked,
@@ -290,20 +290,23 @@ def _decide_clip(clip: ClipData, logits: np.ndarray, threshold: float) -> tuple[
 def dev_metrics(model: SegModel, clips: list[ClipData], threshold: float) -> dict:
     """Mean BCE and aggregate per-class F1 over full-length clips.
 
-    The clips encode on the ``parallel`` pool and are scored in clip order.
+    Each clip is encoded, decided and its BCE taken in one call on the
+    ``parallel`` pool; the counts and the BCE are added here, in clip order.
     """
+    def score(clip):
+        logits = encode(model, clip.features[None])[1][0]
+        binary, lab = _decide_clip(clip, logits, threshold)
+        return binary, lab, bce_masked(logits, lab)
+
     report = F1Report()
     bce_sum = 0.0
-    all_logits = parallel.map(lambda clip: encode(model, clip.features[None])[1][0], clips)
-    for clip, logits in zip(clips, all_logits):
-        binary, lab = _decide_clip(clip, logits, threshold)
+    for binary, lab, bce in parallel.map(score, clips):
         accumulate_counts(report, binary, lab, CLASS_NAMES[: lab.classes])
-        bce_sum += bce_masked(logits, lab)
+        bce_sum += bce
     f1s = {name: entry.f1 for name, entry in report.per_class.items() if entry.defined}
     return {"bce": bce_sum / len(clips), "f1": f1s, "macro_f1": report.macro_f1()}
 
 
-@parallel.serial_blas()
 def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
           settings: FrontendSettings | None = None) -> tuple[SegModel, list[dict]]:
     """Train on the manifest's train split, keeping the best-dev checkpoint.
@@ -311,9 +314,7 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
     Returns the model (float32 parameters set to the best dev epoch, as the
     checkpoint stores them and as dev scored them) and one trace entry per
     epoch with train loss components and dev metrics.  A loss or an ADAM
-    step that goes non-finite raises NumericError.  The whole run holds
-    OpenBLAS at one thread (``parallel.serial_blas``), its clip loads and
-    dev passes included.
+    step that goes non-finite raises NumericError.
     """
     settings = settings or FrontendSettings()
     train_clips = load_split(manifest, "train", settings)
@@ -382,8 +383,8 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, cfg: Snm
     unaffected.
 
     The matrix SNMF factorizes is built in two passes over the train clips,
-    each on the ``parallel`` pool with OpenBLAS at one thread, so at most
-    two clips' spectra are alive at once and no per-clip target is kept:
+    each on the ``parallel`` pool, so at most two clips' spectra are alive
+    at once and no per-clip target is kept:
 
     1. Each clip is read and checked as ``load_clip`` reads it, and its
        float32 reconstruction target (no log-mel) is computed in one
@@ -404,8 +405,7 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, cfg: Snm
         _, target = featurize(samples, settings, frames=t, mel=False, target=True)
         return np.linalg.norm(target.astype(np.float64), axis=0)
 
-    with parallel.serial_blas():
-        clip_norms = parallel.map(frame_norms, rows)
+    clip_norms = parallel.map(frame_norms, rows)
     norms = np.concatenate(clip_norms)
     kept = np.flatnonzero(norms > 1e-8)
     stride = int(np.ceil(len(kept) / max_frames)) if len(kept) > max_frames else 1
@@ -428,8 +428,7 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, cfg: Snm
             at = bounds[i] + lo
             np.divide(target.T, norms[block], out=x[:, at:at + len(block)])
 
-    with parallel.serial_blas():
-        parallel.map(fill_columns, range(len(rows)))
+    parallel.map(fill_columns, range(len(rows)))
     dictionary, _ = train_snmf(x, cfg)
     return dictionary
 
@@ -441,19 +440,17 @@ def encode_rows(model: SegModel, manifest: Manifest, rows: list, settings: Front
     Each row is loaded by ``load_clip`` and encoded alone; ``fn`` gets the
     clip, its H (K, T) and its logits (C, T), and should return only what
     the caller keeps.  Load, encode and ``fn`` run inside one call per row,
-    on the ``parallel`` pool with OpenBLAS at one thread, so at most
-    ``parallel.SHARDS`` clips are alive at once and each is dropped when its
-    ``fn`` returns.  ``fn`` runs on a pool thread: it must not change state
-    that another row's call reads or writes, so a caller that accumulates
-    does so over the returned list.
+    on the ``parallel`` pool, so at most ``parallel.SHARDS`` clips are alive
+    at once and each is dropped when its ``fn`` returns.  ``fn`` runs on a
+    pool thread: it must not change state that another row's call reads or
+    writes, so a caller that accumulates does so over the returned list.
     """
     def one(row):
         clip = load_clip(manifest, row, settings, with_spect)
         h, logits = encode(model, clip.features[None])
         return fn(clip, h[0], logits[0])
 
-    with parallel.serial_blas():
-        return parallel.map(one, rows)
+    return parallel.map(one, rows)
 
 
 def evaluate_split(model: SegModel, manifest: Manifest, split: str,

@@ -20,7 +20,7 @@ from nmfseg.corpus import Manifest, ManifestRow, load_manifest
 from nmfseg.errors import ConfigError
 from nmfseg.frontend import FrontendSettings
 from nmfseg.labels import write_label_file
-from nmfseg.network import load_model, save_model
+from nmfseg.network import init_model, load_model, save_model
 from nmfseg.parallel import workers
 from nmfseg.training import evaluate_split, load_clip
 
@@ -290,6 +290,30 @@ def test_cli_never_loads_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def test_synthesis_starts_no_process(fast_cfg_file, tmp_path):
+    """``gen-data`` and ``probe`` at two threads load neither the process pool
+    nor ``multiprocessing``: synthesis runs on the ``parallel`` threads."""
+    save_model(init_model(d=80, k=8, c=4, seed=0), tmp_path / "model.nsm")
+    probe_cfg = tmp_path / "probe.cfg"
+    probe_cfg.write_text("probe_per_class = 2\nprobe_epochs = 2\nprobe_seconds = 0.5\n")
+    gen_data = ["gen-data", "--config", str(fast_cfg_file), "--out", str(tmp_path / "gen")]
+    probe = ["probe", "--config", str(probe_cfg), "--model", str(tmp_path / "model.nsm"),
+             "--out", str(tmp_path / "probe")]
+    code = ("import sys\n"
+            "from nmfseg.cli import run_command\n"
+            f"assert run_command({gen_data!r}) == 0\n"
+            f"assert run_command({probe!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process'\n"
+            "             or m == 'multiprocessing' or m.startswith('multiprocessing.')))\n")
+    env = dict(os.environ, NMFSEG_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [str(Path(nmfseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "probe" / "probe_results.json").exists()
+
+
 def _tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -513,6 +537,15 @@ class TestRunLogInputs:
                             "--eval-manifest", str(evaluation)]) == 0
         assert json.loads((tmp_path / "run" / "probe.run.json").read_text())["inputs"] == {
             "model": str(out / "model.nsm"), "task_manifest": str(task), "eval_manifest": str(evaluation)}
+
+    def test_probe_eval_manifest_needs_task_manifest(self, tmp_path, capsys):
+        """Checked before the model is read: the model path does not exist either."""
+        run = tmp_path / "run"
+        assert run_command(["probe", "--out", str(run), "--model", str(tmp_path / "missing.nsm"),
+                            "--eval-manifest", str(tmp_path / "does-not-exist.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "--eval-manifest" in err and "--task-manifest" in err
+        assert not [p for p in run.rglob("*") if p.is_file()]
 
 
 class TestOneClipAtATime:

@@ -1,6 +1,8 @@
 """Label files, corpus generation, and manifest handling."""
 
-import concurrent.futures
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmfseg import corpus, parallel
+from nmfseg.cli import run_command
 from nmfseg.corpus import (CLASS_NAMES, CorpusSpec, Manifest, ManifestRow, generate_corpus,
                            load_manifest, one_pole, save_manifest, synthesize_clip)
 from nmfseg.errors import FormatError, NmfsegError
@@ -282,22 +285,29 @@ class TestGenerateCorpus:
         assert (tmp_path / "serial" / "manifest.csv").read_bytes() == \
             (tmp_path / "parallel" / "manifest.csv").read_bytes()
 
-    def test_pool_capped_at_clip_count(self, tmp_path, monkeypatch):
-        """The pool lives in ``parallel.process_map``, which imports it on use."""
-        sizes = []
+    @pytest.mark.skipif(parallel._blas_threads() is None or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs and an OpenBLAS thread-count setter")
+    def test_failed_clip_write_leaves_no_corpus(self, tmp_path, monkeypatch, capsys):
+        """One clip's WAV write fails while the other thread writes a clip:
+        ``gen-data`` exits 1 and its clean-up leaves no ``corpus/``."""
+        monkeypatch.setenv("NMFSEG_THREADS", "2")
+        other_writing = threading.Event()
+        real_save = corpus.save_audio
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        def save_audio(clip, path):
+            if Path(path).name == "train-0000.wav":
+                assert other_writing.wait(timeout=30)
+                raise OSError("disk full")
+            other_writing.set()
+            real_save(clip, path)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        spec = CorpusSpec(seed=4, train_minutes=0.05, dev_minutes=0.05, test_minutes=0.05,
-                          clip_seconds=3.0)
-        monkeypatch.setattr(parallel, "workers", lambda: 64)
-        manifest = generate_corpus(spec, tmp_path / "capped")
-        assert len(manifest.rows) == 3
-        assert sizes == [3]
+        monkeypatch.setattr(corpus, "save_audio", save_audio)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("train_minutes = 0.25\ndev_minutes = 0.25\ntest_minutes = 0.25\nclip_seconds = 3\n")
+        out = tmp_path / "run"
+        assert run_command(["gen-data", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert not (out / "corpus").exists()
 
 
 class TestUndecodableText:

@@ -509,3 +509,30 @@ def test_nsf1_every_truncation_raises_format_error():
     for length in range(len(_NSF1)):
         with pytest.raises(FormatError):
             features_from_bytes(_NSF1[:length])
+
+
+@pytest.mark.parametrize("fmt", ["int16", "float32"])
+def test_wav_every_flip_and_truncation_reads_or_raises_nmfseg_error(tmp_path, fmt):
+    """XOR 0x01, 0x80 and 0xFF at every byte of a 720-sample WAV, and every
+    truncation of it: each blob either reads through ``read_wav`` and
+    ``featurize(target=True)`` or raises an NmfsegError subclass."""
+    p = tmp_path / "x.wav"
+    _save(p, np.random.default_rng(31).uniform(-0.9, 0.9, 720), fmt)
+    wav = p.read_bytes()
+    blobs = [wav[:length] for length in range(len(wav))]
+    for pos in range(len(wav)):
+        for mask in (0x01, 0x80, 0xFF):
+            blob = bytearray(wav)
+            blob[pos] ^= mask
+            blobs.append(bytes(blob))
+    settings = FrontendSettings()
+    read = 0
+    for blob in blobs:
+        p.write_bytes(blob)
+        try:
+            features, target = featurize(read_wav(p), settings, target=True)
+        except NmfsegError:
+            continue
+        assert features.shape[0] == settings.n_mels and target.shape[1] == features.shape[1]
+        read += 1
+    assert read > 0

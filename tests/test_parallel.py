@@ -1,8 +1,7 @@
 """Both cores: the sharded training engine, pooled clip loads, dev encodes
-and inference rows, the probe-clip processes, and the OpenBLAS thread
-setting they run under."""
+and inference rows, the one two-thread pool they share with synthesis, and
+the OpenBLAS thread setting its calls run under."""
 
-import os
 import sys
 import threading
 
@@ -44,13 +43,6 @@ def _with_workers(monkeypatch, n):
     monkeypatch.setattr(parallel, "workers", lambda: n)
 
 
-@pytest.fixture
-def serial_blas():
-    """OpenBLAS at one thread, as ``train`` runs it, so two workers use the pool."""
-    with parallel.serial_blas():
-        yield
-
-
 class TestShardedEngine:
     def test_matches_whole_batch_reference(self, desk_batch):
         model, feats, spects, labels, cfg = desk_batch
@@ -61,7 +53,7 @@ class TestShardedEngine:
         for key, value in ref_comps.items():
             assert comps[key] == pytest.approx(value, rel=1e-12, abs=0), key
 
-    def test_bytes_do_not_depend_on_workers(self, desk_batch, monkeypatch, serial_blas):
+    def test_bytes_do_not_depend_on_workers(self, desk_batch, monkeypatch):
         """Also with thread switches forced every 10 us, so a buffer the two
         shards shared would show up as moved bytes."""
         model, feats, spects, labels, cfg = desk_batch
@@ -122,7 +114,7 @@ def _tree_bytes(out) -> dict:
 class TestPooledStages:
     @pytest.mark.parametrize("command", ["eval", "segment", "explain", "probe"])
     def test_stage_bytes_do_not_depend_on_threads(self, stage_inputs, tmp_path, monkeypatch, command):
-        """Two clips in flight, and probe clips made in two processes, write
+        """Two clips in flight, and probe clips made on two threads, write
         what one worker writes."""
         root, manifest = stage_inputs
         argv = [command, "--config", str(root / "stage.cfg"), "--model", str(root / "model.nsm")]
@@ -136,7 +128,7 @@ class TestPooledStages:
             trees.append(_tree_bytes(out))
         assert len(trees[0]) >= 2 and trees[0] == trees[1]
 
-    def test_load_split_equals_sequential_loads(self, small_corpus, monkeypatch, serial_blas):
+    def test_load_split_equals_sequential_loads(self, small_corpus, monkeypatch):
         _, manifest = small_corpus
         settings = FrontendSettings()
         _with_workers(monkeypatch, 2)
@@ -148,7 +140,7 @@ class TestPooledStages:
             for name in ("features", "spect", "labels"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.clip_id, name)
 
-    def test_dev_metrics_equals_sequential_loop(self, small_corpus, monkeypatch, serial_blas):
+    def test_dev_metrics_equals_sequential_loop(self, small_corpus, monkeypatch):
         _, manifest = small_corpus
         clips = load_split(manifest, "dev", FrontendSettings(), with_spect=False)
         model = init_model(d=80, k=16, c=4, seed=4)
@@ -170,29 +162,44 @@ class TestPooledStages:
 
 class TestPool:
     @needs_blas_setter
-    def test_two_workers_run_calls_at_once(self, monkeypatch, serial_blas):
+    def test_two_workers_run_calls_at_once(self, monkeypatch):
         _with_workers(monkeypatch, 2)
         barrier = threading.Barrier(2, timeout=30)  # passes only when both calls run concurrently
         assert parallel.map(lambda x: (barrier.wait(), x * x)[1], [3, 4]) == [9, 16]
 
-    def test_one_worker_runs_inline(self, monkeypatch, serial_blas):
+    def test_one_worker_runs_inline(self, monkeypatch):
         _with_workers(monkeypatch, 1)
         main = threading.current_thread()
         assert parallel.map(lambda x: threading.current_thread() is main, range(3)) == [True] * 3
 
     @needs_blas_setter
-    def test_multithreaded_blas_runs_inline(self, monkeypatch):
-        _with_workers(monkeypatch, 2)
+    def test_calls_run_one_blas_thread_and_count_is_restored(self, monkeypatch):
+        """At a two-thread OpenBLAS, two workers still use the pool; every
+        call, inline or pooled, reads one BLAS thread, and the two threads
+        come back after ``map``, also when a call raises."""
         setter, getter = parallel._blas_threads()
         previous = getter()
         setter(2)
+        main = threading.current_thread()
+
+        def fail_on_two(x):
+            if x == 2:
+                raise KeyError(x)
+            return x
+
         try:
-            main = threading.current_thread()
-            assert parallel.map(lambda x: threading.current_thread() is main, range(2)) == [True, True]
+            for workers in (1, 2):
+                _with_workers(monkeypatch, workers)
+                seen = parallel.map(lambda x: (getter(), threading.current_thread() is main), range(4))
+                assert seen == [(1, workers == 1)] * 4
+                assert getter() == 2
+                with pytest.raises(KeyError):
+                    parallel.map(fail_on_two, range(4))
+                assert getter() == 2
         finally:
             setter(previous)
 
-    def test_first_error_is_raised(self, monkeypatch, serial_blas):
+    def test_first_error_is_raised(self, monkeypatch):
         _with_workers(monkeypatch, 2)
 
         def fail_on_one(x):
@@ -203,32 +210,46 @@ class TestPool:
         with pytest.raises(KeyError):
             parallel.map(fail_on_one, [0, 1])
 
-
-def _blas_threads_and_pid(_):
-    """A ``process_map`` job: the worker's OpenBLAS thread count and its pid."""
-    return parallel._blas_threads()[1](), os.getpid()
-
-
-class TestProcessMap:
     @needs_blas_setter
-    def test_workers_run_one_blas_thread(self, monkeypatch):
+    def test_raises_only_after_running_calls_return(self, monkeypatch):
+        """Call 0 fails while call 1 runs.  Call 1 then waits up to a second
+        for the test to see ``map`` raise; ``map`` must not raise before
+        call 1 has returned, so call 1 never sees it."""
         _with_workers(monkeypatch, 2)
-        before = parallel._blas_threads()[1]()
-        results = parallel.process_map(_blas_threads_and_pid, range(4))
-        assert [threads for threads, _ in results] == [1] * 4
-        assert os.getpid() not in {pid for _, pid in results}
-        assert parallel._blas_threads()[1]() == before
+        one_running, map_raised, one_returned = threading.Event(), threading.Event(), threading.Event()
+        seen = []
+
+        def call(x):
+            if x == 0:
+                assert one_running.wait(timeout=30)
+                raise KeyError(x)
+            one_running.set()
+            seen.append(map_raised.wait(timeout=1.0))
+            one_returned.set()
+            return x
+
+        with pytest.raises(KeyError):
+            try:
+                parallel.map(call, [0, 1])
+            finally:
+                map_raised.set()
+        assert one_returned.wait(timeout=30)
+        assert seen == [False]
 
     @needs_blas_setter
-    def test_one_worker_runs_inline(self, monkeypatch):
-        _with_workers(monkeypatch, 1)
-        assert {pid for _, pid in parallel.process_map(_blas_threads_and_pid, range(3))} == {os.getpid()}
-
-    def test_order_and_first_error(self, monkeypatch):
+    def test_first_error_in_item_order_is_raised(self, monkeypatch):
         _with_workers(monkeypatch, 2)
-        assert parallel.process_map(abs, [-3, 2, -1, 0]) == [3, 2, 1, 0]
-        with pytest.raises(TypeError):
-            parallel.process_map(abs, [-1, "x"])
+        one_raising = threading.Event()
+
+        def call(x):
+            if x == 0:
+                assert one_raising.wait(timeout=30)
+                raise KeyError(x)
+            one_raising.set()
+            raise ValueError(x)
+
+        with pytest.raises(KeyError):
+            parallel.map(call, [0, 1])
 
 
 class TestSerialBlas:
