@@ -39,7 +39,7 @@ from .labels import read_label_file
 from .network import init_model, load_model, save_model
 from .nmf import save_dictionary, load_dictionary
 from .probing import build_synthetic_tasks, eval_probe, load_probe_manifest, train_probe, write_result_json
-from .training import (encode_rows, evaluate_split, load_clip, pretrain_dictionary,
+from .training import (check_dictionary, encode_rows, evaluate_split, load_clip, pretrain_dictionary,
                        reconstruction_error, split_rows, train)
 
 
@@ -117,6 +117,7 @@ def _cmd_train(args, cfg, run: _Run):
     manifest = load_manifest(args.manifest)
     settings = cfgmod.frontend_settings(cfg)
     dictionary = load_dictionary(args.dict)
+    check_dictionary(dictionary, settings, "train")
     tc = cfgmod.train_config(cfg)
     d, c = _train_dims(manifest, settings)
     model = init_model(d=d, k=dictionary.components, c=c, seed=cfg["seed"],
@@ -252,6 +253,7 @@ def _cmd_ablate_beta(args, cfg, run: _Run):
     manifest = load_manifest(args.manifest)
     settings = cfgmod.frontend_settings(cfg)
     dictionary = load_dictionary(args.dict)
+    check_dictionary(dictionary, settings, "ablate-beta")
     d, c = _train_dims(manifest, settings)
     tc = cfgmod.train_config(cfg)
 

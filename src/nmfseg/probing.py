@@ -16,14 +16,14 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import parallel
 from .corpus import one_pole
-from .errors import DimensionError, FormatError, open_text
+from .errors import FormatError, open_text
 from .frontend import SAMPLE_RATE, AudioClip, FrontendSettings, featurize, read_features, read_wav
 from .network import SegModel, encode
 from .optim import adam_step, init_adam

@@ -2,9 +2,24 @@
 
 Clips are cut into fixed-length segments on the feature frame grid; each
 batch runs one forward/backward pass through the handwritten gradient engine
-and one ADAM step.  The objective per segment is
-alpha * BCE + beta * ||X - W H||^2 + gamma * ||H||_1, averaged over the
-batch; the frozen dictionary W never receives gradient.
+and one ADAM step.  The objective of a batch of B segments is
+
+    (1 / B) * sum over segments of  alpha * BCE + beta * ||X - W H||^2 + gamma * ||H||_1
+
+where a segment's BCE is averaged over its annotated (class, frame) cells,
+but its reconstruction term is summed over all F x T cells and its L1 term
+over all K x T cells, not averaged.  The frozen dictionary W never receives
+gradient.
+
+The reconstruction term is taken in its Gram form: with G = W^T W and
+b_t = W^T x_t, ||x_t - W h_t||^2 = h_t . (G h_t - 2 b_t) + ||x_t||^2.
+``train`` reduces each train clip's target to b (K x T) and its frame
+energies while the clip loads (``reduce_targets``) and forms G once per run,
+so it never holds an F x T target or residual.  Precision: G, the reduction
+and the energies are float64, and b is stored in the target's dtype
+(float32 in training); the gradient on H, 2 beta / B * (G h - b), is taken
+in H's dtype, and the loss in float64, since the Gram form cancels badly in
+float32.  ``reconstruction_error`` keeps the direct form.
 
 ``_batch_loss_and_grads`` is the one loss-and-gradient engine: training runs
 it in float32, and the finite-difference checks run it on float64 models,
@@ -14,7 +29,7 @@ thread and child workspace, and sums the shards' loss components and
 gradients in shard order; the split depends on the batch size alone, so no
 output depends on the thread count.  ``train`` hands every step one
 ``network.Workspace``, which holds the stacked batch and, in one child per
-shard, each full-width activation, residual and gradient, so steps after the
+shard, each full-width activation, loss buffer and gradient, so steps after the
 first allocate only the shard gradient vectors and small arrays; a call
 without a workspace gets a fresh one and computes the same bytes.
 
@@ -23,9 +38,9 @@ which loads, encodes and hands on each clip on the ``parallel`` pool, so two
 clips are in flight and each is dropped once its caller's value is made.
 
 The two ``parallel`` threads are the shards, the clip loads of
-``load_split``, the dev clips of ``dev_metrics``, the two passes of
-``pretrain_dictionary`` and the rows of an inference stage; ``parallel.map``
-holds OpenBLAS at one thread while they run.
+``load_split`` and of ``train``'s split, the dev clips of ``dev_metrics``,
+the two passes of ``pretrain_dictionary`` and the rows of an inference
+stage; ``parallel.map`` holds OpenBLAS at one thread while they run.
 
 Each clip is read once and featurized in one blocked pass
 (``frontend.featurize``), which writes the float32 features and, when asked,
@@ -40,7 +55,7 @@ is truncated, anything larger is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,18 +102,52 @@ class TrainConfig:
 
 
 @dataclass
+class ReconTargets:
+    """Reconstruction targets X reduced to K-space against a dictionary W (F x K).
+
+    ``gram`` is W^T W (K, K) and ``energy`` the per-frame ||x_t||^2 (..., T),
+    both float64; ``wtx`` is W^T X (..., K, T), computed in float64 and
+    stored in X's dtype.  Indexing applies to ``wtx`` and ``energy`` alike,
+    so ``targets[part]`` takes samples of a batch and ``targets[..., a:b]``
+    frames of a clip.
+    """
+
+    gram: np.ndarray
+    wtx: np.ndarray
+    energy: np.ndarray
+
+    def __getitem__(self, key) -> ReconTargets:
+        return ReconTargets(self.gram, self.wtx[key], self.energy[key])
+
+
+def reduce_targets(w: np.ndarray, spects: np.ndarray, gram: np.ndarray | None = None) -> ReconTargets:
+    """Targets (..., F, T) reduced to K-space against ``w`` (F, K).
+
+    ``gram`` is W^T W in float64, formed here when None; a caller that reduces
+    many clips against one dictionary forms it once and passes it.
+    """
+    spects = np.asarray(spects)
+    w = np.asarray(w, dtype=np.float64)
+    x = spects.astype(np.float64)
+    wtx = np.matmul(w.T, x).astype(spects.dtype, copy=False)
+    energy = np.square(x, out=x).sum(axis=-2)
+    return ReconTargets(w.T @ w if gram is None else gram, wtx, energy)
+
+
+@dataclass
 class ClipData:
     clip_id: str
     features: np.ndarray  # (D, T) float32
     spect: np.ndarray | None  # (F, T) float32 reconstruction target, None unless asked for
     labels: np.ndarray  # (C, T) int8 symbols with -1 for unannotated
     hop: float
+    target: ReconTargets | None = None  # the target in K-space, which ``train`` keeps in place of ``spect``
 
 
 @dataclass
 class TrainSegment:
     features: np.ndarray
-    spect: np.ndarray
+    target: ReconTargets | None  # None when the run has no reconstruction term
     labels: LabelMatrix
 
 
@@ -172,8 +221,43 @@ def load_split(manifest: Manifest, split: str, settings: FrontendSettings,
                         split_rows(manifest, split))
 
 
+def check_dictionary(dictionary: Dictionary | None, settings: FrontendSettings, use: str) -> np.ndarray:
+    """The dictionary's W (F, K), for ``use``, which needs it.
+
+    Raises ConfigError naming ``use`` when there is no dictionary, and
+    DimensionError naming both counts when F is not the frontend's bin
+    count, so a stage can check before it reads any clip.
+    """
+    if dictionary is None:
+        raise ConfigError(f"{use} needs a dictionary attached to the model")
+    w, bins = dictionary.values, settings.n_fft // 2 + 1
+    if w.shape[0] != bins:
+        raise DimensionError(f"the dictionary has {w.shape[0]} frequency bins, but the frontend's "
+                             f"n_fft of {settings.n_fft} gives {bins}")
+    return w
+
+
+def _load_train_clips(manifest: Manifest, settings: FrontendSettings, w: np.ndarray | None) -> list[ClipData]:
+    """The train split, each clip's target reduced to K-space against ``w``.
+
+    Each row is loaded and reduced in one call on the ``parallel`` pool, so at
+    most two clips' F x T targets exist at once, and none is kept.  W^T W is
+    formed once.  Without ``w`` no target is computed.
+    """
+    gram = None if w is None else w.T @ w  # W is float64, as ``Dictionary`` holds it
+
+    def load(row):
+        clip = load_clip(manifest, row, settings, with_spect=w is not None)
+        if w is not None:
+            clip.target, clip.spect = reduce_targets(w, clip.spect, gram), None
+        return clip
+
+    return parallel.map(load, split_rows(manifest, "train"))
+
+
 def build_segments(clips: list[ClipData], segment_seconds: float) -> list[TrainSegment]:
-    """Cut clips into non-overlapping fixed-length training segments."""
+    """Cut clips into non-overlapping fixed-length training segments; each
+    segment's target is a view of its clip's K-space target, if it has one."""
     segments = []
     for clip in clips:
         seg_frames = max(1, int(round(segment_seconds / clip.hop)))
@@ -182,13 +266,13 @@ def build_segments(clips: list[ClipData], segment_seconds: float) -> list[TrainS
             end = start + seg_frames
             segments.append(TrainSegment(
                 features=clip.features[:, start:end],
-                spect=clip.spect[:, start:end],
+                target=None if clip.target is None else clip.target[..., start:end],
                 labels=label_matrix_from_range(clip.labels, start, end),
             ))
     return segments
 
 
-def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
+def _batch_loss(model: SegModel, feats: np.ndarray, targets: ReconTargets | None,
                 labels: list[LabelMatrix], cfg: TrainConfig, ws: Workspace | None = None,
                 batch: int | None = None):
     """Forward pass, mean-over-batch loss components, and the loss seeds.
@@ -198,9 +282,12 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
     gradients of the total on the flat logits and on flat H (None when beta
     and gamma are both zero), both with zero guard columns.  Each sample's
     BCE averages over its own annotated cells; a sample with every class
-    masked adds no BCE and no BCE gradient.  The cache and the seeds live in
-    ``ws`` (a fresh workspace when None).  When ``feats`` is one shard of a
-    batch, ``batch`` is the whole batch's size, which every mean divides by.
+    masked adds no BCE and no BCE gradient.  ``targets`` (read only when
+    beta is nonzero) are the batch's reconstruction targets in K-space, from
+    ``reduce_targets``.  The cache, the seeds and the float64 loss buffers
+    live in ``ws`` (a fresh workspace when None).  When ``feats`` is one
+    shard of a batch, ``batch`` is the whole batch's size, which every mean
+    divides by.
     """
     ws = Workspace() if ws is None else ws
     batch = feats.shape[0] if batch is None else batch
@@ -224,13 +311,21 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
     g_h_flat = None
     nmf_total = 0.0
     if cfg.beta != 0.0:
-        if model.w_ref is None:
-            raise ValueError("reconstruction loss requires a dictionary attached to the model")
-        w = np.asarray(model.w_ref.values, dtype=h_flat.dtype)
-        diff = np.matmul(w, h_flat, out=ws.take("diff", (w.shape[0], lay.n), h_flat.dtype))
-        lay.core(diff)[...] -= spects.transpose(1, 0, 2)
-        nmf_total = float(np.sum(np.multiply(diff, diff, out=ws.take("diff_sq", diff.shape, diff.dtype))))
-        g_h_flat = np.matmul(w.T, diff, out=ws.take("g_h_loss", h_flat.shape, h_flat.dtype))
+        # ||x - W h||^2 = h.(G h - 2 b) + ||x||^2 with G = W^T W and b = W^T x; the
+        # guard columns of h and b are zero, so they add nothing
+        b = ws.take("b_flat", h_flat.shape, h_flat.dtype)
+        lay.zero_guards(b)
+        lay.core(b)[...] = targets.wtx.transpose(1, 0, 2)
+        h64 = ws.take("h64", h_flat.shape, np.float64)
+        np.copyto(h64, h_flat)
+        r = np.matmul(targets.gram, h64, out=ws.take("gram_h64", h_flat.shape, np.float64))
+        r -= b
+        r -= b
+        r *= h64
+        nmf_total = float(r.sum()) + float(targets.energy.sum())
+        g_h_flat = np.matmul(targets.gram.astype(h_flat.dtype), h_flat,
+                             out=ws.take("g_h_loss", h_flat.shape, h_flat.dtype))
+        g_h_flat -= b
         g_h_flat *= cfg.beta * 2.0 / batch
     l1_total = float(h_flat.sum())
     if cfg.gamma != 0.0:
@@ -244,7 +339,7 @@ def _batch_loss(model: SegModel, feats: np.ndarray, spects: np.ndarray,
     return comps, cache, g_logits_flat, g_h_flat
 
 
-def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, spects: np.ndarray,
+def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, targets: ReconTargets | None,
                           labels: list[LabelMatrix], cfg: TrainConfig, ws: Workspace | None = None):
     """``(comps, grad)``: mean-over-batch loss components and the gradient vector, laid
     out like ``model.flat``; the engine ``train`` steps on.
@@ -265,8 +360,8 @@ def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, spects: np.ndarray
 
     def run(shard):
         child, part = shard
-        comps, cache, g_logits_flat, g_h_flat = _batch_loss(model, feats[part], spects[part], labels[part],
-                                                            cfg, child, batch)
+        comps, cache, g_logits_flat, g_h_flat = _batch_loss(
+            model, feats[part], None if targets is None else targets[part], labels[part], cfg, child, batch)
         return comps, _backward_from_cache(model, cache, g_logits_flat, g_h_flat, child)
 
     (comps, grad), *rest = parallel.map(run, shards)
@@ -279,6 +374,14 @@ def _batch_loss_and_grads(model: SegModel, feats: np.ndarray, spects: np.ndarray
 def _stack_into(ws: Workspace, role: str, arrays: list) -> np.ndarray:
     """``np.stack(arrays)`` written into the workspace role ``role``."""
     return np.stack(arrays, out=ws.take(role, (len(arrays), *arrays[0].shape), arrays[0].dtype))
+
+
+def _stack_targets(ws: Workspace, targets: list) -> ReconTargets | None:
+    """The segments' K-space targets as one batch, in workspace roles."""
+    if targets[0] is None:
+        return None
+    return ReconTargets(targets[0].gram, _stack_into(ws, "wtx", [t.wtx for t in targets]),
+                        _stack_into(ws, "energy", [t.energy for t in targets]))
 
 
 def _decide_clip(clip: ClipData, logits: np.ndarray, threshold: float) -> tuple[np.ndarray, LabelMatrix]:
@@ -314,10 +417,15 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
     Returns the model (float32 parameters set to the best dev epoch, as the
     checkpoint stores them and as dev scored them) and one trace entry per
     epoch with train loss components and dev metrics.  A loss or an ADAM
-    step that goes non-finite raises NumericError.
+    step that goes non-finite raises NumericError.  At nonzero beta the
+    attached dictionary is checked (``check_dictionary``) before any clip is
+    read.
     """
     settings = settings or FrontendSettings()
-    train_clips = load_split(manifest, "train", settings)
+    # without a reconstruction term no target is computed
+    w = None if cfg.beta == 0.0 else check_dictionary(model.w_ref, settings,
+                                                       f"the reconstruction loss (beta = {cfg.beta:g})")
+    train_clips = _load_train_clips(manifest, settings, w)
     dev_clips = load_split(manifest, "dev", settings, with_spect=False)
     segments = build_segments(train_clips, cfg.segment_seconds)
     if not segments:
@@ -342,9 +450,9 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             feats = _stack_into(ws, "feats", [segments[i].features for i in idx])
-            spects = _stack_into(ws, "spects", [segments[i].spect for i in idx])
+            targets = _stack_targets(ws, [segments[i].target for i in idx])
             labs = [segments[i].labels for i in idx]
-            comps, grad = _batch_loss_and_grads(worker, feats, spects, labs, cfg, ws)
+            comps, grad = _batch_loss_and_grads(worker, feats, targets, labs, cfg, ws)
             if not np.isfinite(comps["total"]):
                 raise NumericError(f"non-finite loss at epoch {epoch}")
             adam_step(master, grad, state, cfg.lr)
@@ -480,15 +588,14 @@ def mean_activation_l1(model: SegModel, manifest: Manifest, split: str,
 
 def reconstruction_error(model: SegModel, manifest: Manifest, split: str,
                          settings: FrontendSettings | None = None) -> float:
-    """Mean per-frame ||X - WH||^2 over a split (requires an attached dictionary)."""
-    if model.w_ref is None:
-        raise ValueError("model has no attached dictionary")
-    w = model.w_ref.values
+    """Mean per-frame ||X - WH||^2 over a split, in the direct form; the
+    attached dictionary is checked (``check_dictionary``) before any clip is read."""
+    settings = settings or FrontendSettings()
+    w = check_dictionary(model.w_ref, settings, "the reconstruction error")
 
     def squared_error(clip, h, logits):
         diff = w @ h - clip.spect
         return float(np.sum(diff * diff)), h.shape[1]
 
-    sums = encode_rows(model, manifest, split_rows(manifest, split), settings or FrontendSettings(),
-                       squared_error, with_spect=True)
+    sums = encode_rows(model, manifest, split_rows(manifest, split), settings, squared_error, with_spect=True)
     return sum(total for total, _ in sums) / sum(frames for _, frames in sums)

@@ -22,7 +22,8 @@ from nmfseg.network import LabelMatrix, init_model, sigmoid
 from nmfseg.nmf import SnmfConfig, nmf_loss, train_snmf
 from nmfseg.probing import ProbeTask, eval_probe, train_probe
 from nmfseg.training import (FrontendSettings, TrainConfig, _batch_loss, _batch_loss_and_grads,
-                             evaluate_split, mean_activation_l1, pretrain_dictionary, train)
+                             evaluate_split, mean_activation_l1, pretrain_dictionary, reduce_targets,
+                             train)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -71,8 +72,8 @@ class TestCriterion3GradientCorrectness:
         x = np.abs(rng.normal(size=(20, 10)))
         labels = LabelMatrix(values=(rng.random((4, 10)) > 0.5).astype(float),
                              mask=np.array([True, True, False, True]))
-        # the training engine, run as a B = 1 batch
-        feats, spects, batch_labels = s[None], x[None], [labels]
+        # the training engine, run as a B = 1 batch on targets reduced to K-space as train reduces them
+        feats, targets, batch_labels = s[None], reduce_targets(model.w_ref.values, x[None]), [labels]
         margin = nudge_away_from_relu_kinks(model, feats)
         assert margin > 1e-4
 
@@ -80,16 +81,16 @@ class TestCriterion3GradientCorrectness:
         for alpha, beta, gamma in ((10, 0, 0), (0, 1, 0), (0, 0, 0.1), (10, 1, 0.1)):
             cfg = TrainConfig(alpha=alpha, beta=beta, gamma=gamma, batch_size=1,
                               epochs=1, seed=0)
-            grads = dict(model.parameters(_batch_loss_and_grads(model, feats, spects, batch_labels, cfg)[1]))
+            grads = dict(model.parameters(_batch_loss_and_grads(model, feats, targets, batch_labels, cfg)[1]))
             for name, arr in model.parameters():
                 g_fd = np.zeros_like(arr)
                 flat = arr.ravel()
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + 1e-4
-                    up = _batch_loss(model, feats, spects, batch_labels, cfg)[0]["total"]
+                    up = _batch_loss(model, feats, targets, batch_labels, cfg)[0]["total"]
                     flat[i] = orig - 1e-4
-                    down = _batch_loss(model, feats, spects, batch_labels, cfg)[0]["total"]
+                    down = _batch_loss(model, feats, targets, batch_labels, cfg)[0]["total"]
                     flat[i] = orig
                     g_fd.ravel()[i] = (up - down) / 2e-4
                 g_an = grads[name]
@@ -112,7 +113,8 @@ class TestCriterion4MaskedBce:
         labels = LabelMatrix(values=(rng.random((4, 10)) > 0.5).astype(float),
                              mask=np.array([True, True, False, True]))
         cfg = TrainConfig(alpha=10, beta=0, gamma=0, batch_size=1, epochs=1, seed=0)
-        grads = dict(model.parameters(_batch_loss_and_grads(model, s[None], x[None], [labels], cfg)[1]))
+        targets = reduce_targets(model.w_ref.values, x[None])
+        grads = dict(model.parameters(_batch_loss_and_grads(model, s[None], targets, [labels], cfg)[1]))
         masked_zero = bool(np.all(grads["theta"][2] == 0.0))
 
         from nmfseg.network import _forward_cache

@@ -21,6 +21,7 @@ from nmfseg.errors import ConfigError
 from nmfseg.frontend import FrontendSettings
 from nmfseg.labels import write_label_file
 from nmfseg.network import init_model, load_model, save_model
+from nmfseg.nmf import Dictionary, normalize_columns, save_dictionary
 from nmfseg.parallel import workers
 from nmfseg.training import evaluate_split, load_clip
 
@@ -427,6 +428,24 @@ class TestCliErrors:
                           "--dict", str(tmp_path / "nope.nsd"), "--out", str(tmp_path / "t")])
         assert rc != 0
         assert "nope.nsd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate-beta"])
+    def test_dictionary_of_other_bin_count_fails_before_any_clip_is_read(self, pipeline, tmp_path, capsys,
+                                                                          monkeypatch, command):
+        cfg, _, manifest = pipeline
+        w, _ = normalize_columns(1.0 - np.random.default_rng(0).random((129, 8)), np.ones((8, 1)))
+        save_dictionary(Dictionary(values=w), tmp_path / "d129.nsd")
+
+        def no_read(*args, **kwargs):
+            raise AssertionError(f"{command} read a clip before checking its dictionary")
+
+        monkeypatch.setattr(training, "read_wav", no_read)
+        target = tmp_path / "out"
+        assert run_command([command, "--config", str(cfg), "--manifest", str(manifest),
+                            "--dict", str(tmp_path / "d129.nsd"), "--out", str(target)]) == 1
+        assert ("the dictionary has 129 frequency bins, but the frontend's n_fft of 512 gives 257"
+                in capsys.readouterr().err)
+        assert not list(target.rglob("*"))
 
     def test_unknown_flag(self):
         assert run_command(["eval", "--nonsense"]) != 0

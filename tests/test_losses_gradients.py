@@ -2,9 +2,11 @@
 
 Every loss and gradient here comes from the training engine,
 ``training._batch_loss_and_grads`` and its forward-and-loss half
-``_batch_loss``; single-sample cases run it at B = 1.  ``TestWorkspace``
-checks that reusing one workspace across steps, as training does, changes
-no byte and allocates little.
+``_batch_loss``; single-sample cases run it at B = 1.  Targets reach the
+engine reduced to K-space by ``reduce_targets``, as ``train`` reduces them;
+``TestGramForm`` checks that reconstruction term against the direct form.
+``TestWorkspace`` checks that reusing one workspace across steps, as
+training does, changes no byte and allocates little.
 """
 
 import tracemalloc
@@ -13,23 +15,29 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_model, nudge_away_from_relu_kinks
-from nmfseg.network import LabelMatrix, Workspace, bce_masked, init_model
+from nmfseg.network import LabelMatrix, Workspace, _forward_cache, bce_masked, init_model
 from nmfseg.nmf import Dictionary, normalize_columns
-from nmfseg.training import TrainConfig, _batch_loss, _batch_loss_and_grads
+from nmfseg.training import TrainConfig, _batch_loss, _batch_loss_and_grads, reduce_targets
 
 
 def _cfg(alpha, beta, gamma):
     return TrainConfig(alpha=alpha, beta=beta, gamma=gamma, batch_size=1, epochs=1, seed=0)
 
 
+def _targets(model, spects):
+    """(…, F, T) targets reduced to K-space against the model's dictionary."""
+    return reduce_targets(model.w_ref.values, spects)
+
+
 def _loss(model, s, x, labels, cfg):
     """Loss components of one (D, T) sample, run as a B = 1 batch."""
-    return _batch_loss(model, s[None], x[None], [labels], cfg)[0]
+    return _batch_loss(model, s[None], _targets(model, x[None]), [labels], cfg)[0]
 
 
 def _grads(model, s, x, labels, cfg):
     """Named parameter gradients of one (D, T) sample, run as a B = 1 batch."""
-    return dict(model.parameters(_batch_loss_and_grads(model, s[None], x[None], [labels], cfg)[1]))
+    return dict(model.parameters(
+        _batch_loss_and_grads(model, s[None], _targets(model, x[None]), [labels], cfg)[1]))
 
 
 def _rand_case(seed=42, t=10, f=20, c=4):
@@ -109,7 +117,7 @@ class TestTotalLoss:
 
     def test_batch_bce_is_mean_of_per_sample_bce_masked(self):
         model, feats, spects, labels = _batch_case()
-        comps, cache, _, _ = _batch_loss(model, feats, spects, labels, _cfg(10, 0, 0))
+        comps, cache, _, _ = _batch_loss(model, feats, _targets(model, spects), labels, _cfg(10, 0, 0))
         logits = cache["layout"].to_batch(cache["logits_flat"])
         per_sample = [bce_masked(logits[b], labels[b]) for b in range(3)]
         assert per_sample[2] == 0.0
@@ -118,7 +126,8 @@ class TestTotalLoss:
 
 def _finite_difference_check(model, feats, spects, labels, cfg, step=1e-4, rtol=1e-4):
     """Engine gradients of a (B, D, T) batch against central differences of its loss."""
-    grads = dict(model.parameters(_batch_loss_and_grads(model, feats, spects, labels, cfg)[1]))
+    targets = _targets(model, spects)
+    grads = dict(model.parameters(_batch_loss_and_grads(model, feats, targets, labels, cfg)[1]))
     worst = 0.0
     for name, arr in model.parameters():
         g_an = grads[name]
@@ -127,9 +136,9 @@ def _finite_difference_check(model, feats, spects, labels, cfg, step=1e-4, rtol=
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = _batch_loss(model, feats, spects, labels, cfg)[0]["total"]
+            up = _batch_loss(model, feats, targets, labels, cfg)[0]["total"]
             flat[i] = orig - step
-            down = _batch_loss(model, feats, spects, labels, cfg)[0]["total"]
+            down = _batch_loss(model, feats, targets, labels, cfg)[0]["total"]
             flat[i] = orig
             g_fd.ravel()[i] = (up - down) / (2 * step)
         denom = np.maximum(np.maximum(np.abs(g_fd), np.abs(g_an)), 1e-30)
@@ -182,7 +191,8 @@ class TestGradients:
         # guard columns keep samples apart: no tap reads a neighbour's frames
         model, feats, spects, labels = _batch_case()
         cfg = _cfg(10, 1, 0.1)
-        batch = dict(model.parameters(_batch_loss_and_grads(model, feats, spects, labels, cfg)[1]))
+        batch = dict(model.parameters(
+            _batch_loss_and_grads(model, feats, _targets(model, spects), labels, cfg)[1]))
         singles = [_grads(model, feats[b], spects[b], labels[b], cfg) for b in range(3)]
         for name, g in batch.items():
             mean = sum(single[name] for single in singles) / 3
@@ -210,6 +220,47 @@ class TestGradients:
         assert not any(name.startswith("w_ref") for name in grads)
 
 
+class TestGramForm:
+    """The engine's reconstruction term, taken in K-space, against the direct
+    ``||x - W h||^2`` and its gradient ``2 beta / B * W^T (W h - x)``, in float64
+    on the three-sample batch, whose shards are two samples and one and
+    whose masks include a masked class and an all-masked sample."""
+
+    def test_loss_equals_direct_form(self):
+        model, feats, spects, labels = _batch_case()
+        comps = _batch_loss_and_grads(model, feats, _targets(model, spects), labels, _cfg(10, 1, 0.1))[0]
+        cache = _forward_cache(model, feats)
+        h = cache["layout"].to_batch(cache["h_flat"])
+        direct = sum(float(np.sum((model.w_ref.values @ h[b] - spects[b]) ** 2)) for b in range(3))
+        assert comps["nmf"] * 3 == pytest.approx(direct, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("part", [slice(0, 3), slice(0, 2), slice(2, 3)])
+    def test_gradient_on_h_equals_direct_form(self, part):
+        model, feats, spects, labels = _batch_case()
+        beta, batch = 2.5, 3
+        _, cache, _, g_h_flat = _batch_loss(model, feats[part], _targets(model, spects)[part], labels[part],
+                                            _cfg(0, beta, 0), batch=batch)
+        lay, w = cache["layout"], model.w_ref.values
+        h = lay.to_batch(cache["h_flat"])
+        direct = np.stack([2 * beta / batch * w.T @ (w @ hb - x) for hb, x in zip(h, spects[part])])
+        np.testing.assert_allclose(lay.to_batch(g_h_flat), direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+        guards = g_h_flat.reshape(g_h_flat.shape[0], lay.b, lay.s)
+        assert not guards[:, :, :lay.p].any() and not guards[:, :, lay.p + lay.t:].any()
+
+    def test_float32_targets_are_reduced_in_float64(self):
+        """W^T X is computed in float64 and stored in X's float32; W^T W and
+        the frame energies stay float64."""
+        model, _, spects, _ = _batch_case()
+        w, x = model.w_ref.values, spects.astype(np.float32)
+        targets = reduce_targets(w, x)
+        np.testing.assert_array_equal(targets.wtx, (w.T @ x.astype(np.float64)).astype(np.float32))
+        np.testing.assert_array_equal(targets.energy, np.sum(x.astype(np.float64) ** 2, axis=1))
+        np.testing.assert_array_equal(targets.gram, w.T @ w)
+        assert targets.wtx.dtype == np.float32 and targets.energy.dtype == targets.gram.dtype == np.float64
+        part = targets[1:, ..., 2:5]  # samples, then frames
+        assert part.wtx.shape == (2, model.k, 3) and part.energy.shape == (2, 3)
+
+
 class TestMaskedClassGradients:
     def test_masked_row_zero_and_others_bit_identical(self):
         model, s, x, labels = _rand_case()
@@ -233,13 +284,14 @@ class TestMaskedClassGradients:
 
 
 def _float32_batch(model, batch, t, f, seed):
-    """A float32 (B, D, T) batch with spectrogram targets and mixed masks."""
+    """A float32 (B, D, T) batch with float32 spectrogram targets, reduced
+    to K-space, and mixed masks."""
     rng = np.random.default_rng(seed)
     feats = rng.normal(-11.5, 4.0, size=(batch, model.d, t)).astype(np.float32)
     spects = np.abs(rng.normal(size=(batch, f, t))).astype(np.float32)
     labels = [LabelMatrix(values=(rng.random((model.c, t)) > 0.5).astype(float),
                           mask=rng.random(model.c) > 0.3) for _ in range(batch)]
-    return feats, spects, labels
+    return feats, _targets(model, spects), labels
 
 
 class TestWorkspace:

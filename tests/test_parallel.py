@@ -18,7 +18,7 @@ from nmfseg.network import (LabelMatrix, Workspace, _backward_from_cache, bce_ma
                             init_model, save_model)
 from nmfseg.nmf import Dictionary, normalize_columns
 from nmfseg.training import (FrontendSettings, TrainConfig, _batch_loss, _batch_loss_and_grads,
-                             dev_metrics, load_clip, load_split, split_rows)
+                             dev_metrics, load_clip, load_split, reduce_targets, split_rows)
 
 needs_blas_setter = pytest.mark.skipif(parallel._blas_threads() is None,
                                        reason="no OpenBLAS thread-count setter in this NumPy build")
@@ -26,17 +26,18 @@ needs_blas_setter = pytest.mark.skipif(parallel._blas_threads() is None,
 
 @pytest.fixture(scope="module")
 def desk_batch():
-    """A float64 desk-shape model and a B = 16, T = 200 batch with mixed masks."""
+    """A float64 desk-shape model and a B = 16, T = 200 batch with mixed masks,
+    its targets reduced to K-space."""
     rng = np.random.default_rng(5)
     d, k, c, f, b, t = 80, 64, 4, 257, 16, 200
     model = init_model(d, k, c, seed=2)
     w, _ = normalize_columns(1.0 - rng.random((f, k)), np.ones((k, 1)))
     model.attach_dictionary(Dictionary(values=w))
     feats = rng.normal(-10.0, 3.0, size=(b, d, t))
-    spects = np.abs(rng.normal(size=(b, f, t)))
+    targets = reduce_targets(w, np.abs(rng.normal(size=(b, f, t))))
     labels = [LabelMatrix(values=(rng.random((c, t)) > 0.5).astype(float), mask=rng.random(c) > 0.3)
               for _ in range(b)]
-    return model, feats, spects, labels, TrainConfig(batch_size=b)
+    return model, feats, targets, labels, TrainConfig(batch_size=b)
 
 
 def _with_workers(monkeypatch, n):
@@ -45,9 +46,9 @@ def _with_workers(monkeypatch, n):
 
 class TestShardedEngine:
     def test_matches_whole_batch_reference(self, desk_batch):
-        model, feats, spects, labels, cfg = desk_batch
-        comps, grad = _batch_loss_and_grads(model, feats, spects, labels, cfg)
-        ref_comps, cache, g_logits, g_h = _batch_loss(model, feats, spects, labels, cfg, Workspace())
+        model, feats, targets, labels, cfg = desk_batch
+        comps, grad = _batch_loss_and_grads(model, feats, targets, labels, cfg)
+        ref_comps, cache, g_logits, g_h = _batch_loss(model, feats, targets, labels, cfg, Workspace())
         ref = _backward_from_cache(model, cache, g_logits, g_h)
         assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
         for key, value in ref_comps.items():
@@ -56,14 +57,14 @@ class TestShardedEngine:
     def test_bytes_do_not_depend_on_workers(self, desk_batch, monkeypatch):
         """Also with thread switches forced every 10 us, so a buffer the two
         shards shared would show up as moved bytes."""
-        model, feats, spects, labels, cfg = desk_batch
+        model, feats, targets, labels, cfg = desk_batch
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for n in (1, 2, 2, 1):
                 _with_workers(monkeypatch, n)
-                comps, grad = _batch_loss_and_grads(model, feats, spects, labels, cfg, Workspace())
+                comps, grad = _batch_loss_and_grads(model, feats, targets, labels, cfg, Workspace())
                 runs.append((comps, grad.tobytes()))
         finally:
             sys.setswitchinterval(interval)
@@ -73,7 +74,8 @@ class TestShardedEngine:
         """B = 1 runs the unsharded arithmetic, which criterion 4 rebuilds bit for bit."""
         rng = np.random.default_rng(1)
         model = make_tiny_model(seed=3)
-        feats, spects = rng.normal(size=(1, 8, 10)), np.abs(rng.normal(size=(1, 20, 10)))
+        feats = rng.normal(size=(1, 8, 10))
+        targets = reduce_targets(model.w_ref.values, np.abs(rng.normal(size=(1, 20, 10))))
         labels = [LabelMatrix(values=(rng.random((4, 10)) > 0.5).astype(float),
                               mask=np.array([True, False, True, True]))]
         cfg = TrainConfig(batch_size=1)
@@ -85,8 +87,8 @@ class TestShardedEngine:
             return real_map(fn, items)
 
         monkeypatch.setattr(parallel, "map", counting_map)
-        comps, grad = _batch_loss_and_grads(model, feats, spects, labels, cfg)
-        ref_comps, cache, g_logits, g_h = _batch_loss(model, feats, spects, labels, cfg)
+        comps, grad = _batch_loss_and_grads(model, feats, targets, labels, cfg)
+        ref_comps, cache, g_logits, g_h = _batch_loss(model, feats, targets, labels, cfg)
         assert calls == [1]
         assert comps == ref_comps
         assert grad.tobytes() == _backward_from_cache(model, cache, g_logits, g_h).tobytes()

@@ -14,7 +14,7 @@ from nmfseg.errors import ConfigError, DimensionError, FormatError, NumericError
 from nmfseg.frontend import AudioClip, FeatureSequence, save_audio, write_features
 from nmfseg.labels import read_label_file, write_label_file
 from nmfseg.network import init_model
-from nmfseg.nmf import SnmfConfig, dictionary_to_bytes, train_snmf
+from nmfseg.nmf import Dictionary, SnmfConfig, dictionary_to_bytes, normalize_columns, train_snmf
 from nmfseg.training import (FrontendSettings, TrainConfig, build_segments,
                              evaluate_split, load_clip, load_split, pretrain_dictionary,
                              train)
@@ -150,10 +150,12 @@ def _evaluate_split_peaks(manifest) -> dict:
     return peaks
 
 
-def test_no_segments_raises_config_error_naming_segment_seconds(small_corpus):
-    _, manifest = small_corpus
+def test_no_segments_raises_config_error_naming_segment_seconds(trained_setup):
+    manifest, settings, dictionary = trained_setup
+    model = init_model(d=80, k=16, c=4, seed=0)
+    model.attach_dictionary(dictionary)  # the default beta = 1 needs one before any clip is read
     with pytest.raises(ConfigError, match="segment_seconds = 60"):
-        train(init_model(d=80, k=16, c=4, seed=0), manifest, TrainConfig(segment_seconds=60.0, epochs=1))
+        train(model, manifest, TrainConfig(segment_seconds=60.0, epochs=1), settings)
 
 
 def test_evaluate_split_streams_clips(small_corpus, monkeypatch):
@@ -368,6 +370,87 @@ class TestTrain:
         empty = Manifest(rows=[])
         with pytest.raises(FormatError, match="no 'train' rows"):
             train(model, empty, TrainConfig(epochs=1), settings)
+
+
+def _no_read(*args, **kwargs):
+    raise AssertionError("a clip was read before the dictionary was checked")
+
+
+def _dictionary(bins: int, k: int = 16) -> Dictionary:
+    w, _ = normalize_columns(1.0 - np.random.default_rng(0).random((bins, k)), np.ones((k, 1)))
+    return Dictionary(values=w)
+
+
+class TestDictionaryCheck:
+    """The Gram form needs W when the train clips load, so a missing or
+    mismatched dictionary fails before any clip is read."""
+
+    def test_train_with_beta_needs_a_dictionary(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(training, "read_wav", _no_read)
+        with pytest.raises(ConfigError, match=r"beta = 2\.5\) needs a dictionary"):
+            train(init_model(d=80, k=16, c=4, seed=0), small_corpus[1], TrainConfig(beta=2.5, epochs=1))
+
+    def test_train_at_beta_zero_needs_no_dictionary(self, small_corpus):
+        cfg = TrainConfig(beta=0, batch_size=32, epochs=1)
+        _, trace = train(init_model(d=80, k=16, c=4, seed=0), small_corpus[1], cfg)
+        assert trace[0]["train_nmf"] == 0.0 and np.isfinite(trace[0]["train_total"])
+
+    @pytest.mark.parametrize("stage", ["train", "reconstruction_error"])
+    def test_other_bin_count_names_both(self, small_corpus, monkeypatch, stage):
+        model = init_model(d=80, k=16, c=4, seed=0)
+        model.attach_dictionary(_dictionary(129))
+        monkeypatch.setattr(training, "read_wav", _no_read)
+        with pytest.raises(DimensionError, match="129 frequency bins.* gives 257"):
+            if stage == "train":
+                train(model, small_corpus[1], TrainConfig(epochs=1))
+            else:
+                training.reconstruction_error(model, small_corpus[1], "test")
+
+    def test_reconstruction_error_needs_a_dictionary(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(training, "read_wav", _no_read)
+        with pytest.raises(ConfigError, match="reconstruction error needs a dictionary"):
+            training.reconstruction_error(init_model(d=80, k=16, c=4, seed=0), small_corpus[1], "test")
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_train_holds_no_split_of_targets(trained_setup, monkeypatch):
+    """With one clip in flight, loading the train split for ``train`` peaks
+    below 0.5x the split's float32 F x T targets beyond one ``load_clip``
+    peak (the STFT blocks of the clip in flight), and every segment's target
+    has K rows.  Keeping every clip's target peaked at 1.17x; 0.35x was
+    measured with the targets in K-space (K = 16), nearly all of it the
+    features.  One worker keeps the peak's timing fixed."""
+    manifest, settings, dictionary = trained_setup
+    monkeypatch.setattr(parallel, "workers", lambda: 1)
+    target_bytes = sum(c.spect.nbytes for c in load_split(manifest, "train", settings))
+    in_flight = max(_peak_traced_bytes(lambda: load_clip(manifest, row, settings))
+                    for row in manifest.for_split("train"))
+    seen, real_load_split, real_build_segments = {}, training.load_split, training.build_segments
+
+    def load_split_after_train(manifest, split, *args, **kwargs):
+        if split == "dev":  # train loads its own split first
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return real_load_split(manifest, split, *args, **kwargs)
+
+    def stop(clips, segment_seconds):
+        seen["segments"] = real_build_segments(clips, segment_seconds)
+        raise _Stop
+
+    monkeypatch.setattr(training, "load_split", load_split_after_train)
+    monkeypatch.setattr(training, "build_segments", stop)
+    model = init_model(d=80, k=16, c=4, seed=0)
+    model.attach_dictionary(dictionary)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            train(model, manifest, TrainConfig(epochs=1), settings)
+    finally:
+        tracemalloc.stop()
+    assert seen["peak"] - in_flight < 0.5 * target_bytes, (seen["peak"], in_flight, target_bytes)
+    assert seen["segments"] and all(seg.target.wtx.shape[0] == 16 for seg in seen["segments"])
 
 
 class TestTrainConfig:
