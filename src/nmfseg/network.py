@@ -20,18 +20,23 @@ checkpoint, the training worker, the model ``training.train`` returns) runs
 float32.  Only models built by ``init_model`` hold float64; the
 finite-difference checks use them.
 
-Gradients: ``_backward_from_cache`` carries loss gradients on the logits and
-on H back to every parameter through what ``_forward_cache`` keeps: each conv
-layer's input and post-ReLU output (``act > 0`` is the ReLU mask, so no
-pre-activation is kept), the block outputs, the skip sum, the head's
-pre-activation, H and the logits.  It writes each parameter's gradient into
-that parameter's slice of one gradient vector.  Both passes write their
-full-width arrays into a ``Workspace``, so a caller that passes the same one
-to every step (as ``training.train`` does) allocates them once.  Both
-passes only read the model, so threads may run them on separate workspaces
-at once: the engine in ``training`` runs one batch shard per thread, each on
-a child of its step workspace, and sums the shards' gradient vectors.  The
-objective and that one loss-and-gradient engine live in ``training``.
+Forward and gradients: ``_forward_cache`` is the one loop over the
+bottleneck, the 15 dilated convs and the head.  Its cache keeps post-ReLU
+outputs only (``act > 0`` is each ReLU's mask bit for bit, the head's
+included): the flat input, each conv layer's input and output, the skip sum,
+H and the logits.  ``encode`` is ``_forward_cache`` without the cache
+(``keep`` false): it holds the flat input, which is the tap scratch once the
+bottleneck has read it, the residual stream, added to in place and then
+overwritten by H, two layer buffers used in turn, and the skip sum.
+``_backward_from_cache`` carries loss gradients on the logits and on H back
+through the cache, into each parameter's slice of one gradient vector.  Both
+passes write their full-width arrays into a ``Workspace``, so a caller that
+passes the same one to every step (as ``training.train`` does) allocates
+them once.  Both passes only read the model, so threads may run them on
+separate workspaces at once: the engine in ``training`` runs one batch shard
+per thread, each on a child of its step workspace, and sums the shards'
+gradient vectors.  The objective and that one loss-and-gradient engine live
+in ``training``.
 
 Checkpoints use the "NSM1" layout: magic; u32 header fields D, K, C,
 channels, kernel, block count, dilation count, then the dilation list; a u64
@@ -219,7 +224,7 @@ class _Layout:
 
 
 class Workspace:
-    """Reusable arrays for the training step, one flat buffer per role.
+    """Reusable arrays for a forward pass or a training step, one flat buffer per role.
 
     ``take(role, shape, dtype)`` returns a C-contiguous view of the first
     ``prod(shape)`` elements of the role's buffer, growing the buffer on first
@@ -255,21 +260,16 @@ def _taps(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
-def _tap_scratch(tmp: np.ndarray | None, rows: int, cols: int, dtype) -> np.ndarray:
-    """(rows, cols) scratch: a view of the flat buffer ``tmp``, or fresh when None."""
-    return np.empty((rows, cols), dtype=dtype) if tmp is None else tmp[:rows * cols].reshape(rows, cols)
-
-
 def _dconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int, lay: _Layout,
-                   out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Taps at -d, 0, +d over the guarded flat matrix.
 
     Writes into ``out`` (C, N); the two shifted taps share ``tmp``, a flat
-    scratch of at least C * (N - d) elements.  Either is allocated when None.
+    scratch of at least C * (N - d) elements.
     """
     w0, w1, w2 = _taps(w)
     y = np.matmul(w1, x, out=out)
-    tmp = _tap_scratch(tmp, y.shape[0], y.shape[1] - d, y.dtype)
+    tmp = tmp[:len(y) * (y.shape[1] - d)].reshape(len(y), -1)
     y[:, d:] += np.matmul(w0, x[:, :-d], out=tmp)
     y[:, :-d] += np.matmul(w2, x[:, d:], out=tmp)
     y += b[:, None]
@@ -278,7 +278,7 @@ def _dconv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int, lay: _La
 
 
 def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _Layout, g_w: np.ndarray,
-                 g_b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+                 g_b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Weight and bias gradients into ``g_w`` and ``g_b``; returns the input gradient.
 
     ``g_pre`` must have zero guards.  The input gradient goes into ``out``
@@ -289,7 +289,7 @@ def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _
     g_w[:, :, 0] = g_pre[:, d:] @ x[:, :-d].T
     g_w[:, :, 2] = g_pre[:, :-d] @ x[:, d:].T
     g_x = np.matmul(w1.T, g_pre, out=out)
-    tmp = _tap_scratch(tmp, g_x.shape[0], g_x.shape[1] - d, g_x.dtype)
+    tmp = tmp[:len(g_x) * (g_x.shape[1] - d)].reshape(len(g_x), -1)
     g_x[:, :-d] += np.matmul(w0.T, g_pre[:, d:], out=tmp)
     g_x[:, d:] += np.matmul(w2.T, g_pre[:, :-d], out=tmp)
     lay.zero_guards(g_x)
@@ -301,17 +301,17 @@ def _bottleneck(model: SegModel, s: np.ndarray, ws: Workspace) -> tuple[_Layout,
     """Layout, standardized flat input, and bottleneck output for a (B, D, T) batch.
 
     The batch is cast to the parameter dtype first, so the whole pass runs in
-    the model's precision and a float64 caller never promotes a float32 model.
+    the model's precision and a float64 caller never promotes a float32 model;
+    it is standardized straight into the guarded core of the flat input.
     """
     s = np.asarray(s, dtype=model.bneck_w.dtype)
     if s.ndim != 3 or s.shape[1] != model.d:
         raise DimensionError(f"expected batch shape (B, {model.d}, T), got {s.shape}")
     lay = _Layout(s.shape[0], s.shape[2], max(model.dilations))
-    std = np.subtract(s, INPUT_CENTER, out=ws.take("s_std", s.shape, s.dtype))
-    std *= np.asarray(1.0 / INPUT_SCALE, dtype=s.dtype)
     s_flat = ws.take("s_flat", (model.d, lay.n), s.dtype)
     lay.zero_guards(s_flat)
-    lay.core(s_flat)[...] = std.transpose(1, 0, 2)
+    std = np.subtract(s.transpose(1, 0, 2), INPUT_CENTER, out=lay.core(s_flat))
+    std *= np.asarray(1.0 / INPUT_SCALE, dtype=s.dtype)
     x = np.matmul(model.bneck_w, s_flat, out=ws.take("bneck", (model.channels, lay.n), s.dtype))
     x += model.bneck_b[:, None]
     lay.zero_guards(x)
@@ -321,42 +321,34 @@ def _bottleneck(model: SegModel, s: np.ndarray, ws: Workspace) -> tuple[_Layout,
 def encode(model: SegModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward-only pass over a (B, D, T) batch: H (B, K, T) and logits (B, C, T).
 
-    The inference entry point.  It keeps only the residual stream, the
-    current layer output and the skip sum; ``_forward_cache`` computes the
-    same values bit for bit but also keeps what the backward pass reads.
+    The inference entry point: ``_forward_cache`` without the cache, on a
+    workspace of its own that is dropped on return.
     """
-    lay, _, x = _bottleneck(model, s, Workspace())
-    skip = np.zeros_like(x)
-    for b in range(model.n_blocks):
-        v = x
-        for l, dil in enumerate(model.dilations):
-            v = _dconv_forward(v, model.conv_w[b][l], model.conv_b[b][l], dil, lay)
-            np.maximum(v, 0.0, out=v)
-        v += x
-        x = v
-        skip += x
-    h_flat = model.out_w @ skip
-    h_flat += model.out_b[:, None]
-    lay.zero_guards(h_flat)
-    np.maximum(h_flat, 0.0, out=h_flat)
-    return lay.to_batch(h_flat), lay.to_batch(model.theta @ h_flat)
+    out = _forward_cache(model, s, keep=False)
+    lay = out["layout"]
+    return lay.to_batch(out["h_flat"]), lay.to_batch(out["logits_flat"])
 
 
-def _forward_cache(model: SegModel, s: np.ndarray, ws: Workspace | None = None) -> dict:
-    """Training forward over a (B, D, T) batch, keeping what the backward pass reads.
-
-    Every full-width array lives in ``ws`` (a fresh workspace when None).  The
-    cache holds each conv layer's input and post-ReLU output (the backward
-    mask ``act > 0`` equals ``pre > 0`` bit for bit), the block outputs, the
-    skip sum, the head's pre-activation, and flat H and logits
-    (``layout.to_batch`` gives their (B, K, T) and (B, C, T) forms).
+def _forward_cache(model: SegModel, s: np.ndarray, ws: Workspace | None = None, keep: bool = True) -> dict:
+    """The forward pass over a (B, D, T) batch: its layout, flat H and flat logits
+    (``layout.to_batch`` gives their (B, K, T) and (B, C, T) forms), and with
+    ``keep`` what the backward pass reads.  Every full-width array lives in
+    ``ws`` (a fresh workspace when None).
     """
     ws = Workspace() if ws is None else ws
     lay, s_flat, x = _bottleneck(model, s, ws)
-    dtype, c, n = x.dtype, model.channels, lay.n
-    layer_acts = ws.take("acts", (model.n_blocks, len(model.dilations), c, n), dtype)
-    block_outs = ws.take("blocks", (model.n_blocks, c, n), dtype)
-    tap = ws.take("tap", (c * n,), dtype)
+    dtype, c, n, depth = x.dtype, model.channels, lay.n, len(model.dilations)
+    if keep:
+        tap = ws.take("tap", (c * n,), dtype)
+        acts = ws.take("acts", (model.n_blocks, depth, c, n), dtype)
+        # each block's output is the next block's input; the last one only feeds
+        # the skip sum, so it goes into the tap scratch its block has spent
+        outs = [*ws.take("blocks", (model.n_blocks - 1, c, n), dtype), tap.reshape(c, n)]
+    else:  # the spent flat input is the tap scratch, and the residual stream is added to in place
+        tap = ws.take("s_flat", (c * n,), dtype)
+        pair = ws.take("acts", (2, c, n), dtype)
+        acts = [[pair[l % 2] for l in range(depth)]] * model.n_blocks
+        outs = [x] * model.n_blocks
     skip = ws.take("skip", (c, n), dtype)
     skip.fill(0)
     layer_inputs = []
@@ -365,22 +357,21 @@ def _forward_cache(model: SegModel, s: np.ndarray, ws: Workspace | None = None) 
         inputs_b = []
         for l, dil in enumerate(model.dilations):
             inputs_b.append(v)
-            v = _dconv_forward(v, model.conv_w[b][l], model.conv_b[b][l], dil, lay,
-                               out=layer_acts[b, l], tmp=tap)
+            v = _dconv_forward(v, model.conv_w[b][l], model.conv_b[b][l], dil, lay, out=acts[b][l], tmp=tap)
             np.maximum(v, 0.0, out=v)
-        x = np.add(u, v, out=block_outs[b])
+        x = np.add(u, v, out=outs[b])
         skip += x
         layer_inputs.append(inputs_b)
-    pre_out = np.matmul(model.out_w, skip, out=ws.take("pre_out", (model.k, n), dtype))
-    pre_out += model.out_b[:, None]
-    lay.zero_guards(pre_out)
-    h_flat = np.maximum(pre_out, 0.0, out=ws.take("h", (model.k, n), dtype))
+    # without the cache H goes over the spent residual stream
+    h_flat = np.matmul(model.out_w, skip, out=ws.take("h" if keep else "bneck", (model.k, n), dtype))
+    h_flat += model.out_b[:, None]
+    lay.zero_guards(h_flat)
+    np.maximum(h_flat, 0.0, out=h_flat)
     logits_flat = np.matmul(model.theta, h_flat, out=ws.take("logits", (model.c, n), dtype))
-    return {
-        "layout": lay, "s_flat": s_flat, "skip": skip, "pre_out": pre_out,
-        "h_flat": h_flat, "logits_flat": logits_flat,
-        "layer_inputs": layer_inputs, "layer_acts": layer_acts,
-    }
+    cache = {"layout": lay, "h_flat": h_flat, "logits_flat": logits_flat}
+    if keep:
+        cache.update(s_flat=s_flat, skip=skip, layer_inputs=layer_inputs, layer_acts=acts)
+    return cache
 
 
 def _backward_from_cache(model: SegModel, cache: dict, g_logits_flat: np.ndarray,
@@ -400,7 +391,7 @@ def _backward_from_cache(model: SegModel, cache: dict, g_logits_flat: np.ndarray
     g_h = np.matmul(model.theta.T, g_logits_flat, out=ws.take("g_h", h_flat.shape, dtype))
     if g_h_extra_flat is not None:
         g_h += g_h_extra_flat
-    mask = np.greater(cache["pre_out"], 0, out=ws.take("mask", h_flat.shape, bool))
+    mask = np.greater(h_flat, 0, out=ws.take("mask", h_flat.shape, bool))  # H's ReLU mask
     g_pre_out = np.multiply(g_h, mask, out=ws.take("g_pre", h_flat.shape, dtype))
     np.matmul(g_pre_out, cache["skip"].T, out=grads.out_w)
     g_pre_out.sum(axis=1, out=grads.out_b)
@@ -447,7 +438,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bce_cells(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+def bce_cells(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-cell BCE from logits as max(z, 0) - z*y + log(1 + exp(-|z|)), which never
     overflows; in the operands' precision, so float32 logits keep a float32 log term."""
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
@@ -464,7 +455,7 @@ def bce_masked(logits: np.ndarray, labels: LabelMatrix) -> float:
     n_cells = int(labels.mask.sum()) * labels.frames
     if n_cells == 0:
         return 0.0
-    return float(_bce_cells(logits[labels.mask], labels.values[labels.mask]).sum() / n_cells)
+    return float(bce_cells(logits[labels.mask], labels.values[labels.mask]).sum() / n_cells)
 
 
 def save_model(model: SegModel, path) -> None:

@@ -67,7 +67,7 @@ from .evaluate import F1Report, accumulate_counts, decide_frames
 from .frontend import (SAMPLE_RATE, STFT_BLOCK_FRAMES, FeatureSequence, FrontendSettings, featurize,
                        frame_count, frame_magnitudes, read_features, read_wav)
 from .labels import HOP_TOLERANCE, label_matrix_from_range, read_label_file
-from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, _bce_cells,
+from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, bce_cells,
                       _forward_cache, bce_masked, encode, sigmoid)
 from .nmf import Dictionary, SnmfConfig, train_snmf
 from .optim import adam_step, init_adam
@@ -211,13 +211,12 @@ def split_rows(manifest: Manifest, split: str) -> list:
     return rows
 
 
-def load_split(manifest: Manifest, split: str, settings: FrontendSettings,
-               with_spect: bool = True) -> list[ClipData]:
-    """Every clip of a split, held at once; for stages that revisit clips.
+def load_split(manifest: Manifest, split: str, settings: FrontendSettings) -> list[ClipData]:
+    """Every clip of a split without its target, held at once; for stages that revisit clips.
 
     The clips load on the ``parallel`` pool, in manifest order.
     """
-    return parallel.map(lambda row: load_clip(manifest, row, settings, with_spect),
+    return parallel.map(lambda row: load_clip(manifest, row, settings, with_spect=False),
                         split_rows(manifest, split))
 
 
@@ -299,7 +298,7 @@ def _batch_loss(model: SegModel, feats: np.ndarray, targets: ReconTargets | None
     annotated = np.stack([lab.mask for lab in labels], axis=1)[:, :, None]  # (C, B, 1)
     y = np.stack([lab.values for lab in labels], axis=1)
     n_cells = np.maximum(annotated.sum(axis=0) * lay.t, 1)  # (B, 1), 1 for an all-masked sample
-    cells = np.where(annotated, _bce_cells(z, y), 0.0)
+    cells = np.where(annotated, bce_cells(z, y), 0.0)
     bce_total = float((cells.sum(axis=(0, 2)) / n_cells[:, 0]).sum())
     # in this order, at B = 1, the gradient is bit-equal to the
     # excluded-class computation that acceptance criterion 4 rebuilds
@@ -426,7 +425,7 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
     w = None if cfg.beta == 0.0 else check_dictionary(model.w_ref, settings,
                                                        f"the reconstruction loss (beta = {cfg.beta:g})")
     train_clips = _load_train_clips(manifest, settings, w)
-    dev_clips = load_split(manifest, "dev", settings, with_spect=False)
+    dev_clips = load_split(manifest, "dev", settings)
     segments = build_segments(train_clips, cfg.segment_seconds)
     if not segments:
         raise ConfigError(f"train split yields no segments: every clip is shorter than "

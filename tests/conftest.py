@@ -6,6 +6,7 @@ import pytest
 from nmfseg.corpus import CorpusSpec, generate_corpus
 from nmfseg.network import SegModel, _dconv_forward, _forward_cache, init_model
 from nmfseg.nmf import Dictionary, normalize_columns
+from nmfseg.training import load_clip, split_rows
 
 
 def make_tiny_model(seed=3, d=8, k=12, c=4, channels=8, f=20, dict_seed=7):
@@ -36,22 +37,35 @@ def assert_views_of_flat(model: SegModel) -> None:
         assert arr.shape == view.shape and arr.ctypes.data == view.ctypes.data, name
 
 
+def load_split_with_targets(manifest, split: str, settings) -> list:
+    """Every clip of a split with its float32 reconstruction target, one
+    ``load_clip`` per row; ``load_split`` loads features and labels alone."""
+    return [load_clip(manifest, row, settings, with_spect=True) for row in split_rows(manifest, split)]
+
+
 def _conv_pres(model: SegModel, cache: dict) -> list:
     """Each conv layer's (C, B, T) pre-activation, [block][layer].
 
     The forward cache keeps post-ReLU outputs only; re-running each layer on
     its cached input gives the pre-activation bit for bit.
     """
-    lay = cache["layout"]
-    return [[lay.core(_dconv_forward(cache["layer_inputs"][b][l], model.conv_w[b][l],
-                                     model.conv_b[b][l], dil, lay))
+    lay, skip = cache["layout"], cache["skip"]
+    return [[lay.core(_dconv_forward(cache["layer_inputs"][b][l], model.conv_w[b][l], model.conv_b[b][l],
+                                     dil, lay, out=np.empty_like(skip), tmp=np.empty(skip.size, skip.dtype)))
              for l, dil in enumerate(model.dilations)] for b in range(model.n_blocks)]
+
+
+def _head_pre(model: SegModel, cache: dict) -> np.ndarray:
+    """The head's (K, B, T) pre-activation, recomputed from the cached skip sum."""
+    pre = model.out_w @ cache["skip"]
+    pre += model.out_b[:, None]
+    return cache["layout"].core(pre)
 
 
 def _min_pre_margin(model: SegModel, s: np.ndarray) -> float:
     cache = _forward_cache(model, s)
     pres = [p for block in _conv_pres(model, cache) for p in block]
-    pres.append(cache["layout"].core(cache["pre_out"]))
+    pres.append(_head_pre(model, cache))
     return min(float(np.abs(p).min()) for p in pres)
 
 
@@ -86,7 +100,7 @@ def nudge_away_from_relu_kinks(model: SegModel, s: np.ndarray, margin: float = 2
         for b in range(model.n_blocks):
             for l in range(len(model.dilations)):
                 moved |= _nudge_worst_channel(pres[b][l], model.conv_b[b][l], margin)
-        moved |= _nudge_worst_channel(cache["layout"].core(cache["pre_out"]), model.out_b, margin)
+        moved |= _nudge_worst_channel(_head_pre(model, cache), model.out_b, margin)
         if not moved:
             break
     return _min_pre_margin(model, s)

@@ -98,3 +98,26 @@ def test_train_steps_through_adam_step(small_corpus, monkeypatch):
     model.attach_dictionary(Dictionary(values=w))
     training.train(model, manifest, training.TrainConfig(batch_size=8, epochs=1, seed=0))
     assert segments and len(calls) == -(-len(segments) // 8)
+
+
+def test_inference_goes_through_forward_cache(monkeypatch):
+    """``network.forward.*`` are the spans of ``network._forward_cache``, which
+    the benchmark wraps where ``network`` looks it up, as here.  ``encode``
+    and ``network.forward`` each go through it once, so a traced run sees
+    every inference forward; a loop of their own would drop those spans."""
+    from conftest import make_tiny_model
+    from nmfseg import network
+
+    assert ("network", "_forward_cache") in WRAPPED
+    calls, forward_cache = [], network._forward_cache
+
+    def counting_forward_cache(*args, **kwargs):
+        calls.append(1)
+        return forward_cache(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_forward_cache", counting_forward_cache)
+    model, s = make_tiny_model(), np.zeros((2, 8, 11))
+    network.encode(model, s)
+    assert len(calls) == 1
+    network.forward(model, s[0])
+    assert len(calls) == 2

@@ -135,16 +135,18 @@ class TestPooledStages:
         settings = FrontendSettings()
         _with_workers(monkeypatch, 2)
         pooled = load_split(manifest, "train", settings)
-        sequential = [load_clip(manifest, row, settings) for row in split_rows(manifest, "train")]
+        sequential = [load_clip(manifest, row, settings, with_spect=False)
+                      for row in split_rows(manifest, "train")]
         assert len(pooled) == len(sequential) > 1
         for a, b in zip(pooled, sequential):
             assert a.clip_id == b.clip_id and a.hop == b.hop
-            for name in ("features", "spect", "labels"):
+            assert a.spect is b.spect is None  # load_split loads no targets
+            for name in ("features", "labels"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.clip_id, name)
 
     def test_dev_metrics_equals_sequential_loop(self, small_corpus, monkeypatch):
         _, manifest = small_corpus
-        clips = load_split(manifest, "dev", FrontendSettings(), with_spect=False)
+        clips = load_split(manifest, "dev", FrontendSettings())
         model = init_model(d=80, k=16, c=4, seed=4)
         model.flat = model.flat.astype(np.float32)
         report, bce_sum = F1Report(), 0.0

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_views_of_flat
+from conftest import assert_views_of_flat, load_split_with_targets
 from nmfseg import frontend, parallel, training
 from nmfseg.corpus import HOP_SECONDS, Manifest, ManifestRow
 from nmfseg.errors import ConfigError, DimensionError, FormatError, NumericError
@@ -32,7 +32,7 @@ def trained_setup(small_corpus):
 class TestDataAssembly:
     def test_split_loading_and_alignment(self, trained_setup):
         manifest, settings, _ = trained_setup
-        clips = load_split(manifest, "train", settings)
+        clips = load_split_with_targets(manifest, "train", settings)
         for clip in clips:
             assert clip.features.shape[1] == clip.spect.shape[1] == clip.labels.shape[1]
             assert clip.features.shape[0] == 80
@@ -202,7 +202,7 @@ def _snmf_cfg():
 
 def _reference_dictionary(manifest, settings, max_frames):
     """The codebook as fitted from the whole split: concatenate, normalize, stride."""
-    clips = load_split(manifest, "train", settings)
+    clips = load_split_with_targets(manifest, "train", settings)
     x = np.concatenate([np.asarray(c.spect, dtype=np.float64) for c in clips], axis=1)
     norms = np.linalg.norm(x, axis=0)
     x = x[:, norms > 1e-8] / norms[norms > 1e-8]
@@ -222,7 +222,8 @@ class TestPretrainDictionary:
     @pytest.mark.parametrize("max_frames", [10_000, 400])
     def test_matches_whole_split_reference(self, quiet_corpus, recon_log, max_frames):
         settings = FrontendSettings(recon_log=recon_log)
-        spect = np.concatenate([c.spect for c in load_split(quiet_corpus, "train", settings)], axis=1)
+        clips = load_split_with_targets(quiet_corpus, "train", settings)
+        spect = np.concatenate([c.spect for c in clips], axis=1)
         kept = int(np.sum(np.linalg.norm(spect.astype(np.float64), axis=0) > 1e-8))
         assert 0 < kept < spect.shape[1]  # the silent stretches fall under the floor
         ours = _pretrain(quiet_corpus, settings, max_frames)
@@ -265,7 +266,7 @@ class TestPretrainDictionary:
         clip's target until the frames were picked peaked at 1.28x, and at
         1.79x that with twice the clips."""
         settings = FrontendSettings()
-        target_bytes = sum(c.spect.nbytes for c in load_split(quiet_corpus, "train", settings))
+        target_bytes = sum(c.spect.nbytes for c in load_split_with_targets(quiet_corpus, "train", settings))
         doubled = Manifest(rows=quiet_corpus.rows + [replace(row, clip_id=f"{row.clip_id}b")
                                                      for row in quiet_corpus.rows],
                            root=quiet_corpus.root)
@@ -425,7 +426,7 @@ def test_train_holds_no_split_of_targets(trained_setup, monkeypatch):
     features.  One worker keeps the peak's timing fixed."""
     manifest, settings, dictionary = trained_setup
     monkeypatch.setattr(parallel, "workers", lambda: 1)
-    target_bytes = sum(c.spect.nbytes for c in load_split(manifest, "train", settings))
+    target_bytes = sum(c.spect.nbytes for c in load_split_with_targets(manifest, "train", settings))
     in_flight = max(_peak_traced_bytes(lambda: load_clip(manifest, row, settings))
                     for row in manifest.for_split("train"))
     seen, real_load_split, real_build_segments = {}, training.load_split, training.build_segments
