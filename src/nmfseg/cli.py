@@ -29,7 +29,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .corpus import CLASS_NAMES, generate_corpus, load_manifest
-from .errors import SIZE, UNIT, ConfigError, NmfsegError
+from .errors import SIZE, UNIT, ConfigError, FormatError, NmfsegError, open_text, write_csv, write_json
 from .evaluate import (decide_frames, frames_to_segments, report_to_dict,
                        write_f1_csv, write_f1_json, write_segments)
 from .explain import (component_report, make_record, report_summary,
@@ -79,9 +79,7 @@ def _write_run_log(run: _Run, command: str, cfg: dict, inputs: dict, metrics: di
         "metrics": metrics,
         "artifacts": sorted(str(a) for a in artifacts),
     }
-    with open(run.path(f"{command}.run.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run.path(f"{command}.run.json"), payload)
 
 
 def _cmd_gen_data(args, cfg, run: _Run):
@@ -127,9 +125,7 @@ def _cmd_train(args, cfg, run: _Run):
     model_path = run.path("model.nsm")
     save_model(model, model_path)
     trace_path = run.path("trace.json")
-    with open(trace_path, "w") as fh:
-        json.dump(trace, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(trace_path, trace)
     last = trace[-1]
     metrics = {"best_epoch": last["best_epoch"], "epochs": len(trace),
                "final_dev_macro_f1": last["dev_macro_f1"], "final_dev_bce": last["dev_bce"]}
@@ -273,34 +269,37 @@ def _cmd_ablate_beta(args, cfg, run: _Run):
     recons = [r["recon_per_frame"] for r in rows]
     metrics = {"rows": rows, "recon_non_increasing": all(a >= b for a, b in zip(recons, recons[1:]))}
     out = run.path("ablation.json")
-    with open(out, "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    import csv as csvmod
+    write_json(out, metrics)
     csv_path = run.path("ablation.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csvmod.writer(fh)
-        writer.writerow(["beta", "recon_per_frame"] + [f"f1_{n}" for n in CLASS_NAMES])
-        for r in rows:
-            writer.writerow([f"{r['beta']:g}", f"{r['recon_per_frame']:.6f}"]
-                            + [f"{r['f1'].get(n, float('nan')):.6f}" for n in CLASS_NAMES])
+    write_csv(csv_path, ["beta", "recon_per_frame"] + [f"f1_{n}" for n in CLASS_NAMES],
+              ([f"{r['beta']:g}", f"{r['recon_per_frame']:.6f}"]
+               + [f"{r['f1'].get(n, float('nan')):.6f}" for n in CLASS_NAMES] for r in rows))
     return metrics, [out, csv_path]
+
+
+def _read_run_log(path) -> dict:
+    """A run log's command, config hash and metrics; a file that is not a UTF-8
+    JSON object holding all three raises FormatError naming it."""
+    try:
+        payload = json.load(open_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not JSON: {exc}") from None
+    kinds = {"command": str, "config_hash": str, "metrics": dict}
+    for key, kind in kinds.items():
+        if not (isinstance(payload, dict) and isinstance(payload.get(key), kind)):
+            raise FormatError(f"{path}: not a run log: no {key!r} {kind.__name__}")
+    return {key: payload[key] for key in kinds}
 
 
 def _cmd_report(args, cfg, run: _Run):
     root = Path(args.dir)
-    logs = sorted(root.rglob("*.run.json"))
     summary = []
-    for log in logs:
-        with open(log) as fh:
-            payload = json.load(fh)
-        summary.append({"path": str(log.relative_to(root)), "command": payload["command"],
-                        "config_hash": payload["config_hash"], "metrics": payload["metrics"]})
-        print(f"{payload['command']:14s} {payload['config_hash'][:12]}  {log}")
+    for log in sorted(root.rglob("*.run.json")):
+        entry = _read_run_log(log)
+        summary.append({"path": str(log.relative_to(root)), **entry})
+        print(f"{entry['command']:14s} {entry['config_hash'][:12]}  {log}")
     out = run.path("report.json")
-    with open(out, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out, summary)
     return {"runs": len(summary)}, [out]
 
 

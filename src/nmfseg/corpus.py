@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .errors import ConfigError, FormatError, open_text
+from .errors import ConfigError, FormatError, open_text, write_csv
 from .frontend import SAMPLE_RATE, AudioClip, save_audio
 from .labels import write_label_file
 
@@ -39,6 +39,7 @@ RAMP_MS = 10.0  # fade-in and fade-out of every event
 POLE_BLOCK = 128  # samples per block of ``one_pole``
 # (shortest, longest) event duration in seconds, per class
 DURATIONS = {"speech": (1.0, 3.0), "overlap": (1.0, 2.5), "music": (1.5, 4.0), "noise": (1.0, 3.0)}
+_MANIFEST_HEADER = ["id", "audio", "features", "labels", "split"]  # one column per ManifestRow field
 
 
 @dataclass
@@ -104,11 +105,7 @@ class Manifest:
 
 
 def save_manifest(manifest: Manifest, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "audio", "features", "labels", "split"])
-        for r in manifest.rows:
-            writer.writerow([r.clip_id, r.audio, r.features, r.labels, r.split])
+    write_csv(path, _MANIFEST_HEADER, ([r.clip_id, r.audio, r.features, r.labels, r.split] for r in manifest.rows))
 
 
 def load_manifest(path) -> Manifest:
@@ -116,7 +113,7 @@ def load_manifest(path) -> Manifest:
     rows = []
     reader = csv.reader(open_text(path, newline=""))
     header = next(reader, None)
-    if header != ["id", "audio", "features", "labels", "split"]:
+    if header != _MANIFEST_HEADER:
         raise FormatError(f"{path}: unexpected manifest header {header}")
     for line in reader:
         if len(line) != 5:

@@ -1,9 +1,12 @@
 """Exception types shared across the toolkit, the allowed ranges of configuration
-values, whose violation raises ConfigError, and ``open_text``, every text input's reader."""
+values, whose violation raises ConfigError, ``open_text``, every text input's
+reader, and ``write_json`` and ``write_csv``, every JSON and CSV artifact's writer."""
 
 from __future__ import annotations
 
+import csv
 import io
+import json
 import math
 from typing import Callable, NamedTuple
 
@@ -44,6 +47,7 @@ class Range(NamedTuple):
 
 
 SIZE = Range("an integer >= 1", lambda v: v >= 1)
+WINDOW = Range("an integer >= 2", lambda v: v >= 2)  # a one-sample periodic Hann window is zero
 SEED = Range("an integer >= 0", lambda v: v >= 0)
 NONNEG = Range("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 POSITIVE = Range("finite and > 0", lambda v: math.isfinite(v) and v > 0)
@@ -60,3 +64,18 @@ def open_text(path, error: type[NmfsegError] = FormatError, newline: str | None 
         return io.StringIO(blob.decode("utf-8"), newline=newline)
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: byte {blob[exc.start]:#04x} at offset {exc.start}") from None
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as JSON: two-space indent, sorted keys, one trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path, header: list, rows) -> None:
+    """``header`` and then ``rows`` in ``csv``'s default dialect (``\\r\\n`` line ends)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -8,13 +8,11 @@ annotated frames, with a 95% interval from the normal approximation
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, write_csv, write_json
 from .network import LabelMatrix, sigmoid
 
 
@@ -170,10 +168,7 @@ def report_to_rows(report: F1Report) -> list[list]:
 
 
 def write_f1_csv(report: F1Report, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "f1", "ci95", "N"])
-        writer.writerows(report_to_rows(report))
+    write_csv(path, ["class", "precision", "recall", "f1", "ci95", "N"], report_to_rows(report))
 
 
 def report_to_dict(report: F1Report) -> dict:
@@ -189,6 +184,4 @@ def report_to_dict(report: F1Report) -> dict:
 
 
 def write_f1_json(report: F1Report, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report_to_dict(report))

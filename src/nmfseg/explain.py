@@ -10,13 +10,11 @@ and how compact (few components per sample) the representation is.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, write_csv, write_json
 from .frontend import SAMPLE_RATE
 from .nmf import Dictionary
 
@@ -136,21 +134,15 @@ def component_spectrum(dictionary: Dictionary, k: int, n_fft: int = 512) -> tupl
 
 def write_component_csv(report: ComponentReport, path) -> None:
     """Per-component counts with modular/inactive flags."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "n_active_samples", "modular", "inactive"])
-        for k in range(len(report.n)):
-            writer.writerow([k, int(report.n[k]), int(k in set(report.modular_ids)),
-                             int(k in set(report.inactive_ids))])
+    modular, inactive = set(report.modular_ids), set(report.inactive_ids)
+    write_csv(path, ["component", "n_active_samples", "modular", "inactive"],
+              ([k, int(n), int(k in modular), int(k in inactive)] for k, n in enumerate(report.n)))
 
 
 def write_sample_csv(report: ComponentReport, path) -> None:
     """Per-sample active-component counts with the compactness flag."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "m_active_components", "compact"])
-        for sid, m in zip(report.sample_ids, report.m):
-            writer.writerow([sid, int(m), int(m <= report.compact_limit)])
+    write_csv(path, ["sample", "m_active_components", "compact"],
+              ([sid, int(m), int(m <= report.compact_limit)] for sid, m in zip(report.sample_ids, report.m)))
 
 
 def report_summary(report: ComponentReport) -> dict:
@@ -170,15 +162,9 @@ def report_summary(report: ComponentReport) -> dict:
 
 
 def write_summary_json(report: ComponentReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_summary(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report_summary(report))
 
 
 def write_spectrum_csv(dictionary: Dictionary, k: int, path, n_fft: int = 512) -> None:
     freqs, weights = component_spectrum(dictionary, k, n_fft)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hz", "weight"])
-        for f, w in zip(freqs, weights):
-            writer.writerow([f"{f:.3f}", f"{w:.8f}"])
+    write_csv(path, ["hz", "weight"], ([f"{f:.3f}", f"{w:.8f}"] for f, w in zip(freqs, weights)))

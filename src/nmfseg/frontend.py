@@ -53,6 +53,8 @@ from .errors import ConfigError, DimensionError, FormatError, IngestionError
 
 SAMPLE_RATE = 16000
 LOG_FLOOR = 1e-10
+# a label file's hop, written to 6 decimals, reads back within half a unit there, plus binary rounding
+HOP_TOLERANCE = 0.5e-6 + 1e-12
 
 FEATURE_MAGIC = b"NSF1"
 
@@ -261,13 +263,24 @@ def stft_magnitude(clip: AudioClip, n_fft: int = 512, win_len: int = 400, hop: i
     return Spectrogram(values=mags.T, hop=hop / SAMPLE_RATE)
 
 
+def check_hop(path, hop: float, settings: FrontendSettings) -> None:
+    """A file's frame grid, ``hop`` seconds, is the frontend's, up to ``HOP_TOLERANCE``;
+    any other raises FormatError naming ``path``."""
+    if not abs(hop - settings.hop / SAMPLE_RATE) <= HOP_TOLERANCE:
+        raise FormatError(f"{path}: frames are {hop!r} s apart, but the frontend's hop of "
+                          f"{settings.hop} samples puts them {settings.hop / SAMPLE_RATE!r} s apart")
+
+
 def frame_count(n_samples: int, settings: FrontendSettings) -> int:
     """STFT frames of an ``n_samples`` clip: ``1 + (n_samples - win_len) // hop``.
 
     A clip shorter than one window raises IngestionError, and a window longer
-    than ``n_fft`` or a hop below 1 raises ConfigError.
+    than ``n_fft``, an ``n_fft`` or window below 2 (a one-sample periodic
+    Hann window is zero) or a hop below 1 raises ConfigError.
     """
     win_len, hop = settings.win_len, settings.hop
+    if min(win_len, settings.n_fft) < 2:
+        raise ConfigError(f"n_fft and win_len must be >= 2, got n_fft={settings.n_fft}, win_len={win_len}")
     if win_len > settings.n_fft:
         raise ConfigError(f"win_len {win_len} exceeds n_fft {settings.n_fft}")
     if hop <= 0:
@@ -295,6 +308,12 @@ def frame_magnitudes(samples: np.ndarray, frames, settings: FrontendSettings) ->
     return np.abs(np.fft.rfft(windows * hann_window(win_len), n=settings.n_fft, axis=1))
 
 
+def recon_target(mags: np.ndarray, settings: FrontendSettings) -> np.ndarray:
+    """The float32 reconstruction target of float64 magnitudes |X|: ``log1p |X|``
+    under ``recon_log``, else |X|.  ``mags`` is overwritten."""
+    return (np.log1p(mags, out=mags) if settings.recon_log else mags).astype(np.float32)
+
+
 def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | None = None,
               mel: bool = True, target: bool = False) -> tuple[np.ndarray | None, np.ndarray | None]:
     """``(features, target)`` of a clip, in one blocked pass over its samples.
@@ -303,8 +322,8 @@ def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | Non
     in [-1, 1].  The first ``frames`` STFT frames are computed (all
     ``frame_count`` of them when None).  ``features`` is the float32
     (n_mels, frames) ``log(fb @ |X| + LOG_FLOOR)``, when ``mel`` is set;
-    ``target`` is the float32 (F, frames) reconstruction target |X|, or
-    ``log1p |X|`` under ``recon_log``, when ``target`` is set; it is the
+    ``target`` is the float32 (F, frames) reconstruction target
+    (``recon_target``), when ``target`` is set; it is the
     transpose of a frame-major array, as ``stft_magnitude``'s values are.
     Either is None when not asked for.
 
@@ -347,7 +366,7 @@ def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | Non
             banded += LOG_FLOOR
             features[:, start:stop] = np.log(banded, out=banded)
         if target:
-            spect[start:stop] = np.log1p(mags, out=mags) if settings.recon_log else mags
+            spect[start:stop] = recon_target(mags, settings)
     return features, None if spect is None else spect.T
 
 

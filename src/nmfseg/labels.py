@@ -15,8 +15,6 @@ from .errors import FormatError, open_text
 from .network import LabelMatrix
 
 UNANNOTATED = -1
-# a hop written to 6 decimals reads back within half a unit there, plus binary rounding
-HOP_TOLERANCE = 0.5e-6 + 1e-12
 
 
 # symbol code + 1 -> byte: -1 (unannotated) -> "-", 0 -> "0", 1 -> "1"

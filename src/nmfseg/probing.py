@@ -14,7 +14,6 @@ AM rate); externally supplied audio can be probed through a CSV manifest of
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +22,8 @@ import numpy as np
 
 from . import parallel
 from .corpus import one_pole
-from .errors import FormatError, open_text
-from .frontend import SAMPLE_RATE, AudioClip, FrontendSettings, featurize, read_features, read_wav
+from .errors import FormatError, open_text, write_json
+from .frontend import SAMPLE_RATE, AudioClip, FrontendSettings, check_hop, featurize, read_features, read_wav
 from .network import SegModel, encode
 from .optim import adam_step, init_adam
 
@@ -125,10 +124,7 @@ def result_to_dict(result: ProbeResult) -> dict:
 
 def write_result_json(results: dict, path) -> None:
     """Serialize {task name -> ProbeResult} to JSON."""
-    payload = {name: result_to_dict(res) for name, res in results.items()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {name: result_to_dict(res) for name, res in results.items()})
 
 
 # --- synthetic probe material -----------------------------------------------
@@ -214,7 +210,8 @@ def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=
     without two columns, a label that is not a non-negative integer or not
     below ``class_count``, a file with no rows, and, without
     ``class_count``, labels that cover fewer than two classes raise
-    FormatError naming the file (and the line, for a row).
+    FormatError naming the file (and the line, for a row); so does a
+    feature file off the frontend's hop (``frontend.check_hop``).
     """
     settings = settings or FrontendSettings()
     root = Path(path).parent
@@ -237,7 +234,9 @@ def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=
                               "the probe was trained on")
         src = root / row[0]
         if str(src).endswith(".nsf"):
-            feats = read_features(src).values
+            seq = read_features(src)
+            check_hop(f"{where}: {src}", seq.hop, settings)
+            feats = seq.values
         else:
             feats, _ = featurize(read_wav(src), settings)
         h, _ = encode(model, feats[None])

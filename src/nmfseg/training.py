@@ -38,9 +38,10 @@ which loads, encodes and hands on each clip on the ``parallel`` pool, so two
 clips are in flight and each is dropped once its caller's value is made.
 
 The two ``parallel`` threads are the shards, the clip loads of
-``load_split`` and of ``train``'s split, the dev clips of ``dev_metrics``,
-the two passes of ``pretrain_dictionary`` and the rows of an inference
-stage; ``parallel.map`` holds OpenBLAS at one thread while they run.
+``load_split`` (``train`` loads both its splits through it), the dev clips
+of ``dev_metrics``, the two passes of ``pretrain_dictionary`` and the rows
+of an inference stage; ``parallel.map`` holds OpenBLAS at one thread while
+they run.
 
 Each clip is read once and featurized in one blocked pass
 (``frontend.featurize``), which writes the float32 features and, when asked,
@@ -64,9 +65,9 @@ from .corpus import CLASS_NAMES, Manifest
 from .errors import (NONNEG, POSITIVE, SEED, SIZE, UNIT, ConfigError, DimensionError, FormatError,
                      NumericError)
 from .evaluate import F1Report, accumulate_counts, decide_frames
-from .frontend import (SAMPLE_RATE, STFT_BLOCK_FRAMES, FeatureSequence, FrontendSettings, featurize,
-                       frame_count, frame_magnitudes, read_features, read_wav)
-from .labels import HOP_TOLERANCE, label_matrix_from_range, read_label_file
+from .frontend import (SAMPLE_RATE, STFT_BLOCK_FRAMES, FeatureSequence, FrontendSettings, check_hop,
+                       featurize, frame_count, frame_magnitudes, read_features, read_wav, recon_target)
+from .labels import label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, bce_cells,
                       _forward_cache, bce_masked, encode, sigmoid)
 from .nmf import Dictionary, SnmfConfig, train_snmf
@@ -151,13 +152,6 @@ class TrainSegment:
     labels: LabelMatrix
 
 
-def _check_hop(path, hop: float, settings: FrontendSettings) -> None:
-    """A file's frame grid is the frontend's, up to the rounding of a label file."""
-    if not abs(hop - settings.hop / SAMPLE_RATE) <= HOP_TOLERANCE:
-        raise FormatError(f"{path}: frames are {hop!r} s apart, but the frontend's hop of "
-                          f"{settings.hop} samples puts them {settings.hop / SAMPLE_RATE!r} s apart")
-
-
 def _aligned_samples(manifest: Manifest, row, settings: FrontendSettings
                      ) -> tuple[np.ndarray, FeatureSequence | None, np.ndarray, int]:
     """Read one row's audio and align its frame count with the row's files.
@@ -166,16 +160,16 @@ def _aligned_samples(manifest: Manifest, row, settings: FrontendSettings
     row's feature file (None when the row has none), the label frames, and
     the common frame count ``t``.  The STFT frame count follows from the
     sample count alone, and without a feature file the features have that
-    count too.  Both files must declare the frontend's hop (``_check_hop``).
+    count too.  Both files must declare the frontend's hop (``check_hop``).
     Counts may differ by one frame; more is an error.
     """
     samples = read_wav(manifest.resolve(row.audio))
     frames = frame_count(len(samples), settings)
     feats = read_features(manifest.resolve(row.features)) if row.features else None
     labels, label_hop = read_label_file(manifest.resolve(row.labels))
-    _check_hop(manifest.resolve(row.labels), label_hop, settings)
+    check_hop(manifest.resolve(row.labels), label_hop, settings)
     if feats is not None:
-        _check_hop(manifest.resolve(row.features), feats.hop, settings)
+        check_hop(manifest.resolve(row.features), feats.hop, settings)
 
     lengths = {"features": frames if feats is None else feats.frames,
                "spectrogram": frames, "labels": labels.shape[1]}
@@ -211,13 +205,25 @@ def split_rows(manifest: Manifest, split: str) -> list:
     return rows
 
 
-def load_split(manifest: Manifest, split: str, settings: FrontendSettings) -> list[ClipData]:
-    """Every clip of a split without its target, held at once; for stages that revisit clips.
+def load_split(manifest: Manifest, split: str, settings: FrontendSettings,
+               w: np.ndarray | None = None) -> list[ClipData]:
+    """Every clip of a split, held at once; for stages that revisit clips.
 
-    The clips load on the ``parallel`` pool, in manifest order.
+    The clips load on the ``parallel`` pool, in manifest order.  Without
+    ``w`` no target is computed.  With ``w`` (F, K), each clip's target is
+    reduced to K-space against it in the same call as its load
+    (``reduce_targets``, W^T W formed once), so at most two clips' F x T
+    targets exist at once, and none is kept.
     """
-    return parallel.map(lambda row: load_clip(manifest, row, settings, with_spect=False),
-                        split_rows(manifest, split))
+    gram = None if w is None else w.T @ w  # W is float64, as ``Dictionary`` holds it
+
+    def load(row):
+        clip = load_clip(manifest, row, settings, with_spect=w is not None)
+        if w is not None:
+            clip.target, clip.spect = reduce_targets(w, clip.spect, gram), None
+        return clip
+
+    return parallel.map(load, split_rows(manifest, split))
 
 
 def check_dictionary(dictionary: Dictionary | None, settings: FrontendSettings, use: str) -> np.ndarray:
@@ -234,24 +240,6 @@ def check_dictionary(dictionary: Dictionary | None, settings: FrontendSettings, 
         raise DimensionError(f"the dictionary has {w.shape[0]} frequency bins, but the frontend's "
                              f"n_fft of {settings.n_fft} gives {bins}")
     return w
-
-
-def _load_train_clips(manifest: Manifest, settings: FrontendSettings, w: np.ndarray | None) -> list[ClipData]:
-    """The train split, each clip's target reduced to K-space against ``w``.
-
-    Each row is loaded and reduced in one call on the ``parallel`` pool, so at
-    most two clips' F x T targets exist at once, and none is kept.  W^T W is
-    formed once.  Without ``w`` no target is computed.
-    """
-    gram = None if w is None else w.T @ w  # W is float64, as ``Dictionary`` holds it
-
-    def load(row):
-        clip = load_clip(manifest, row, settings, with_spect=w is not None)
-        if w is not None:
-            clip.target, clip.spect = reduce_targets(w, clip.spect, gram), None
-        return clip
-
-    return parallel.map(load, split_rows(manifest, "train"))
 
 
 def build_segments(clips: list[ClipData], segment_seconds: float) -> list[TrainSegment]:
@@ -424,7 +412,7 @@ def train(model: SegModel, manifest: Manifest, cfg: TrainConfig,
     # without a reconstruction term no target is computed
     w = None if cfg.beta == 0.0 else check_dictionary(model.w_ref, settings,
                                                        f"the reconstruction loss (beta = {cfg.beta:g})")
-    train_clips = _load_train_clips(manifest, settings, w)
+    train_clips = load_split(manifest, "train", settings, w)
     dev_clips = load_split(manifest, "dev", settings)
     segments = build_segments(train_clips, cfg.segment_seconds)
     if not segments:
@@ -498,9 +486,9 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, cfg: Snm
        blocked pass; only its frame norms are kept.  The picked frames
        follow from the norms alone.
     2. Each clip with picked frames is read again, and only those frames'
-       magnitudes are computed (``frontend.frame_magnitudes``), rounded to
-       float32 as ``featurize`` rounds its target, and divided by their
-       norms into the clip's columns of the matrix.
+       magnitudes are computed (``frontend.frame_magnitudes``), made the
+       float32 target by ``frontend.recon_target`` as ``featurize`` makes
+       it, and divided by their norms into the clip's columns of the matrix.
 
     That matrix is the one the whole split, concatenated, normalized and
     strided, would give, bit for bit.
@@ -531,9 +519,8 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, cfg: Snm
         for lo in range(0, len(cols), STFT_BLOCK_FRAMES):
             block = cols[lo:lo + STFT_BLOCK_FRAMES]
             mags = frame_magnitudes(samples, block - starts[i], settings)
-            target = (np.log1p(mags, out=mags) if settings.recon_log else mags).astype(np.float32)
             at = bounds[i] + lo
-            np.divide(target.T, norms[block], out=x[:, at:at + len(block)])
+            np.divide(recon_target(mags, settings).T, norms[block], out=x[:, at:at + len(block)])
 
     parallel.map(fill_columns, range(len(rows)))
     dictionary, _ = train_snmf(x, cfg)

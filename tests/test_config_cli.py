@@ -10,15 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nmfseg
 from nmfseg import cli, parallel, training
 from nmfseg.cli import run_command
-from nmfseg.config import (SCHEMA, config_hash, default_config, parse_config,
-                           serialize_config)
+from nmfseg.config import (SCHEMA, config_hash, default_config, frontend_settings, parse_config,
+                           serialize_config, snmf_config, train_config)
 from nmfseg.corpus import Manifest, ManifestRow, load_manifest
 from nmfseg.errors import ConfigError
-from nmfseg.frontend import FrontendSettings
+from nmfseg.frontend import FrontendSettings, featurize
 from nmfseg.labels import write_label_file
 from nmfseg.network import init_model, load_model, save_model
 from nmfseg.nmf import Dictionary, normalize_columns, save_dictionary
@@ -104,6 +106,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("batch", "0"), ("epochs", "-1"), ("k", "0"), ("channels", "0"), ("dict_iters", "0"),
         ("dict_frames", "0"), ("n_fft", "0"), ("win_len", "0"), ("hop", "0"), ("n_mels", "0"),
+        ("n_fft", "1"), ("win_len", "1"),
         ("probe_epochs", "0"), ("probe_per_class", "0"), ("seed", "-1"),
         ("alpha", "-1"), ("beta", "nan"), ("gamma", "inf"), ("mu", "-0.1"), ("dict_tol", "nan"),
         ("dict_tol", "0"),
@@ -150,6 +153,39 @@ class TestConfig:
         p = tmp_path / "c.cfg"
         p.write_text(serialize_config(cfg))
         assert parse_config(p) == cfg
+
+
+# value pools of the config property, per key type: edge values, values near
+# the defaults, and one value no type takes
+_POOLS = {int: ["-1", "0", "1", "2", "3", "8", "64", "320", "400", "512", "x"],
+          float: ["nan", "inf", "-1", "0", "1e-3", "0.5", "4", "4000", "8000", "9000", "x"]}
+_BOOLS = ["0", "1", "yes", "no", "x"]
+_FRONTEND_KEYS = ["n_fft", "win_len", "hop", "n_mels", "f_min", "f_max", "recon_log"]
+_CLIP = np.random.default_rng(0).uniform(-0.5, 0.5, 1024).astype(np.float32)  # longer than any window
+
+
+def _config_line(key):
+    return st.sampled_from(_POOLS.get(SCHEMA[key][0], _BOOLS)).map(lambda value: f"{key} = {value}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(st.one_of(st.sampled_from(_FRONTEND_KEYS), st.sampled_from(sorted(SCHEMA)))
+                      .flatmap(_config_line), max_size=8))
+@example(lines=["n_fft = 1", "win_len = 1"])
+def test_generated_config_is_refused_or_runs(tmp_path_factory, lines):
+    """A config file either raises ConfigError from ``parse_config``, or builds
+    the frontend, training and SNMF settings and featurizes a short clip,
+    raising nothing but ConfigError; the features and target it gives are finite."""
+    p = tmp_path_factory.getbasetemp() / "generated.cfg"
+    p.write_text("".join(f"{line}\n" for line in lines))
+    try:
+        cfg = parse_config(p)
+        train_config(cfg)
+        snmf_config(cfg)
+        features, target = featurize(_CLIP, frontend_settings(cfg), target=True)
+    except ConfigError:
+        return
+    assert np.isfinite(features).all() and np.isfinite(target).all()
 
 
 class TestCliHappyPaths:
@@ -220,6 +256,26 @@ class TestCliHappyPaths:
         assert run_command(["report", "--dir", str(out), "--out", str(rep_out)]) == 0
         summary = json.loads((rep_out / "report.json").read_text())
         assert {entry["command"] for entry in summary} >= {"gen-data", "pretrain-dict", "train"}
+
+
+class TestReportRefusesMalformedLogs:
+    @pytest.mark.parametrize("blob, named", [
+        (b"{}", "'command'"), (b"[]", "'command'"), (b'{"command": "train"}', "'config_hash'"),
+        (b'{"command": "train", "config_hash": "ab", "metrics": 3}', "'metrics'"),
+        (b'{"command": ', "not JSON"), (b'{"command": "tr\xffin"}', "not UTF-8"),
+    ])
+    def test_exits_1_naming_the_file(self, tmp_path, capsys, blob, named):
+        """A log next to a good one stops ``report`` with one error line naming
+        the file (and the missing key), and no report is written."""
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "a.run.json").write_text(json.dumps({"command": "eval", "config_hash": "cd", "metrics": {}}))
+        (logs / "b.run.json").write_bytes(blob)
+        out = tmp_path / "rep"
+        assert run_command(["report", "--dir", str(logs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(logs / "b.run.json") in err and named in err, err
+        assert not (out / "report.json").exists()
 
 
 class TestExplainChoice:

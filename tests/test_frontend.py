@@ -409,6 +409,11 @@ class TestFeaturize:
             featurize(np.zeros(1000), FrontendSettings(n_fft=256, win_len=400))
         with pytest.raises(ConfigError):
             featurize(np.zeros(1000), FrontendSettings(hop=0))
+        # a one-sample periodic Hann window is zero; at n_fft = 1 the filterbank would divide by zero
+        for n_fft, win_len in ((1, 1), (2, 1), (512, 1)):
+            with pytest.raises(ConfigError, match="n_fft and win_len must be >= 2"):
+                featurize(np.ones(1000), FrontendSettings(n_fft=n_fft, win_len=win_len),
+                          mel=False, target=True)
 
 
 class TestFrameMagnitudes:

@@ -1,5 +1,6 @@
-"""Every name an ``nmfseg`` module imports is used in that module, and no
-module imports another's private name.
+"""Every name an ``nmfseg`` module imports is used in that module, no
+module imports another's private name, and only ``errors.py`` writes JSON
+or CSV.
 
 No linter runs on the package, so this walks each module's syntax tree: a
 name bound by ``import`` or ``from ... import`` that the module never reads,
@@ -7,7 +8,9 @@ in code or in a quoted annotation, fails.  ``__init__.py`` is exempt, since
 its imports are the package's re-exports.  An underscore name imported from
 another ``nmfseg`` module fails too, unless the benchmark wraps it
 (``perfbench/layers.WRAPS``, read here): the benchmark patches those names
-where they are looked up, so they keep their names until it stops.
+where they are looked up, so they keep their names until it stops.  A call
+of ``json.dump`` or ``csv.writer``, under any import alias, fails outside
+``errors.py``, whose ``write_json`` and ``write_csv`` fix the artifact layout.
 """
 
 import ast
@@ -94,3 +97,47 @@ def test_module_uses_every_import(module):
     assert len(MODULES) >= 10
     unused = unused_imports((SRC / module).read_text(encoding="utf-8"))
     assert not unused, f"src/nmfseg/{module} imports {unused} and never uses them"
+
+
+WRITERS = {("json", "dump"), ("csv", "writer")}
+
+
+def writer_calls(source: str) -> list[tuple[int, str]]:
+    """``(line, "json.dump" or "csv.writer")`` of each call of either in
+    ``source``, through any import alias, in source order."""
+    tree = ast.parse(source)
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update((alias.asname or alias.name, (node.module, alias.name)) for alias in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            called = (modules.get(func.value.id), func.attr)
+        else:
+            called = names.get(func.id) if isinstance(func, ast.Name) else None
+        if called in WRITERS:
+            found.append((node.lineno, ".".join(called)))
+    return sorted(found)
+
+
+def test_finds_writer_calls():
+    source = ("import json, csv as c\nfrom json import dump as d\njson.dump(x, fh)\nc.writer(fh)\n"
+              "d(x, fh)\njson.dumps(x)\nc.reader(fh)\njson.load(fh)\ncsv.writer(fh)\ndump(x)\n")
+    assert writer_calls(source) == [(3, "json.dump"), (4, "csv.writer"), (5, "json.dump")]
+
+
+def test_errors_holds_the_one_writer_of_each_kind():
+    assert [name for _, name in writer_calls((SRC / "errors.py").read_text(encoding="utf-8"))] == [
+        "json.dump", "csv.writer"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "errors.py"])
+def test_module_writes_json_and_csv_through_errors(module):
+    calls = writer_calls((SRC / module).read_text(encoding="utf-8"))
+    assert not calls, f"src/nmfseg/{module} calls {calls}; use errors.write_json or errors.write_csv"

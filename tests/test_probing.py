@@ -119,6 +119,15 @@ class TestProbeManifest:
             load_probe_manifest(make_tiny_model(), path)
         assert str(path) in str(info.value)
 
+    def test_feature_file_off_the_frontend_hop_raises_format_error(self, tmp_path):
+        """A feature row is checked against the frontend's hop, as ``load_clip``
+        checks a manifest row's feature file."""
+        path = self._write(tmp_path, ["f0.nsf,0", "f1.nsf,1", "f2.nsf,0"])
+        write_features(FeatureSequence(values=np.zeros((8, 6)), hop=0.01), tmp_path / "f1.nsf")
+        with pytest.raises(FormatError, match="0.01 s apart") as info:
+            load_probe_manifest(make_tiny_model(), path)
+        assert f"{path}: line 2: {tmp_path / 'f1.nsf'}" in str(info.value)
+
     def test_eval_task_takes_the_training_class_count(self, tmp_path):
         path = self._write(tmp_path, ["f0.nsf,0", "f1.nsf,1", "f2.nsf,0"])
         assert load_probe_manifest(make_tiny_model(), path, class_count=3).class_count == 3
