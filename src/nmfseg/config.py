@@ -3,8 +3,8 @@
 A config file holds one ``key = value`` pair per line ('#' starts a comment).
 Every key has a typed default and an allowed range; unknown keys and values
 outside their range are rejected.  So are frontend settings that no STFT or
-mel filterbank accepts: ``n_fft`` or ``win_len`` below 2, ``win_len`` above
-``n_fft``, or band limits outside
+mel filterbank accepts: ``n_fft`` or ``win_len`` below 2, an odd ``n_fft``,
+``win_len`` above ``n_fft``, or band limits outside
 ``0 <= f_min < f_max <= 8000`` (the Nyquist frequency); ``gen-data``
 also refuses a ``hop`` off its 0.02-s label grid.  The
 resolved configuration (defaults plus overrides) is what runs, what lands in
@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 
 from .corpus import HOP_SECONDS, CorpusSpec
-from .errors import BOOL, NONNEG, POSITIVE, SIZE, WINDOW, ConfigError, open_text
+from .errors import BOOL, FFT_SIZE, NONNEG, POSITIVE, SIZE, WINDOW, ConfigError, open_text
 from .frontend import HOP_TOLERANCE, SAMPLE_RATE, FrontendSettings
 from .nmf import SNMF_RANGES, SnmfConfig
 from .training import TRAIN_RANGES, TrainConfig
@@ -55,7 +55,7 @@ SCHEMA = {
     "dict_tol": (float, 1e-5, SNMF_RANGES["rel_tol"]),
     "dict_frames": (int, 3000, SIZE),
     # frontend
-    "n_fft": (int, 512, WINDOW),
+    "n_fft": (int, 512, FFT_SIZE),
     "win_len": (int, 400, WINDOW),
     "hop": (int, 320, SIZE),
     "n_mels": (int, 80, SIZE),

@@ -48,6 +48,8 @@ class Range(NamedTuple):
 
 SIZE = Range("an integer >= 1", lambda v: v >= 1)
 WINDOW = Range("an integer >= 2", lambda v: v >= 2)  # a one-sample periodic Hann window is zero
+# the mel filterbank of an odd n_fft would be laid out for n_fft - 1
+FFT_SIZE = Range("an even integer >= 2", lambda v: v >= 2 and v % 2 == 0)
 SEED = Range("an integer >= 0", lambda v: v >= 0)
 NONNEG = Range("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 POSITIVE = Range("finite and > 0", lambda v: math.isfinite(v) and v > 0)

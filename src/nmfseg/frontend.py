@@ -8,7 +8,11 @@ small RIFF/WAVE codec that accepts one subset: little-endian ``RIFF``,
 ``fmt `` chunk.  Unknown chunks such as ``LIST`` are skipped, with the pad
 byte after an odd-sized chunk.  Every other file (RIFX, RF64, other codecs,
 bit depths, rates or channel counts, truncated or chunk-less files) raises
-``IngestionError``.  The writer emits 32-bit float only, in the same bytes
+``IngestionError``.  ``read_wav`` checks a file by seeking from chunk header
+to chunk header, and returns a ``WavSamples``: the ``data`` chunk's sample
+count and type, and reads of contiguous sample ranges from disk when they
+are asked for, so no reader holds a clip's bytes unless it asks for all of
+them.  The writer emits 32-bit float only, in the same bytes
 as ``scipy.io.wavfile.write``: an 18-byte ``fmt `` chunk (``cbSize`` = 0), a
 ``fact`` chunk, then ``data``.
 
@@ -19,14 +23,16 @@ hop=320 at 16 kHz) give 257 frequency bins on a 20 ms frame grid.
 
 ``featurize`` is the frontend every stage runs: one pass over a clip's
 samples as the WAV stores them (``read_wav``), ``STFT_BLOCK_FRAMES`` frames at
-a time.  Each block's samples are widened to float64, windowed and
-transformed, and the block's magnitudes are written straight into the
-preallocated float32 log-mel features and, when asked for, the float32
-reconstruction target.  So neither a whole float64 waveform (15.4 MB for a
-120-s clip) nor a whole spectrogram (12.3 MB) exists: besides the WAV's own
-bytes, the pass holds the clip's 1.9 MB of features and about 3 MB of
-float64 block temporaries (samples, windowed frames, complex spectrum and
-magnitudes of 256 frames).  ``load_audio``, ``stft_magnitude`` and
+a time.  Each block's samples are read from disk once, checked, widened to
+float64, windowed and transformed, and the block's magnitudes are written
+straight into the preallocated float32 log-mel features and, when asked
+for, the float32 reconstruction target.  So neither the WAV's bytes (7.7 MB
+for a 120-s float32 clip), a whole float64 waveform (15.4 MB) nor a whole
+spectrogram (12.3 MB) exists: the pass holds the clip's 1.9 MB of features,
+one block's stored samples (0.3 MB) and about 3 MB of float64 block
+temporaries (samples, windowed frames, complex spectrum and magnitudes of
+256 frames).  Asked for neither features nor a target, it only checks the
+samples.  ``load_audio``, ``stft_magnitude`` and
 ``log_mel`` are the same steps over whole arrays; tests compare ``featurize``
 against them.
 
@@ -44,6 +50,7 @@ little-endian f32 values stored frame by frame (column-major).
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -155,52 +162,81 @@ def load_audio(path) -> AudioClip:
     Anything else (sample rate, channel layout, codec) is rejected rather
     than converted, and so is a file whose chunks run past its end.
     """
-    return AudioClip(samples=_widen(read_wav(path)))
+    return AudioClip(samples=_widen(np.asarray(read_wav(path))))
 
 
-def read_wav(path) -> np.ndarray:
-    """A 16 kHz mono WAV file's samples as stored: int16 or float32, unscaled
-    and read-only.  The file is checked as ``load_audio`` checks it."""
+class WavSamples:
+    """The samples of a WAV file's ``data`` chunk, read from disk when asked for.
+
+    ``len`` is the sample count and ``dtype`` the stored sample type
+    (little-endian int16 or float32).  ``samples[a:b]`` reads those samples
+    from the file, unscaled and read-only; only contiguous slices are taken.
+    ``np.asarray(samples)`` reads them all.  A file that has lost samples
+    since ``read_wav`` checked it raises IngestionError when they are read.
+    """
+
+    def __init__(self, path, dtype: str, offset: int, count: int):
+        self.path, self.dtype = path, np.dtype(dtype)
+        self._offset, self._count = offset, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError(f"a WAV's samples are read by contiguous slices, not {key!r}")
+        start, stop, _ = key.indices(self._count)
+        width = self.dtype.itemsize
+        want = max(stop - start, 0) * width
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset + start * width)
+            blob = fh.read(want)
+        if len(blob) != want:
+            raise IngestionError(f"truncated WAV {self.path}: {len(blob)} of {want} sample bytes "
+                                 f"at sample {start}")
+        return np.frombuffer(blob, dtype=self.dtype)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        data = self[:]
+        return data if dtype is None else data.astype(dtype)
+
+
+def read_wav(path) -> WavSamples:
+    """A 16 kHz mono WAV file's samples as stored (int16 or float32), read from
+    disk when asked for.  The file's chunks are walked and checked as
+    ``load_audio`` checks them; no sample is read here."""
+    name = str(path)
     with open(path, "rb") as fh:
-        blob = fh.read()
-    return _parse_wav(blob, str(path))
-
-
-def _widen(data: np.ndarray) -> np.ndarray:
-    """Samples as float64: int16 scaled by 1/32768, float taken as is."""
-    if data.dtype.kind == "i":
-        return np.divide(data, 32768.0, dtype=np.float64)
-    return np.asarray(data, dtype=np.float64)
-
-
-def _parse_wav(blob: bytes, name: str) -> np.ndarray:
-    """The samples (int16 or float32) of a 16 kHz mono RIFF/WAVE byte string."""
-    if len(blob) < 12:
-        raise IngestionError(f"unsupported codec in {name}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise IngestionError(f"unsupported codec in {name}: {blob[:4]!r}/{blob[8:12]!r} "
-                             "is not a little-endian RIFF/WAVE file")
-    chunks = {}
-    pos = 12
-    while pos + 8 <= len(blob):
-        chunk_id = blob[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", blob, pos + 4)
-        body = pos + 8
-        if body + size > len(blob):
-            raise IngestionError(f"truncated WAV {name}: {chunk_id!r} chunk declares {size} bytes, "
-                                 f"{len(blob) - body} remain")
-        chunks.setdefault(chunk_id, (body, size))
-        pos = body + size + (size & 1)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12:
+            raise IngestionError(f"unsupported codec in {name}: truncated header ({len(head)} bytes)")
+        if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise IngestionError(f"unsupported codec in {name}: {head[:4]!r}/{head[8:12]!r} "
+                                 "is not a little-endian RIFF/WAVE file")
+        chunks = {}  # id -> (body offset, size, the first 40 body bytes of a 'fmt ' chunk)
+        pos = 12
+        while pos + 8 <= size:
+            fh.seek(pos)
+            chunk_id, chunk_size = struct.unpack("<4sI", _read_exact(fh, 8, name))
+            body = pos + 8
+            if body + chunk_size > size:
+                raise IngestionError(f"truncated WAV {name}: {chunk_id!r} chunk declares {chunk_size} bytes, "
+                                     f"{size - body} remain")
+            if chunk_id not in chunks:
+                fmt = _read_exact(fh, min(chunk_size, 40), name) if chunk_id == b"fmt " else b""
+                chunks[chunk_id] = (body, chunk_size, fmt)
+            pos = body + chunk_size + (chunk_size & 1)
     for required in (b"fmt ", b"data"):
         if required not in chunks:
             raise IngestionError(f"unsupported codec in {name}: no {required.decode()!r} chunk")
 
-    fmt_at, fmt_size = chunks[b"fmt "]
+    _, fmt_size, fmt = chunks[b"fmt "]
     if fmt_size < 16:
         raise IngestionError(f"unsupported codec in {name}: {fmt_size}-byte 'fmt ' chunk")
-    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", blob, fmt_at)
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
     if tag == _WAVE_FORMAT_EXTENSIBLE:
-        guid = blob[fmt_at + 24:fmt_at + 40] if fmt_size >= 40 else b""
+        guid = fmt[24:40] if fmt_size >= 40 else b""
         if not guid.endswith(_KSDATAFORMAT_TAIL):
             raise IngestionError(f"unsupported codec in {name}: "
                                  "malformed WAVE_FORMAT_EXTENSIBLE 'fmt ' chunk")
@@ -214,11 +250,26 @@ def _parse_wav(blob: bytes, name: str) -> np.ndarray:
         raise IngestionError(f"unsupported sample format in {name}: format tag {tag:#06x}, "
                              f"{bits} bits, {block_align}-byte blocks "
                              "(expected 16-bit PCM or 32-bit float)")
-    data_at, data_size = chunks[b"data"]
+    data_at, data_size, _ = chunks[b"data"]
     if data_size % block_align:
         raise IngestionError(f"truncated WAV {name}: {data_size}-byte 'data' chunk "
                              f"is not a whole number of {block_align}-byte samples")
-    return np.frombuffer(blob, dtype=dtype, count=data_size // block_align, offset=data_at)
+    return WavSamples(name, dtype, data_at, data_size // block_align)
+
+
+def _read_exact(fh, n: int, name: str) -> bytes:
+    """``n`` bytes from ``fh``; fewer (the file shrank while it was read) raise IngestionError."""
+    blob = fh.read(n)
+    if len(blob) != n:
+        raise IngestionError(f"truncated WAV {name}: read {len(blob)} of {n} bytes")
+    return blob
+
+
+def _widen(data: np.ndarray) -> np.ndarray:
+    """Samples as float64: int16 scaled by 1/32768, float taken as is."""
+    if data.dtype.kind == "i":
+        return np.divide(data, 32768.0, dtype=np.float64)
+    return np.asarray(data, dtype=np.float64)
 
 
 def save_audio(clip: AudioClip, path) -> None:
@@ -276,11 +327,15 @@ def frame_count(n_samples: int, settings: FrontendSettings) -> int:
 
     A clip shorter than one window raises IngestionError, and a window longer
     than ``n_fft``, an ``n_fft`` or window below 2 (a one-sample periodic
-    Hann window is zero) or a hop below 1 raises ConfigError.
+    Hann window is zero), an odd ``n_fft`` (the mel filterbank is laid out
+    for ``2 * (n_fft // 2)``, the size ``Spectrogram.n_fft`` reads back) or a
+    hop below 1 raises ConfigError.
     """
     win_len, hop = settings.win_len, settings.hop
     if min(win_len, settings.n_fft) < 2:
         raise ConfigError(f"n_fft and win_len must be >= 2, got n_fft={settings.n_fft}, win_len={win_len}")
+    if settings.n_fft % 2:
+        raise ConfigError(f"n_fft must be even, got n_fft={settings.n_fft}")
     if win_len > settings.n_fft:
         raise ConfigError(f"win_len {win_len} exceeds n_fft {settings.n_fft}")
     if hop <= 0:
@@ -290,21 +345,26 @@ def frame_count(n_samples: int, settings: FrontendSettings) -> int:
     return 1 + (n_samples - win_len) // hop
 
 
-def frame_magnitudes(samples: np.ndarray, frames, settings: FrontendSettings) -> np.ndarray:
+def frame_magnitudes(samples: np.ndarray | WavSamples, frames, settings: FrontendSettings) -> np.ndarray:
     """``|rfft|`` of some STFT frames of a clip: float64, (number of frames, F).
 
-    ``frames`` is a ``slice(start, stop)`` of consecutive frames or an
-    integer array of frame indices, each below ``frame_count``.  The
-    frames' samples are widened to float64 as ``load_audio`` widens them,
-    Hann-windowed, and transformed one frame per row, so a frame's
-    magnitudes do not depend on which other frames are asked for with it.
+    ``samples`` is an array or a ``WavSamples``; only the samples from the
+    first frame's to the last frame's are read.  ``frames`` is a
+    ``slice(start, stop)`` of consecutive frames or an integer array of
+    frame indices, each below ``frame_count``.  The frames' samples are
+    widened to float64 as ``load_audio`` widens them, Hann-windowed, and
+    transformed one frame per row, so a frame's magnitudes do not depend on
+    which other frames are asked for with it.
     """
     win_len, hop = settings.win_len, settings.hop
     if isinstance(frames, slice):  # consecutive frames overlap: widen each sample once
         block = _widen(samples[frames.start * hop:(frames.stop - 1) * hop + win_len])
         windows = np.lib.stride_tricks.sliding_window_view(block, win_len)[::hop]
     else:
-        windows = _widen(np.lib.stride_tricks.sliding_window_view(samples, win_len)[np.asarray(frames) * hop])
+        frames = np.asarray(frames)
+        first = frames.min()
+        span = samples[first * hop:frames.max() * hop + win_len]
+        windows = _widen(np.lib.stride_tricks.sliding_window_view(span, win_len)[(frames - first) * hop])
     return np.abs(np.fft.rfft(windows * hann_window(win_len), n=settings.n_fft, axis=1))
 
 
@@ -314,24 +374,25 @@ def recon_target(mags: np.ndarray, settings: FrontendSettings) -> np.ndarray:
     return (np.log1p(mags, out=mags) if settings.recon_log else mags).astype(np.float32)
 
 
-def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | None = None,
+def featurize(samples: np.ndarray | WavSamples, settings: FrontendSettings, frames: int | None = None,
               mel: bool = True, target: bool = False) -> tuple[np.ndarray | None, np.ndarray | None]:
     """``(features, target)`` of a clip, in one blocked pass over its samples.
 
-    ``samples`` are int16 or float32 as ``read_wav`` returns them, or float64
-    in [-1, 1].  The first ``frames`` STFT frames are computed (all
+    ``samples`` are int16 or float32 as ``read_wav`` reads them, or an array
+    of float64 in [-1, 1].  The first ``frames`` STFT frames are computed (all
     ``frame_count`` of them when None).  ``features`` is the float32
     (n_mels, frames) ``log(fb @ |X| + LOG_FLOOR)``, when ``mel`` is set;
     ``target`` is the float32 (F, frames) reconstruction target
     (``recon_target``), when ``target`` is set; it is the
     transpose of a frame-major array, as ``stft_magnitude``'s values are.
-    Either is None when not asked for.
+    Either is None when not asked for; when neither is, no frame is
+    transformed, and the samples are only checked.
 
-    Per block of ``STFT_BLOCK_FRAMES`` frames, the block's samples are
-    widened to float64 as ``load_audio`` widens them, and windowed and
-    transformed as ``stft_magnitude`` does it.  A non-finite float sample
-    raises IngestionError; the blocks' checks cover every sample, the ones
-    after the last frame included.  Every FFT, ``log`` and ``log1p`` is
+    Per block of ``STFT_BLOCK_FRAMES`` frames, the block's samples are read
+    once, checked, widened to float64 as ``load_audio`` widens them, and
+    windowed and transformed as ``stft_magnitude`` does it.  A non-finite
+    float sample raises IngestionError; the checks cover every sample, the
+    ones after the last frame included.  Every FFT, ``log`` and ``log1p`` is
     elementwise, so the target equals the whole-clip one bit for bit.  The
     float64 mel product of a block can differ in its last bit from the
     whole-clip product, because OpenBLAS picks its kernels by the frame
@@ -354,19 +415,28 @@ def featurize(samples: np.ndarray, settings: FrontendSettings, frames: int | Non
         # the n_fft that Spectrogram.n_fft reads back from the bin count, as log_mel uses it
         fb = mel_filterbank(settings.n_mels, 2 * (n_bins - 1), settings.f_min, f_max)
     check = samples.dtype.kind == "f"
+    if not (check or mel or target):
+        return None, None
     for start in range(0, frames, STFT_BLOCK_FRAMES):
         stop = min(start + STFT_BLOCK_FRAMES, frames)
-        lo, hi = start * hop, (stop - 1) * hop + win_len
-        # up to the next block's first sample, and to the clip's end after the last block
-        if check and not np.isfinite(samples[lo:max(hi, stop * hop) if stop < frames else n]).all():
+        # the block's frames, and the samples up to the next block's first one
+        block = samples[start * hop:max((stop - 1) * hop + win_len, stop * hop)]
+        if check and not np.isfinite(block).all():
             raise IngestionError("non-finite samples")
-        mags = frame_magnitudes(samples, slice(start, stop), settings)  # (frames, F)
+        if not (mel or target):
+            continue
+        mags = frame_magnitudes(block, slice(0, stop - start), settings)  # (frames, F)
         if mel:
             banded = fb @ mags.T
             banded += LOG_FLOOR
             features[:, start:stop] = np.log(banded, out=banded)
         if target:
             spect[start:stop] = recon_target(mags, settings)
+    # and the samples after the last block's, in block-sized reads
+    step = STFT_BLOCK_FRAMES * hop
+    for lo in range(max((frames - 1) * hop + win_len, frames * hop), n if check else 0, step):
+        if not np.isfinite(samples[lo:lo + step]).all():
+            raise IngestionError("non-finite samples")
     return features, None if spect is None else spect.T
 
 

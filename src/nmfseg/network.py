@@ -27,7 +27,13 @@ included): the flat input, each conv layer's input and output, the skip sum,
 H and the logits.  ``encode`` is ``_forward_cache`` without the cache
 (``keep`` false): it holds the flat input, which is the tap scratch once the
 bottleneck has read it, the residual stream, added to in place and then
-overwritten by H, two layer buffers used in turn, and the skip sum.
+overwritten by H, two layer buffers used in turn, and the skip sum.  It runs
+over pieces of at most ``ENCODE_COLUMNS`` (4,160) guarded columns, all on
+one workspace: short samples in groups, and a longer one in time chunks
+that overlap by twice the receptive field's reach of 93 frames (3 blocks x
+(1+2+4+8+16)).  So its memory beyond the H and logits it returns stays that
+of one 4,160-column pass however long the input, and its output is that of
+one pass over the whole batch, bit for bit.
 ``_backward_from_cache`` carries loss gradients on the logits and on H back
 through the cache, into each parameter's slice of one gradient vector.  Both
 passes write their full-width arrays into a ``Workspace``, so a caller that
@@ -70,6 +76,11 @@ KERNEL = 3
 # part of the architecture, not trained state.
 INPUT_CENTER = -11.5
 INPUT_SCALE = 11.5
+
+# guarded flat columns per ``encode`` forward pass, whatever the batch's B and T.
+# Not 4,096: rows of a power-of-two width alias in the CPU caches, and 4,096-column
+# passes took about 8 % longer per column than 4,160-column ones (float32, 2 vCPUs)
+ENCODE_COLUMNS = 4160
 
 
 @dataclass
@@ -297,6 +308,11 @@ def _dconv_grads(g_pre: np.ndarray, x: np.ndarray, w: np.ndarray, d: int, lay: _
     return g_x
 
 
+def _check_batch(model: SegModel, s: np.ndarray) -> None:
+    if s.ndim != 3 or s.shape[1] != model.d:
+        raise DimensionError(f"expected batch shape (B, {model.d}, T), got {s.shape}")
+
+
 def _bottleneck(model: SegModel, s: np.ndarray, ws: Workspace) -> tuple[_Layout, np.ndarray, np.ndarray]:
     """Layout, standardized flat input, and bottleneck output for a (B, D, T) batch.
 
@@ -305,8 +321,7 @@ def _bottleneck(model: SegModel, s: np.ndarray, ws: Workspace) -> tuple[_Layout,
     it is standardized straight into the guarded core of the flat input.
     """
     s = np.asarray(s, dtype=model.bneck_w.dtype)
-    if s.ndim != 3 or s.shape[1] != model.d:
-        raise DimensionError(f"expected batch shape (B, {model.d}, T), got {s.shape}")
+    _check_batch(model, s)
     lay = _Layout(s.shape[0], s.shape[2], max(model.dilations))
     s_flat = ws.take("s_flat", (model.d, lay.n), s.dtype)
     lay.zero_guards(s_flat)
@@ -321,12 +336,50 @@ def _bottleneck(model: SegModel, s: np.ndarray, ws: Workspace) -> tuple[_Layout,
 def encode(model: SegModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward-only pass over a (B, D, T) batch: H (B, K, T) and logits (B, C, T).
 
-    The inference entry point: ``_forward_cache`` without the cache, on a
-    workspace of its own that is dropped on return.
+    The inference entry point: ``_forward_cache`` without the cache, over
+    pieces of the batch of at most ``ENCODE_COLUMNS`` guarded columns, all on
+    one workspace of its own that is dropped on return.  Consecutive samples
+    are grouped while their T + 2P columns fit; a sample that does not fit
+    alone is cut into time chunks of ``ENCODE_COLUMNS - 2P`` frames that
+    overlap by twice the receptive field's reach of 93 frames (3 blocks x
+    (1+2+4+8+16)).  A chunk keeps only the frames at least 93 from a cut, and
+    they see the input the whole sample gives them.  H and the logits were
+    those of one pass over the whole batch, bit for bit, at every piece width
+    tested (256 to 4,160 columns, at one and two OpenBLAS threads): a GEMM
+    output column's bits did not depend on how many columns it ran with.
+    Each piece's kept frames are written straight into the arrays returned,
+    and memory beyond them stays that of one ``ENCODE_COLUMNS``-wide pass,
+    however long T is.
     """
-    out = _forward_cache(model, s, keep=False)
-    lay = out["layout"]
-    return lay.to_batch(out["h_flat"]), lay.to_batch(out["logits_flat"])
+    s = np.asarray(s)
+    _check_batch(model, s)
+    b, _, t = s.shape
+    h = np.empty((b, model.k, t), model.bneck_w.dtype)
+    logits = np.empty((b, model.c, t), model.bneck_w.dtype)
+    ws = Workspace()
+    for rows, lo, hi, start, stop in _encode_pieces(model, b, t):
+        out = _forward_cache(model, s[rows, :, lo:hi], ws, keep=False)
+        lay, kept = out["layout"], slice(start - lo, stop - lo)
+        h[rows, :, start:stop] = lay.core(out["h_flat"])[:, :, kept].transpose(1, 0, 2)
+        logits[rows, :, start:stop] = lay.core(out["logits_flat"])[:, :, kept].transpose(1, 0, 2)
+    return h, logits
+
+
+def _encode_pieces(model: SegModel, batch: int, frames: int) -> list[tuple[slice, int, int, int, int]]:
+    """``(samples, lo, hi, start, stop)`` of each ``encode`` pass: it runs on frames
+    ``lo:hi`` of those samples and keeps frames ``start:stop``."""
+    pad = max(model.dilations)
+    group = ENCODE_COLUMNS // (frames + 2 * pad)
+    if group:
+        return [(slice(i, i + group), 0, frames, 0, frames) for i in range(0, batch, group)]
+    # every chunk but the last spans the whole width, the first included, so the
+    # first pass sizes the workspace; a chunk keeps its frames reach or more from a cut
+    width = ENCODE_COLUMNS - 2 * pad
+    reach = model.n_blocks * (model.kernel // 2) * sum(model.dilations)
+    step = width - 2 * reach
+    return [(slice(i, i + 1), lo, min(lo + width, frames), lo + reach if lo else 0,
+             lo + width - reach if lo + width < frames else frames)
+            for i in range(batch) for lo in range(0, frames - width + step, step)]
 
 
 def _forward_cache(model: SegModel, s: np.ndarray, ws: Workspace | None = None, keep: bool = True) -> dict:

@@ -43,11 +43,13 @@ of ``dev_metrics``, the two passes of ``pretrain_dictionary`` and the rows
 of an inference stage; ``parallel.map`` holds OpenBLAS at one thread while
 they run.
 
-Each clip is read once and featurized in one blocked pass
-(``frontend.featurize``), which writes the float32 features and, when asked,
-the float32 reconstruction target; no whole float64 waveform or
-spectrogram is held.  ``pretrain_dictionary`` alone reads a clip twice: the
-second time it computes only the frames it factorizes.
+Each clip's audio is read through ``frontend.read_wav``, whose source
+reads samples from disk as they are asked for, and featurized in one blocked
+pass (``frontend.featurize``), which writes the float32 features and, when
+asked, the float32 reconstruction target; no clip's WAV bytes, whole float64
+waveform or spectrogram is held.  ``pretrain_dictionary`` alone reads a clip
+twice: the second time it reads only the samples of the frames it
+factorizes.
 
 Feature, spectrogram, and label frame counts may disagree by at most one
 frame (the STFT drops a partial frame at the clip edge); the surplus frame
@@ -65,8 +67,9 @@ from .corpus import CLASS_NAMES, Manifest
 from .errors import (NONNEG, POSITIVE, SEED, SIZE, UNIT, ConfigError, DimensionError, FormatError,
                      NumericError)
 from .evaluate import F1Report, accumulate_counts, decide_frames
-from .frontend import (SAMPLE_RATE, STFT_BLOCK_FRAMES, FeatureSequence, FrontendSettings, check_hop,
-                       featurize, frame_count, frame_magnitudes, read_features, read_wav, recon_target)
+from .frontend import (SAMPLE_RATE, STFT_BLOCK_FRAMES, FeatureSequence, FrontendSettings, WavSamples,
+                       check_hop, featurize, frame_count, frame_magnitudes, read_features, read_wav,
+                       recon_target)
 from .labels import label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, bce_cells,
                       _forward_cache, bce_masked, encode, sigmoid)
@@ -153,10 +156,11 @@ class TrainSegment:
 
 
 def _aligned_samples(manifest: Manifest, row, settings: FrontendSettings
-                     ) -> tuple[np.ndarray, FeatureSequence | None, np.ndarray, int]:
+                     ) -> tuple[WavSamples, FeatureSequence | None, np.ndarray, int]:
     """Read one row's audio and align its frame count with the row's files.
 
-    Returns ``(samples, feats, labels, t)``: the WAV's samples as stored, the
+    Returns ``(samples, feats, labels, t)``: the WAV's samples as stored
+    (``read_wav``'s source, which has read none of them yet), the
     row's feature file (None when the row has none), the label frames, and
     the common frame count ``t``.  The STFT frame count follows from the
     sample count alone, and without a feature file the features have that
@@ -485,7 +489,8 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, cfg: Snm
        float32 reconstruction target (no log-mel) is computed in one
        blocked pass; only its frame norms are kept.  The picked frames
        follow from the norms alone.
-    2. Each clip with picked frames is read again, and only those frames'
+    2. Each clip with picked frames is read again, from the first to the
+       last picked frame of each block of them, and only those frames'
        magnitudes are computed (``frontend.frame_magnitudes``), made the
        float32 target by ``frontend.recon_target`` as ``featurize`` makes
        it, and divided by their norms into the clip's columns of the matrix.
@@ -497,8 +502,13 @@ def pretrain_dictionary(manifest: Manifest, settings: FrontendSettings, cfg: Snm
 
     def frame_norms(row):
         samples, _, _, t = _aligned_samples(manifest, row, settings)
+        # the kept norms are allocated before the clip's block temporaries: allocated
+        # after them, they sat above them in the pool thread's glibc heap, which then
+        # could not return their pages (+5.6 MB of max RSS on the benchmark's build inputs)
+        norms = np.empty(t)
         _, target = featurize(samples, settings, frames=t, mel=False, target=True)
-        return np.linalg.norm(target.astype(np.float64), axis=0)
+        norms[:] = np.linalg.norm(target.astype(np.float64), axis=0)
+        return norms
 
     clip_norms = parallel.map(frame_norms, rows)
     norms = np.concatenate(clip_norms)

@@ -106,7 +106,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("batch", "0"), ("epochs", "-1"), ("k", "0"), ("channels", "0"), ("dict_iters", "0"),
         ("dict_frames", "0"), ("n_fft", "0"), ("win_len", "0"), ("hop", "0"), ("n_mels", "0"),
-        ("n_fft", "1"), ("win_len", "1"),
+        ("n_fft", "1"), ("win_len", "1"), ("n_fft", "511"),
         ("probe_epochs", "0"), ("probe_per_class", "0"), ("seed", "-1"),
         ("alpha", "-1"), ("beta", "nan"), ("gamma", "inf"), ("mu", "-0.1"), ("dict_tol", "nan"),
         ("dict_tol", "0"),
@@ -119,6 +119,14 @@ class TestConfig:
         p = tmp_path / "c.cfg"
         p.write_text(f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"{key} must be"):
+            parse_config(p)
+
+    @pytest.mark.parametrize("value", ["3", "401", "511"])
+    def test_odd_n_fft_is_refused_naming_it(self, tmp_path, value):
+        """The mel filterbank of an odd n_fft would be laid out for n_fft - 1."""
+        p = tmp_path / "c.cfg"
+        p.write_text(f"n_fft = {value}\nwin_len = 3\n")
+        with pytest.raises(ConfigError, match=f"n_fft must be an even integer >= 2, got {value}"):
             parse_config(p)
 
     @pytest.mark.parametrize("text, key", BAD_FRONTEND)

@@ -27,6 +27,40 @@ def _save(path, samples, fmt):
         _write_wav(path, np.clip(np.round(samples * 32768.0), -32768, 32767))
 
 
+class TestWavSamples:
+    """``read_wav`` checks the file and reads no sample; its source reads
+    contiguous slices of the ``data`` chunk from disk."""
+
+    @pytest.mark.parametrize("fmt, dtype", [("int16", "<i2"), ("float32", "<f4")])
+    def test_slices_are_the_stored_samples(self, tmp_path, fmt, dtype):
+        p = tmp_path / "x.wav"
+        _save(p, np.random.default_rng(5).uniform(-0.9, 0.9, 1000), fmt)
+        source = read_wav(p)
+        whole = np.asarray(source)
+        assert len(source) == len(whole) == 1000 and source.dtype == whole.dtype == np.dtype(dtype)
+        assert whole.tobytes() == wavfile.read(p)[1].tobytes()
+        for key in (slice(0, 7), slice(993, 2000), slice(500, 400), slice(None), slice(-3, None)):
+            part = source[key]
+            assert part.tobytes() == whole[key].tobytes() and not part.flags.writeable
+
+    @pytest.mark.parametrize("key", [3, slice(0, 10, 2), [1, 2]])
+    def test_only_contiguous_slices_are_read(self, tmp_path, key):
+        p = tmp_path / "x.wav"
+        _write_wav(p, np.zeros(100, dtype=np.int16))
+        with pytest.raises(TypeError, match="contiguous slices"):
+            read_wav(p)[key]
+
+    def test_samples_lost_after_the_check_raise(self, tmp_path):
+        p = tmp_path / "x.wav"
+        _write_wav(p, np.zeros(100, dtype=np.int16))
+        source = read_wav(p)
+        p.write_bytes(p.read_bytes()[:-10])
+        assert source[:95].tobytes() == bytes(190)
+        with pytest.raises(IngestionError, match="truncated WAV") as info:
+            source[90:]
+        assert str(p) in str(info.value)
+
+
 class TestLoadAudio:
     def test_silence_second(self, tmp_path):
         p = tmp_path / "silence.wav"
@@ -414,6 +448,12 @@ class TestFeaturize:
             with pytest.raises(ConfigError, match="n_fft and win_len must be >= 2"):
                 featurize(np.ones(1000), FrontendSettings(n_fft=n_fft, win_len=win_len),
                           mel=False, target=True)
+        # the mel filterbank of an odd n_fft would be laid out for n_fft - 1
+        for n_fft in (3, 401, 511):
+            with pytest.raises(ConfigError, match=f"n_fft must be even, got n_fft={n_fft}"):
+                featurize(np.ones(1000), FrontendSettings(n_fft=n_fft, win_len=3))
+            with pytest.raises(ConfigError, match=f"n_fft={n_fft}"):
+                frame_count(1000, FrontendSettings(n_fft=n_fft, win_len=3))
 
 
 class TestFrameMagnitudes:
@@ -516,11 +556,24 @@ def test_nsf1_every_truncation_raises_format_error():
             features_from_bytes(_NSF1[:length])
 
 
+def _featurized(samples, settings) -> bytes | str:
+    """The bytes of ``featurize(samples, target=True)``, or the message of the
+    IngestionError it raises."""
+    try:
+        features, target = featurize(samples, settings, target=True)
+    except IngestionError as exc:
+        return str(exc)
+    assert features.shape[0] == settings.n_mels and target.shape[1] == features.shape[1]
+    return features.tobytes() + target.tobytes()
+
+
 @pytest.mark.parametrize("fmt", ["int16", "float32"])
 def test_wav_every_flip_and_truncation_reads_or_raises_nmfseg_error(tmp_path, fmt):
     """XOR 0x01, 0x80 and 0xFF at every byte of a 720-sample WAV, and every
-    truncation of it: each blob either reads through ``read_wav`` and
-    ``featurize(target=True)`` or raises an NmfsegError subclass."""
+    truncation of it: ``read_wav`` raises IngestionError, or its source, read
+    in slices, holds the samples ``np.asarray`` of it holds, and featurizing
+    the source and that array (``featurize(target=True)``) gives the same
+    bytes or raises the same IngestionError."""
     p = tmp_path / "x.wav"
     _save(p, np.random.default_rng(31).uniform(-0.9, 0.9, 720), fmt)
     wav = p.read_bytes()
@@ -535,9 +588,12 @@ def test_wav_every_flip_and_truncation_reads_or_raises_nmfseg_error(tmp_path, fm
     for blob in blobs:
         p.write_bytes(blob)
         try:
-            features, target = featurize(read_wav(p), settings, target=True)
-        except NmfsegError:
+            source = read_wav(p)
+        except IngestionError:
             continue
-        assert features.shape[0] == settings.n_mels and target.shape[1] == features.shape[1]
-        read += 1
+        whole = np.asarray(source)
+        assert b"".join(source[lo:lo + 97].tobytes() for lo in range(0, len(source), 97)) == whole.tobytes()
+        streamed = _featurized(source, settings)
+        assert streamed == _featurized(whole, settings)
+        read += isinstance(streamed, bytes)
     assert read > 0

@@ -1,5 +1,6 @@
 """Encoder architecture: initialization, forward contract, checkpoint format."""
 
+import contextlib
 import math
 import struct
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_views_of_flat, make_tiny_model, named_arrays
-from nmfseg import network
+from nmfseg import network, parallel
 from nmfseg.errors import DimensionError, FormatError, NmfsegError, NumericError
 from nmfseg.evaluate import decide_frames
 from nmfseg.network import (INPUT_CENTER, INPUT_SCALE, SegModel, _forward_cache, encode,
@@ -155,6 +156,58 @@ class TestEncode:
             encode(make_tiny_model(), np.zeros((2, 9, 10)))
 
 
+# the longest T whose guarded columns (T + 2P) fit in one encode pass
+_ONE_PASS_FRAMES = network.ENCODE_COLUMNS - 2 * max(network.DEFAULT_DILATIONS)
+
+
+def _counting_forward_cache(monkeypatch) -> list:
+    """Patch ``network._forward_cache`` to record each call's batch shape."""
+    calls, forward_cache = [], network._forward_cache
+
+    def counting(model, s, *args, **kwargs):
+        calls.append(s.shape)
+        return forward_cache(model, s, *args, **kwargs)
+
+    monkeypatch.setattr(network, "_forward_cache", counting)
+    return calls
+
+
+def _one_pass(model, s):
+    """H and logits of one ``_forward_cache`` pass over the whole batch."""
+    out = network._forward_cache(model, s, keep=False)
+    return out["layout"].to_batch(out["h_flat"]), out["layout"].to_batch(out["logits_flat"])
+
+
+class TestEncodePieces:
+    """``encode`` runs passes of at most ``ENCODE_COLUMNS`` guarded columns,
+    and gives the bytes of one pass over the whole batch."""
+
+    @pytest.mark.parametrize("serial", [False, True], ids=["blas-default", "blas-1"])
+    @pytest.mark.parametrize("frames, passes", [(_ONE_PASS_FRAMES - 1, 1), (_ONE_PASS_FRAMES, 1),
+                                                (_ONE_PASS_FRAMES + 1, 2), (3 * network.ENCODE_COLUMNS, 4)])
+    def test_time_chunks_equal_one_pass(self, monkeypatch, frames, passes, serial):
+        """A sample too long for one pass is cut into chunks that carry 93
+        frames of context on either side; their core frames are the one
+        pass's, bit for bit, at the default and at one BLAS thread."""
+        model, s, _ = _desk_model_and_batch(1, frames)
+        with parallel.serial_blas() if serial else contextlib.nullcontext():
+            ref_h, ref_logits = _one_pass(model, s)
+            calls = _counting_forward_cache(monkeypatch)
+            h, logits = encode(model, s)
+        assert len(calls) == passes
+        assert all(shape[2] + 2 * max(model.dilations) <= network.ENCODE_COLUMNS for shape in calls)
+        assert h.tobytes() == ref_h.tobytes() and logits.tobytes() == ref_logits.tobytes()
+
+    def test_groups_equal_one_pass(self, monkeypatch):
+        """Two 2000-frame samples fill a pass, so a batch of three is two groups."""
+        model, s, _ = _desk_model_and_batch(3, 2000)
+        ref_h, ref_logits = _one_pass(model, s)
+        calls = _counting_forward_cache(monkeypatch)
+        h, logits = encode(model, s)
+        assert [shape[0] for shape in calls] == [2, 1]
+        assert h.tobytes() == ref_h.tobytes() and logits.tobytes() == ref_logits.tobytes()
+
+
 def _desk_model_and_batch(batch: int, frames: int):
     """A float32 model at desk shape (D = 80, K = 64, C = 4, 64 channels), a
     (B, D, T) float32 batch, and the bytes of one C x N float32 array."""
@@ -185,6 +238,17 @@ class TestForwardMemory:
         model, s, unit = _desk_model_and_batch(1, 6000)
         peak = _peak_units(lambda: encode(model, s), unit)
         assert peak <= 5.5, peak
+
+    def test_encode_memory_does_not_grow_with_t(self):
+        """Beyond the H and logits it returns, ``encode`` at T = 60,000 peaks
+        within 1.1 x its peak at T = 6,000: both run ``ENCODE_COLUMNS``-wide
+        passes on one workspace."""
+        peaks = {}
+        for frames in (6000, 60000):
+            model, s, _ = _desk_model_and_batch(1, frames)
+            returned = (model.k + model.c) * frames * s.itemsize
+            peaks[frames] = _peak_units(lambda: encode(model, s), 1) - returned
+        assert peaks[60000] <= 1.1 * peaks[6000], peaks
 
     def test_training_cache_keeps_only_what_backward_reads(self):
         """22.3 measured at B = 8, T = 200; 25.4 while the cache also kept a

@@ -10,7 +10,7 @@ import pytest
 from conftest import assert_views_of_flat, load_split_with_targets
 from nmfseg import frontend, parallel, training
 from nmfseg.corpus import HOP_SECONDS, Manifest, ManifestRow
-from nmfseg.errors import ConfigError, DimensionError, FormatError, NumericError
+from nmfseg.errors import ConfigError, DimensionError, FormatError, IngestionError, NumericError
 from nmfseg.frontend import AudioClip, FeatureSequence, save_audio, write_features
 from nmfseg.labels import read_label_file, write_label_file
 from nmfseg.network import init_model
@@ -109,6 +109,29 @@ class TestDataAssembly:
         with pytest.raises(FormatError, match="0.01 s apart") as info:
             load_clip(ext, ext.rows[0], FrontendSettings())
         assert str(tmp_path / "clip.nsf") in str(info.value)
+
+    def test_feature_file_row_only_checks_its_samples(self, tmp_path, small_corpus, monkeypatch):
+        """With a feature file and no target, a row's audio is only checked
+        for non-finite samples: no frame is transformed."""
+        _, manifest = small_corpus
+        row = manifest.for_split("train")[0]
+        shutil.copy(manifest.resolve(row.labels), tmp_path / "clip.lab")
+        write_features(FeatureSequence(values=np.zeros((12, 499), dtype=np.float32), hop=0.02),
+                       tmp_path / "clip.nsf")
+        ext = Manifest(rows=[ManifestRow("clip", "clip.wav", "clip.nsf", "clip.lab", "train")], root=tmp_path)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a frame was transformed")
+
+        monkeypatch.setattr(frontend, "frame_magnitudes", no_transform)
+        wav = manifest.resolve(row.audio).read_bytes()
+        (tmp_path / "clip.wav").write_bytes(wav)
+        clip = load_clip(ext, ext.rows[0], FrontendSettings(), with_spect=False)
+        assert clip.features.shape == (12, 499) and clip.spect is None
+        # the file's last four bytes are its last float32 sample, which no frame covers
+        (tmp_path / "clip.wav").write_bytes(wav[:-4] + np.float32(np.nan).tobytes())
+        with pytest.raises(IngestionError, match="non-finite"):
+            load_clip(ext, ext.rows[0], FrontendSettings(), with_spect=False)
 
     def test_external_feature_files_used(self, tmp_path, small_corpus):
         _, manifest = small_corpus
@@ -411,6 +434,15 @@ class TestDictionaryCheck:
         monkeypatch.setattr(training, "read_wav", _no_read)
         with pytest.raises(ConfigError, match="reconstruction error needs a dictionary"):
             training.reconstruction_error(init_model(d=80, k=16, c=4, seed=0), small_corpus[1], "test")
+
+    def test_a_clip_load_reaches_the_patched_name(self, small_corpus, monkeypatch):
+        """The control of the tests that patch ``training.read_wav``: a plain
+        ``load_clip`` reads its audio through that name, so a read before the
+        check would fail them."""
+        manifest = small_corpus[1]
+        monkeypatch.setattr(training, "read_wav", _no_read)
+        with pytest.raises(AssertionError, match="a clip was read"):
+            load_clip(manifest, manifest.for_split("train")[0], FrontendSettings(), with_spect=False)
 
 
 class _Stop(Exception):

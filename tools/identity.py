@@ -1,6 +1,6 @@
 """Byte identity of every pipeline artifact between two commits.
 
-    python3 tools/identity.py PARENT_REV [--shape small|desk] [--seed N]
+    python3 tools/identity.py PARENT_REV [--shape small|desk|long] [--seed N]
                               [--threads N] [--declared FILE ...]
 
 Checks out PARENT_REV and ``HEAD`` (uncommitted edits are not seen) as two
@@ -26,7 +26,10 @@ named with ``--declared`` (paths relative to the run directory, e.g.
 
 ``small`` takes a few seconds per side on 2 vCPUs.  ``desk`` is the default
 clip, codebook and model shape on 10/2/2 minutes of audio for 3 epochs, and
-takes about half a minute per side.
+takes about half a minute per side.  ``long`` is the benchmark's ``infer``
+shape: 120-s clips on 2/2/16 minutes of audio, 30 dictionary iterations and
+2 epochs.  Its clips are longer than one ``network.encode`` pass, so it is
+the shape that runs encode's time chunks.
 Hashes are not comparable across hosts (OpenBLAS picks its kernels per
 CPU), so compare two commits on one machine.
 """
@@ -50,6 +53,8 @@ SHAPES = {
               "epochs": 1, "batch": 4, "probe_epochs": 5, "probe_per_class": 2,
               "probe_seconds": 0.5},
     "desk": {"train_minutes": 10.0, "dev_minutes": 2.0, "test_minutes": 2.0, "epochs": 3},
+    "long": {"clip_seconds": 120.0, "train_minutes": 2.0, "dev_minutes": 2.0, "test_minutes": 16.0,
+             "dict_iters": 30, "epochs": 2},
 }
 
 MASK = "<run>"
