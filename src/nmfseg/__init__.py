@@ -18,7 +18,7 @@ from .explain import (ComponentReport, RelevanceRecord, binarize, component_repo
                       component_spectrum, make_record, pool_time, relevance)
 from .frontend import (AudioClip, FeatureSequence, FrontendSettings, Spectrogram, WavSamples,
                        featurize, frame_count, load_audio, log_mel, mel_filterbank, read_features,
-                       read_wav, save_audio, stft_magnitude, write_features)
+                       read_wav, save_audio, stft_magnitude, wav_features, write_features)
 from .labels import label_matrix_from_range, read_label_file, write_label_file
 from .network import (LabelMatrix, SegModel, bce_masked, encode, forward, init_model,
                       load_model, save_model)

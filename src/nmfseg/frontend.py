@@ -36,6 +36,18 @@ samples.  ``load_audio``, ``stft_magnitude`` and
 ``log_mel`` are the same steps over whole arrays; tests compare ``featurize``
 against them.
 
+``wav_features`` is ``featurize`` for a WAV file, with the features
+cached beside it: each WAV's log-mel is computed once and read back by every
+later stage or run that asks for the same frames with the same settings.
+An entry is an NSF1 file in ``FEATURE_CACHE_DIR`` in the WAV's directory,
+named by ``feature_key``, a SHA-256 of the WAV's bytes, the frame count, the
+settings the log-mel reads, NumPy's version, the OpenBLAS build and thread
+count, and this module's source.  A hit reads the WAV only for that digest:
+an entry is written only after ``featurize`` has checked every sample of
+exactly those bytes.  The reconstruction target is never cached.  Deleting
+the directory is always safe, and a corpus that cannot be written to is
+read as if it had no cache.
+
 ``frame_magnitudes`` holds the per-frame steps (widen, Hann window, ``rfft``,
 ``abs``) for the frames it is given: ``featurize`` passes each block as a
 slice, and ``training.pretrain_dictionary`` passes the indices of the few
@@ -49,13 +61,17 @@ little-endian f32 values stored frame by frame (column-major).
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, DimensionError, FormatError, IngestionError
 
 SAMPLE_RATE = 16000
@@ -64,6 +80,8 @@ LOG_FLOOR = 1e-10
 HOP_TOLERANCE = 0.5e-6 + 1e-12
 
 FEATURE_MAGIC = b"NSF1"
+# the directory, beside a WAV file, that holds the cached log-mel features of WAVs there
+FEATURE_CACHE_DIR = ".nmfseg-features"
 
 # frames windowed and transformed per block in featurize and stft_magnitude, and per
 # frame_magnitudes call in training.pretrain_dictionary
@@ -171,7 +189,8 @@ class WavSamples:
     ``len`` is the sample count and ``dtype`` the stored sample type
     (little-endian int16 or float32).  ``samples[a:b]`` reads those samples
     from the file, unscaled and read-only; only contiguous slices are taken.
-    ``np.asarray(samples)`` reads them all.  A file that has lost samples
+    ``np.asarray(samples)`` reads them all, read-only too, and
+    ``np.array(samples)`` returns them writable.  A file that has lost samples
     since ``read_wav`` checked it raises IngestionError when they are read.
     """
 
@@ -198,7 +217,9 @@ class WavSamples:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         data = self[:]
-        return data if dtype is None else data.astype(dtype)
+        if dtype is not None:
+            return data.astype(dtype)
+        return data.copy() if copy else data
 
 
 def read_wav(path) -> WavSamples:
@@ -438,6 +459,80 @@ def featurize(samples: np.ndarray | WavSamples, settings: FrontendSettings, fram
         if not np.isfinite(samples[lo:lo + step]).all():
             raise IngestionError("non-finite samples")
     return features, None if spect is None else spect.T
+
+
+def wav_features(samples: WavSamples, settings: FrontendSettings, frames: int | None = None,
+                 target: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """``featurize(samples, settings, frames, target=target)`` of a WAV file,
+    with the features cached beside it.
+
+    ``samples`` is ``read_wav``'s source.  The entry is the NSF1 file
+    ``FEATURE_CACHE_DIR/<feature_key>.nsf`` in the WAV's directory.  On a
+    hit (an entry that parses, holds (n_mels, frames) values and declares
+    the frontend's hop) the features are read from it, and the WAV is read
+    only for its digest; with ``target`` the target is still computed
+    (``featurize(..., mel=False, target=True)``).  On a miss, or an entry
+    that is not usable, ``featurize`` runs, so every sample is checked, and
+    then the features are written under a unique temporary name and moved
+    into place, unless the WAV's size or modification time changed since
+    it was digested.  A write that fails (a read-only corpus) is skipped
+    and leaves no file.  The target is never cached.
+    """
+    path = Path(samples.path)
+    frames = frame_count(len(samples), settings) if frames is None else frames
+    stamp = os.stat(path)
+    entry = path.parent / FEATURE_CACHE_DIR / f"{feature_key(path, settings, frames)}.nsf"
+    try:
+        seq = read_features(entry)
+        hit = seq.values.shape == (settings.n_mels, frames) and seq.hop == settings.hop / SAMPLE_RATE
+    except (OSError, FormatError):
+        hit = False
+    if hit:
+        return seq.values, featurize(samples, settings, frames, mel=False, target=True)[1] if target else None
+    features, spect = featurize(samples, settings, frames, target=target)
+    now = os.stat(path)
+    if (now.st_size, now.st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns):
+        _store(entry, FeatureSequence(features, settings.hop / SAMPLE_RATE))
+    return features, spect
+
+
+def feature_key(path, settings: FrontendSettings, frames: int) -> str:
+    """The hex SHA-256 that names the cached features of ``frames`` frames of
+    the WAV file at ``path``.
+
+    It covers everything the log-mel bits depend on: the file's bytes (read
+    in 1-MB blocks), ``frames``, every ``FrontendSettings`` field but
+    ``recon_log``, NumPy's version, this module's source, and the OpenBLAS
+    build and thread count (``parallel.blas_build``), since those pick the
+    mel product's kernel.
+    """
+    digest = hashlib.sha256(_code_digest())
+    digest.update(repr((frames, np.__version__, parallel.blas_build(),
+                        [(f.name, getattr(settings, f.name)) for f in fields(settings)
+                         if f.name != "recon_log"])).encode())
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _code_digest() -> bytes:
+    """SHA-256 of this module's source, read once per process."""
+    return hashlib.sha256(Path(__file__).read_bytes()).digest()
+
+
+def _store(entry: Path, seq: FeatureSequence) -> None:
+    """Write ``seq`` to ``entry`` through a unique temporary file in its
+    directory; on an OSError write nothing and remove the temporary file."""
+    tmp = entry.with_name(f"{entry.stem}.{os.urandom(8).hex()}.tmp")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        write_features(seq, tmp)
+        os.replace(tmp, entry)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def hz_to_mel(f):

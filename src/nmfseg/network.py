@@ -225,9 +225,6 @@ class _Layout:
         """(C, B, T) view of the payload columns."""
         return flat.reshape(flat.shape[0], self.b, self.s)[:, :, self.p:self.p + self.t]
 
-    def to_batch(self, flat: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(self.core(flat).transpose(1, 0, 2))
-
     def zero_guards(self, flat: np.ndarray) -> None:
         view = flat.reshape(flat.shape[0], self.b, self.s)
         view[:, :, :self.p] = 0
@@ -384,7 +381,7 @@ def _encode_pieces(model: SegModel, batch: int, frames: int) -> list[tuple[slice
 
 def _forward_cache(model: SegModel, s: np.ndarray, ws: Workspace | None = None, keep: bool = True) -> dict:
     """The forward pass over a (B, D, T) batch: its layout, flat H and flat logits
-    (``layout.to_batch`` gives their (B, K, T) and (B, C, T) forms), and with
+    (``layout.core`` gives their (K, B, T) and (C, B, T) views), and with
     ``keep`` what the backward pass reads.  Every full-width array lives in
     ``ws`` (a fresh workspace when None).
     """

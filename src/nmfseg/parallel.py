@@ -24,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from pathlib import Path
@@ -34,8 +35,10 @@ from .errors import ConfigError
 
 SHARDS = 2
 
-# the thread-count setter and getter of the scipy-openblas build that NumPy 2 wheels bundle
+# the thread-count setter and getter, and the build string, of the scipy-openblas build that
+# NumPy 2 wheels bundle
 _BLAS_SET, _BLAS_GET = "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"
+_BLAS_CONFIG = "scipy_openblas_get_config64_"
 
 
 def workers() -> int:
@@ -57,8 +60,9 @@ def workers() -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _blas_threads():
-    """``(set, get)`` for the thread count of NumPy's bundled OpenBLAS, or None.
+def _openblas():
+    """NumPy's bundled OpenBLAS, when it exports the thread-count setter and
+    getter, or None.
 
     The library is the one NumPy already loaded, so opening it again returns
     the same handle.
@@ -69,12 +73,44 @@ def _blas_threads():
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
-        setter, getter = getattr(lib, _BLAS_SET, None), getattr(lib, _BLAS_GET, None)
-        if setter is not None and getter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            return setter, getter
+        if hasattr(lib, _BLAS_SET) and hasattr(lib, _BLAS_GET):
+            return lib
     return None
+
+
+@functools.lru_cache(maxsize=1)
+def _blas_threads():
+    """``(set, get)`` for the thread count of NumPy's bundled OpenBLAS, or None."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    setter, getter = getattr(lib, _BLAS_SET), getattr(lib, _BLAS_GET)
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return setter, getter
+
+
+# OpenBLAS builds its config string in one static buffer on every call, so two
+# calls at once can return it cut short or run together
+_CONFIG_LOCK = threading.Lock()
+
+
+@functools.lru_cache(maxsize=1)
+def _blas_config() -> str:
+    with _CONFIG_LOCK:
+        config = getattr(_openblas(), _BLAS_CONFIG, None)
+        if config is None:
+            return ""
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        return config().decode(errors="replace")
+
+
+def blas_build() -> str:
+    """What picks a GEMM's kernels, and so its last bits: NumPy's OpenBLAS build
+    string (version, target CPU, build flags) and the thread count it runs at
+    now; ``""`` without that library."""
+    found = _blas_threads()
+    return "" if found is None else f"{_blas_config()}; threads={found[1]()}"
 
 
 @contextmanager

@@ -23,7 +23,8 @@ import numpy as np
 from . import parallel
 from .corpus import one_pole
 from .errors import FormatError, open_text, write_json
-from .frontend import SAMPLE_RATE, AudioClip, FrontendSettings, check_hop, featurize, read_features, read_wav
+from .frontend import (SAMPLE_RATE, AudioClip, FrontendSettings, check_hop, featurize, read_features, read_wav,
+                       wav_features)
 from .network import SegModel, encode
 from .optim import adam_step, init_adam
 
@@ -211,7 +212,8 @@ def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=
     below ``class_count``, a file with no rows, and, without
     ``class_count``, labels that cover fewer than two classes raise
     FormatError naming the file (and the line, for a row); so does a
-    feature file off the frontend's hop (``frontend.check_hop``).
+    feature file off the frontend's hop (``frontend.check_hop``).  A WAV
+    row's features go through the feature cache (``frontend.wav_features``).
     """
     settings = settings or FrontendSettings()
     root = Path(path).parent
@@ -238,7 +240,7 @@ def load_probe_manifest(model: SegModel, path, name: str = "manifest", settings=
             check_hop(f"{where}: {src}", seq.hop, settings)
             feats = seq.values
         else:
-            feats, _ = featurize(read_wav(src), settings)
+            feats, _ = wav_features(read_wav(src), settings)
         h, _ = encode(model, feats[None])
         items.append((h[0], label))
     if not items:

@@ -47,9 +47,12 @@ Each clip's audio is read through ``frontend.read_wav``, whose source
 reads samples from disk as they are asked for, and featurized in one blocked
 pass (``frontend.featurize``), which writes the float32 features and, when
 asked, the float32 reconstruction target; no clip's WAV bytes, whole float64
-waveform or spectrogram is held.  ``pretrain_dictionary`` alone reads a clip
-twice: the second time it reads only the samples of the frames it
-factorizes.
+waveform or spectrogram is held.  ``load_clip`` takes a WAV's features from
+the feature cache beside it (``frontend.wav_features``), so a clip that an
+earlier stage or run featurized is not featurized again, and the pass runs
+only for a target.  ``pretrain_dictionary`` reads no log-mel, so it does not
+use the cache, and it alone reads a clip twice: the second time it reads
+only the samples of the frames it factorizes.
 
 Feature, spectrogram, and label frame counts may disagree by at most one
 frame (the STFT drops a partial frame at the clip edge); the surplus frame
@@ -69,7 +72,7 @@ from .errors import (NONNEG, POSITIVE, SEED, SIZE, UNIT, ConfigError, DimensionE
 from .evaluate import F1Report, accumulate_counts, decide_frames
 from .frontend import (SAMPLE_RATE, STFT_BLOCK_FRAMES, FeatureSequence, FrontendSettings, WavSamples,
                        check_hop, featurize, frame_count, frame_magnitudes, read_features, read_wav,
-                       recon_target)
+                       recon_target, wav_features)
 from .labels import label_matrix_from_range, read_label_file
 from .network import (LabelMatrix, SegModel, Workspace, _backward_from_cache, bce_cells,
                       _forward_cache, bce_masked, encode, sigmoid)
@@ -188,16 +191,19 @@ def load_clip(manifest: Manifest, row, settings: FrontendSettings,
     """Load one manifest row, aligning features, spectrogram, and labels.
 
     The features are the row's feature file, or else the log-mel of its
-    audio; the float32 reconstruction target is computed only when
-    ``with_spect`` is true (inference reads features alone).  Every row's
-    audio goes through ``featurize``, so its samples are checked either way.
+    audio, read from or written to the WAV's feature cache
+    (``frontend.wav_features``); the float32 reconstruction target is
+    computed only when ``with_spect`` is true (inference reads features
+    alone).  Every row's audio is checked, on a cache hit by the pass that
+    wrote the entry.
     """
     samples, feats, labels, t = _aligned_samples(manifest, row, settings)
-    computed, spect = featurize(samples, settings, frames=t, mel=feats is None, target=with_spect)
-    return ClipData(clip_id=row.clip_id,
-                    features=computed if feats is None else np.asarray(feats.values[:, :t], dtype=np.float32),
-                    spect=spect,
-                    labels=labels[:, :t],
+    if feats is None:
+        features, spect = wav_features(samples, settings, t, target=with_spect)
+    else:
+        features = np.asarray(feats.values[:, :t], dtype=np.float32)
+        _, spect = featurize(samples, settings, frames=t, mel=False, target=with_spect)
+    return ClipData(clip_id=row.clip_id, features=features, spect=spect, labels=labels[:, :t],
                     hop=settings.hop / SAMPLE_RATE)
 
 

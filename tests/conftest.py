@@ -37,6 +37,12 @@ def assert_views_of_flat(model: SegModel) -> None:
         assert arr.shape == view.shape and arr.ctypes.data == view.ctypes.data, name
 
 
+def to_batch(layout, flat: np.ndarray) -> np.ndarray:
+    """The (B, C, T) batch of a forward pass's flat (C, N) array: its payload
+    columns, without the guards."""
+    return np.ascontiguousarray(layout.core(flat).transpose(1, 0, 2))
+
+
 def load_split_with_targets(manifest, split: str, settings) -> list:
     """Every clip of a split with its float32 reconstruction target, one
     ``load_clip`` per row; ``load_split`` loads features and labels alone."""

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_tiny_model, nudge_away_from_relu_kinks
+from conftest import make_tiny_model, nudge_away_from_relu_kinks, to_batch
 from nmfseg.cli import run_command
 from nmfseg.corpus import CLASS_NAMES, CorpusSpec, generate_corpus
 from nmfseg.evaluate import ClassF1
@@ -120,7 +120,7 @@ class TestCriterion4MaskedBce:
         from nmfseg.network import _forward_cache
         cache = _forward_cache(model, np.asarray(s, dtype=np.float64)[None])
         lay = cache["layout"]
-        logits = lay.to_batch(cache["logits_flat"])[0]
+        logits = to_batch(lay, cache["logits_flat"])[0]
         n_cells = 3 * labels.frames
         g_flat = np.zeros((4, lay.n))
         core = lay.core(g_flat)[:, 0, :]

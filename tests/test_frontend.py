@@ -43,6 +43,17 @@ class TestWavSamples:
             part = source[key]
             assert part.tobytes() == whole[key].tobytes() and not part.flags.writeable
 
+    def test_np_array_copies_and_asarray_does_not(self, tmp_path):
+        p = tmp_path / "x.wav"
+        _write_wav(p, np.arange(100, dtype=np.int16))
+        source = read_wav(p)
+        copied = np.array(source)
+        assert copied.flags.writeable and copied.tobytes() == np.arange(100, dtype="<i2").tobytes()
+        copied[0] = 7
+        assert np.asarray(source)[0] == 0 and not np.asarray(source).flags.writeable
+        assert np.array(source, dtype=np.float32).flags.writeable
+        assert not source[:10].flags.writeable
+
     @pytest.mark.parametrize("key", [3, slice(0, 10, 2), [1, 2]])
     def test_only_contiguous_slices_are_read(self, tmp_path, key):
         p = tmp_path / "x.wav"

@@ -95,6 +95,33 @@ class TestCompare:
         assert ok
 
 
+class TestFeatureCache:
+    def test_cache_entries_are_counted_not_compared(self, tmp_path):
+        """Feature-cache entries sit beside the WAVs of one side only (or
+        differ between sides): they neither move an artifact nor fail the run."""
+        a = _tree(tmp_path / "parent", {"corpus/audio/a.wav": b"RIFF", "model.nsm": b"NSM1"})
+        b = _tree(tmp_path / "change", {
+            "corpus/audio/a.wav": b"RIFF", "model.nsm": b"NSM1",
+            "corpus/audio/.nmfseg-features/0a1b.nsf": b"NSF1",
+            "corpus/audio/.nmfseg-features/2c3d.nsf": b"NSF1 other",
+            "corpus/.nmfseg-features/4e5f.nsf": b"NSF1",
+        })
+        lines, ok = identity.compare(a, b)
+        assert ok
+        assert lines == ["same   corpus/audio/a.wav", "same   model.nsm",
+                         "2 artifacts: 2 same, 0 moved (0 declared)"]
+        assert identity.cache_line(a, b) == ("feature-cache  parent 0 entries  change 3 entries"
+                                             "  (not compared)")
+        assert identity.cache_line(b, b).startswith("feature-cache  parent 3 entries  change 3 entries")
+
+    def test_only_a_cache_directory_component_is_skipped(self, tmp_path):
+        a = _tree(tmp_path / "parent", {"x.nmfseg-features.nsf": b"1", "nmfseg-features/e.nsf": b"1"})
+        b = _tree(tmp_path / "change", {"x.nmfseg-features.nsf": b"2", "nmfseg-features/e.nsf": b"2"})
+        lines, ok = identity.compare(a, b)
+        assert not ok and lines[-1] == "2 artifacts: 0 same, 2 moved (0 declared)"
+        assert identity.cache_line(a, b).startswith("feature-cache  parent 0 entries  change 0 entries")
+
+
 # a stand-in CLI: each stage writes one file whose name carries NMFSEG_THREADS
 _FAKE_CLI = """import os, sys
 from pathlib import Path
@@ -112,12 +139,15 @@ def _fake_worktree(rev, path):
 
 
 def _report(out: str) -> tuple[list, list]:
-    """The artifact lines with their summary, and the ``max-rss`` lines after them."""
+    """The artifact lines with their summary, and the ``max-rss`` lines after
+    the one ``feature-cache`` line that follows them."""
     lines = out.splitlines()
     first = next((i for i, line in enumerate(lines) if line.startswith("max-rss ")), len(lines))
     assert not any(line.startswith("max-rss ") for line in lines[:first]) and all(
         line.startswith("max-rss ") for line in lines[first:]), lines
-    return lines[:first], lines[first:]
+    assert lines[first - 1].startswith("feature-cache  ") and not any(
+        line.startswith("feature-cache") for line in lines[:first - 1]), lines
+    return lines[:first - 1], lines[first:]
 
 
 class TestThreads:

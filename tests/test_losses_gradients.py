@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_tiny_model, nudge_away_from_relu_kinks
+from conftest import make_tiny_model, nudge_away_from_relu_kinks, to_batch
 from nmfseg.network import LabelMatrix, Workspace, _forward_cache, bce_masked, init_model
 from nmfseg.nmf import Dictionary, normalize_columns
 from nmfseg.training import TrainConfig, _batch_loss, _batch_loss_and_grads, reduce_targets
@@ -118,7 +118,7 @@ class TestTotalLoss:
     def test_batch_bce_is_mean_of_per_sample_bce_masked(self):
         model, feats, spects, labels = _batch_case()
         comps, cache, _, _ = _batch_loss(model, feats, _targets(model, spects), labels, _cfg(10, 0, 0))
-        logits = cache["layout"].to_batch(cache["logits_flat"])
+        logits = to_batch(cache["layout"], cache["logits_flat"])
         per_sample = [bce_masked(logits[b], labels[b]) for b in range(3)]
         assert per_sample[2] == 0.0
         assert comps["bce"] == pytest.approx(sum(per_sample) / 3, rel=1e-12)
@@ -230,7 +230,7 @@ class TestGramForm:
         model, feats, spects, labels = _batch_case()
         comps = _batch_loss_and_grads(model, feats, _targets(model, spects), labels, _cfg(10, 1, 0.1))[0]
         cache = _forward_cache(model, feats)
-        h = cache["layout"].to_batch(cache["h_flat"])
+        h = to_batch(cache["layout"], cache["h_flat"])
         direct = sum(float(np.sum((model.w_ref.values @ h[b] - spects[b]) ** 2)) for b in range(3))
         assert comps["nmf"] * 3 == pytest.approx(direct, rel=1e-12, abs=0)
 
@@ -241,9 +241,9 @@ class TestGramForm:
         _, cache, _, g_h_flat = _batch_loss(model, feats[part], _targets(model, spects)[part], labels[part],
                                             _cfg(0, beta, 0), batch=batch)
         lay, w = cache["layout"], model.w_ref.values
-        h = lay.to_batch(cache["h_flat"])
+        h = to_batch(lay, cache["h_flat"])
         direct = np.stack([2 * beta / batch * w.T @ (w @ hb - x) for hb, x in zip(h, spects[part])])
-        np.testing.assert_allclose(lay.to_batch(g_h_flat), direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+        np.testing.assert_allclose(to_batch(lay, g_h_flat), direct, rtol=0, atol=1e-12 * np.abs(direct).max())
         guards = g_h_flat.reshape(g_h_flat.shape[0], lay.b, lay.s)
         assert not guards[:, :, :lay.p].any() and not guards[:, :, lay.p + lay.t:].any()
 
@@ -272,7 +272,7 @@ class TestMaskedClassGradients:
         from nmfseg.network import _forward_cache, sigmoid
         cache = _forward_cache(model, np.asarray(s, dtype=np.float64)[None])
         lay = cache["layout"]
-        logits = lay.to_batch(cache["logits_flat"])[0]
+        logits = to_batch(lay, cache["logits_flat"])[0]
         n_cells = 3 * labels.frames
         g_flat = np.zeros((4, lay.n))
         core = lay.core(g_flat)[:, 0, :]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_views_of_flat, make_tiny_model, named_arrays
+from conftest import assert_views_of_flat, make_tiny_model, named_arrays, to_batch
 from nmfseg import network, parallel
 from nmfseg.errors import DimensionError, FormatError, NmfsegError, NumericError
 from nmfseg.evaluate import decide_frames
@@ -137,8 +137,8 @@ class TestEncode:
         cache = _forward_cache(model, s)
         assert h.dtype == logits.dtype == dtype
         lay = cache["layout"]
-        assert np.array_equal(h, lay.to_batch(cache["h_flat"]))
-        assert np.array_equal(logits, lay.to_batch(cache["logits_flat"]))
+        assert np.array_equal(h, to_batch(lay, cache["h_flat"]))
+        assert np.array_equal(logits, to_batch(lay, cache["logits_flat"]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batched_equals_per_clip(self, dtype):
@@ -175,7 +175,7 @@ def _counting_forward_cache(monkeypatch) -> list:
 def _one_pass(model, s):
     """H and logits of one ``_forward_cache`` pass over the whole batch."""
     out = network._forward_cache(model, s, keep=False)
-    return out["layout"].to_batch(out["h_flat"]), out["layout"].to_batch(out["logits_flat"])
+    return to_batch(out["layout"], out["h_flat"]), to_batch(out["layout"], out["logits_flat"])
 
 
 class TestEncodePieces:

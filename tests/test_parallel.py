@@ -4,6 +4,7 @@ the OpenBLAS thread setting its calls run under."""
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -281,3 +282,22 @@ class TestSerialBlas:
             assert (found[1]() if found else None) == before
             assert parallel.map(lambda x: threading.current_thread() is main, range(2)) == [True, True]
         assert (found[1]() if found else None) == before
+
+    @needs_blas_setter
+    def test_blas_build_is_whole_when_threads_ask_at_once(self):
+        """OpenBLAS writes its config string into one static buffer on every
+        call, so racing calls could read it cut short; the feature cache keys
+        on this string, so every thread must read it whole."""
+        expected = parallel._blas_config()
+        assert "OpenBLAS" in expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(100):
+                    futures = [pool.submit(parallel._blas_config.__wrapped__) for _ in range(16)]
+                    assert {future.result(timeout=60) for future in futures} == {expected}
+        finally:
+            sys.setswitchinterval(interval)
+        with parallel.serial_blas():
+            assert parallel.blas_build() == f"{expected}; threads=1"

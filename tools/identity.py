@@ -15,7 +15,11 @@ It then prints one line per artifact, ``same`` or ``moved`` with the first
 differing byte offset and, for a ``.json`` artifact, the key path of the
 first differing value in document order (``$.metrics.rows[1].f1``), and a
 summary.  Paths in ``*.run.json`` files are
-masked first, since each side writes under its own directory.  Then one
+masked first, since each side writes under its own directory.  Files under
+a ``.nmfseg-features`` directory (the feature cache that stages write
+beside the WAVs they featurize) are not artifacts: they are not compared,
+and one ``feature-cache`` line gives each side's count of cache entries,
+which does not change the exit status.  Then one
 ``max-rss`` line per stage gives the maximum resident set size of that
 stage's process on each side (``getrusage`` of the child, Linux), so a
 memory claim is checked by the same run that checks the bytes.  The exit
@@ -58,6 +62,8 @@ SHAPES = {
 }
 
 MASK = "<run>"
+# frontend.FEATURE_CACHE_DIR, named here since the tool imports no nmfseg module
+CACHE_DIR = ".nmfseg-features"
 
 
 def pipeline(out: Path) -> list[list[str]]:
@@ -168,8 +174,8 @@ def _json_difference(x, y, path: str) -> str | None:
 def compare(parent: Path, change: Path, declared=()) -> tuple[list[str], bool]:
     """One line per artifact under either run directory, and whether every
     moved artifact is declared."""
-    names = sorted({p.relative_to(root).as_posix()
-                    for root in (parent, change) for p in root.rglob("*") if p.is_file()})
+    names = sorted({p.relative_to(root).as_posix() for root in (parent, change) for p in root.rglob("*")
+                    if p.is_file() and CACHE_DIR not in p.relative_to(root).parts})
     lines, ok, moved = [], True, 0
     for name in names:
         a, b = parent / name, change / name
@@ -192,6 +198,13 @@ def compare(parent: Path, change: Path, declared=()) -> tuple[list[str], bool]:
     lines.append(f"{len(names)} artifacts: {len(names) - moved} same, {moved} moved"
                  f" ({sum(name in declared for name in names)} declared)")
     return lines, ok
+
+
+def cache_line(parent: Path, change: Path) -> str:
+    """Each side's count of feature-cache entries, which ``compare`` skips."""
+    count = {side: sum(CACHE_DIR in p.relative_to(root).parts for p in root.rglob("*.nsf"))
+             for side, root in (("parent", parent), ("change", change))}
+    return f"feature-cache  parent {count['parent']} entries  change {count['change']} entries  (not compared)"
 
 
 def worktree(rev: str, path: Path) -> None:
@@ -222,6 +235,7 @@ def main(argv=None) -> int:
         rss = {side: run_pipeline(trees[side], work / side, args.shape, args.seed, args.threads)
                for side in ("parent", "change")}
         lines, ok = compare(work / "parent", work / "change", set(args.declared))
+        lines.append(cache_line(work / "parent", work / "change"))
         lines += rss_lines(rss["parent"], rss["change"])
     except RuntimeError as exc:
         print(f"identity: {exc}", file=sys.stderr)
